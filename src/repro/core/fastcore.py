@@ -37,6 +37,12 @@ What is different, and why it cannot change results:
   the frontier actually moved — the STT-family implementation is
   idempotent at a fixed frontier, and new taint roots are always ahead
   of it.
+* **Packet-free private hits.**  Loads, exposes, store-buffer drains
+  and LPT reveals call the hierarchy's ``read``/``write``/``reveal``.
+  On a contention-free hierarchy these serve private-cache hits with
+  the same routines ``submit`` runs, minus the packet and the port
+  grant, transaction clock and queue deltas that are no-ops there; the
+  rest they submit, as the reference loop does.
 * **Sorted-ready maintenance.**  The reference loop re-sorts the ready
   queue every cycle; FastCore keeps it sorted and re-sorts (via
   :func:`repro.core.hotpath.sort_ready`, numpy argsort above its
@@ -68,8 +74,6 @@ _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
 _BRANCH = OpClass.BRANCH
 
-_READ_REQ = PacketKind.READ_REQ
-_WRITE_REQ = PacketKind.WRITE_REQ
 _INVISIBLE_REQ = PacketKind.INVISIBLE_REQ
 
 _STF = MemPrediction.STF
@@ -191,23 +195,23 @@ class FastCore(Core):
             self._broadcast(inst, EMPTY_TAINT)
         exposes = self._pending_exposes
         if exposes and exposes[0][0] < frontier:
-            submit = self.hierarchy.submit
+            read = self.hierarchy.read
             core_id = self.core_id
             while exposes and exposes[0][0] < frontier:
                 # Expose: install the line for real, off the critical path.
                 _, addr = heappop(exposes)
-                submit(MemPacket.request(_READ_REQ, core_id, addr, cycle))
+                read(core_id, addr, cycle)
 
         lsq = self.lsq
         sb = lsq._sb
         if sb:
-            submit = self.hierarchy.submit
+            write = self.hierarchy.write
+            pop = lsq.pop_performable_store
             core_id = self.core_id
             for _ in range(self._sb_drain):
                 if not sb:
                     break
-                entry = sb.popleft()
-                submit(MemPacket.request(_WRITE_REQ, core_id, entry.addr, cycle))
+                write(core_id, pop().addr, cycle)
             activity = True
             self.events.epoch += 1  # stores performed: cache state changed
 
@@ -429,9 +433,9 @@ class FastCore(Core):
         )
         if reveals:
             self.stats.load_pairs_detected += len(reveals)
-            reveal_commit = self.hierarchy.reveal_commit
+            reveal = self.hierarchy.reveal
             for addr in reveals:
-                reveal_commit(self.core_id, addr, cycle)
+                reveal(self.core_id, addr, cycle)
 
     # ------------------------------------------------------------------
     # issue
@@ -605,10 +609,8 @@ class FastCore(Core):
         else:
             access_cycle = cycle + 1  # address generation
             self.events.epoch += 1  # fill/evict can change later DoM peeks
-            pkt = self.hierarchy.submit(
-                MemPacket.request(_READ_REQ, self.core_id, addr, access_cycle)
-            )
-            inst.mem_revealed = pkt.revealed
+            access = self.hierarchy.read(self.core_id, addr, access_cycle)
+            inst.mem_revealed = access.revealed
             inst.went_to_memory = True
             entry = lsq._lq.get(inst.seq)
             if entry is not None:
@@ -622,7 +624,7 @@ class FastCore(Core):
                     shadows.is_speculative(inst.seq),
                 )
             )
-            events_push(pkt.issued_at + pkt.latency, self._load_return, inst)
+            events_push(access_cycle + access.latency, self._load_return, inst)
         return True
 
     # ------------------------------------------------------------------

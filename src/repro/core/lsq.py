@@ -5,11 +5,12 @@ the store queue (SQ) are in-flight (paper §4.4.2).  Loads forward from
 either — and forwarded data is always **concealed** under ReCon, so the
 pipeline never lifts defenses for a forwarded value (§4.5).
 
-The ordering/violation queries are answered from incremental indexes
-(an SQ map keyed by sequence number, per-word LQ lists, and a sorted
-list of unresolved store sequence numbers) instead of linear scans; the
-indexes are pure accelerations — every query returns exactly what the
-scan-based implementation returned, in the same order.
+The ordering, violation and forwarding queries are answered from
+incremental indexes (an SQ map keyed by sequence number, per-word LQ,
+SQ and SB lists, and a sorted list of unresolved store sequence
+numbers) instead of linear scans; the indexes are pure accelerations —
+every query returns exactly what the scan-based implementation
+returned, in the same order.
 """
 
 from __future__ import annotations
@@ -69,6 +70,23 @@ class LoadEntry:
         self.went_to_memory = False
 
 
+def _index(words: Dict[int, List[StoreEntry]], entry: StoreEntry) -> None:
+    """Append ``entry`` to its word's list (entries arrive in seq order)."""
+    word_list = words.get(entry.word)
+    if word_list is None:
+        words[entry.word] = [entry]
+    else:
+        word_list.append(entry)
+
+
+def _unindex_oldest(words: Dict[int, List[StoreEntry]], entry: StoreEntry) -> None:
+    """Drop ``entry``, the oldest of its word, from its word's list."""
+    word_list = words[entry.word]
+    del word_list[0]
+    if not word_list:
+        del words[entry.word]
+
+
 class LoadStoreUnit:
     """SQ + SB + LQ with forwarding and ordering queries."""
 
@@ -83,6 +101,9 @@ class LoadStoreUnit:
         #: LQ entries grouped by word, each list in dispatch order — the
         #: same relative order a full LQ scan would visit them in.
         self._lq_words: Dict[int, List[LoadEntry]] = {}
+        #: SQ and SB entries grouped by word, each list oldest first.
+        self._sq_words: Dict[int, List[StoreEntry]] = {}
+        self._sb_words: Dict[int, List[StoreEntry]] = {}
         #: Unresolved store seqs, ascending (dispatch order), drained
         #: lazily from the front as stores resolve.
         self._unresolved: List[int] = []
@@ -114,6 +135,7 @@ class LoadStoreUnit:
         entry = StoreEntry(seq, pc, addr)
         self._sq.append(entry)
         self._sq_map[seq] = entry
+        _index(self._sq_words, entry)
         self._unresolved.append(seq)  # seqs arrive ascending
         return entry
 
@@ -173,8 +195,10 @@ class LoadStoreUnit:
             raise ValueError(f"store #{seq} is not the SQ head")
         entry = self._sq.popleft()
         del self._sq_map[seq]
+        _unindex_oldest(self._sq_words, entry)
         entry.committed = True
         self._sb.append(entry)
+        _index(self._sb_words, entry)
         return entry
 
     def commit_load(self, seq: int) -> None:
@@ -189,9 +213,11 @@ class LoadStoreUnit:
 
     def pop_performable_store(self) -> Optional[StoreEntry]:
         """Remove and return the oldest SB entry (drained to the cache)."""
-        if self._sb:
-            return self._sb.popleft()
-        return None
+        if not self._sb:
+            return None
+        entry = self._sb.popleft()
+        _unindex_oldest(self._sb_words, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # ordering / forwarding queries
@@ -213,17 +239,15 @@ class LoadStoreUnit:
         the youngest match supplies the data.
         """
         word = word_addr(addr)
-        best: Optional[StoreEntry] = None
-        for entry in reversed(self._sq):
-            if entry.seq < load_seq and entry.resolved and entry.word == word:
-                best = entry  # SQ is seq-ordered: first match from the
-                break  # back is the youngest
-        if best is not None:
-            return best  # SQ entries are younger than all SB entries
-        for entry in reversed(self._sb):
-            if entry.word == word:
-                return entry
-        return None
+        in_sq = self._sq_words.get(word)
+        if in_sq is not None:
+            for entry in reversed(in_sq):
+                if entry.seq < load_seq and entry.resolved:
+                    # Seq-ordered: the first match from the back is the
+                    # youngest, and SQ entries are younger than any SB's.
+                    return entry
+        in_sb = self._sb_words.get(word)
+        return in_sb[-1] if in_sb is not None else None
 
     def _find_sq(self, seq: int) -> Optional[StoreEntry]:
         return self._sq_map.get(seq)

@@ -15,6 +15,12 @@ from repro.common.types import MemPrediction, OpClass
 
 __all__ = ["MicroOp"]
 
+# Enum members bound once: every generated uop checks its class, and
+# ``OpClass.X`` / ``OpClass.is_memory`` cost a lookup or a call each time.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
 
 class MicroOp:
     """One dynamic micro-op in a trace.
@@ -62,11 +68,11 @@ class MicroOp:
         forced_prediction: Optional[MemPrediction] = None,
         data_srcs: Tuple[int, ...] = (),
     ) -> None:
-        if opclass.is_memory and addr is None:
+        if (opclass is _LOAD or opclass is _STORE) and addr is None:
             raise ValueError(f"{opclass} micro-op requires an address")
-        if opclass is OpClass.LOAD and dest is None:
+        if opclass is _LOAD and dest is None:
             raise ValueError("load micro-op requires a destination register")
-        if data_srcs and opclass is not OpClass.STORE:
+        if data_srcs and opclass is not _STORE:
             raise ValueError("only stores carry data source registers")
         self.seq = -1
         self.pc = pc
@@ -81,15 +87,15 @@ class MicroOp:
 
     @property
     def is_load(self) -> bool:
-        return self.opclass is OpClass.LOAD
+        return self.opclass is _LOAD
 
     @property
     def is_store(self) -> bool:
-        return self.opclass is OpClass.STORE
+        return self.opclass is _STORE
 
     @property
     def is_branch(self) -> bool:
-        return self.opclass is OpClass.BRANCH
+        return self.opclass is _BRANCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = [f"#{self.seq}", self.opclass.value]

@@ -18,6 +18,13 @@ from repro.isa.microop import MicroOp
 
 __all__ = ["Program", "default_memory_value"]
 
+# Enum members bound once (see repro.isa.microop): trace generation
+# appends hundreds of thousands of uops.
+_ALU = OpClass.ALU
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
 
 def default_memory_value(addr: int) -> int:
     """Deterministic pseudo-content for memory never written by the program.
@@ -82,14 +89,14 @@ class Program:
         self._check_reg(dest)
         self.regs[dest] = value
         return self._append(
-            MicroOp(OpClass.ALU, dest=dest, srcs=(), value=value), pc
+            MicroOp(_ALU, dest=dest, srcs=(), value=value), pc
         )
 
     def alu(
         self,
         dest: int,
         *srcs: int,
-        opclass: OpClass = OpClass.ALU,
+        opclass: OpClass = _ALU,
         pc: Optional[int] = None,
     ) -> MicroOp:
         """Register-to-register computation (ALU/MUL/DIV/FP).
@@ -97,7 +104,7 @@ class Program:
         The interpreted result is a deterministic mix of the sources so that
         dependent address arithmetic stays reproducible.
         """
-        if opclass.is_memory or opclass is OpClass.BRANCH:
+        if opclass is _LOAD or opclass is _STORE or opclass is _BRANCH:
             raise ValueError("alu() builds only computational micro-ops")
         self._check_reg(dest)
         for src in srcs:
@@ -119,7 +126,7 @@ class Program:
         result = (self.regs[src] + imm) & 0xFFFFFFFFFFFFFFFF
         self.regs[dest] = result
         return self._append(
-            MicroOp(OpClass.ALU, dest=dest, srcs=(src,), value=result), pc
+            MicroOp(_ALU, dest=dest, srcs=(src,), value=result), pc
         )
 
     def load(
@@ -138,7 +145,7 @@ class Program:
         self.regs[dest] = value
         return self._append(
             MicroOp(
-                OpClass.LOAD,
+                _LOAD,
                 dest=dest,
                 srcs=(base,),
                 addr=addr,
@@ -171,7 +178,7 @@ class Program:
         self.regs[dest] = value
         return self._append(
             MicroOp(
-                OpClass.LOAD,
+                _LOAD,
                 dest=dest,
                 srcs=(base, index),
                 addr=addr,
@@ -194,7 +201,7 @@ class Program:
         self.regs[dest] = value
         return self._append(
             MicroOp(
-                OpClass.LOAD,
+                _LOAD,
                 dest=dest,
                 srcs=(),
                 addr=addr,
@@ -220,7 +227,7 @@ class Program:
         self.memory[word_addr(addr)] = value
         return self._append(
             MicroOp(
-                OpClass.STORE,
+                _STORE,
                 srcs=(base,),
                 data_srcs=(src,),
                 addr=addr,
@@ -236,7 +243,7 @@ class Program:
         self.memory[word_addr(addr)] = value
         return self._append(
             MicroOp(
-                OpClass.STORE, srcs=(), data_srcs=(src,), addr=addr, value=value
+                _STORE, srcs=(), data_srcs=(src,), addr=addr, value=value
             ),
             pc,
         )
@@ -248,7 +255,7 @@ class Program:
         for src in srcs:
             self._check_reg(src)
         return self._append(
-            MicroOp(OpClass.BRANCH, srcs=tuple(srcs), mispredict=mispredict), pc
+            MicroOp(_BRANCH, srcs=tuple(srcs), mispredict=mispredict), pc
         )
 
     def nop(self, pc: Optional[int] = None) -> MicroOp:

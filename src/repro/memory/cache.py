@@ -52,13 +52,14 @@ class CacheArray:
         self.num_sets = params.num_sets
         self.ways = params.ways
         self._line_shift = params.line_bytes.bit_length() - 1
+        self._set_mask = self.num_sets - 1  # num_sets is a power of two
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(self.num_sets)]
         self._tick = 0
         #: Capacity evictions performed by :meth:`insert` (telemetry).
         self.evictions = 0
 
     def _set_for(self, line_addr: int) -> Dict[int, CacheLine]:
-        return self._sets[(line_addr >> self._line_shift) % self.num_sets]
+        return self._sets[(line_addr >> self._line_shift) & self._set_mask]
 
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line for ``line_addr`` or ``None``.
@@ -66,11 +67,18 @@ class CacheArray:
         ``touch`` updates the LRU position (set it False for directory
         snoops that should not perturb replacement).
         """
-        line = self._set_for(line_addr).get(line_addr)
+        line = self._sets[(line_addr >> self._line_shift) & self._set_mask].get(
+            line_addr
+        )
         if line is not None and touch:
             self._tick += 1
             line.lru = self._tick
         return line
+
+    def touch(self, line: CacheLine) -> None:
+        """Make a resident line its set's most recently used."""
+        self._tick += 1
+        line.lru = self._tick
 
     def insert(
         self, line_addr: int, state: MESIState, reveal: int = 0

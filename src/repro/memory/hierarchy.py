@@ -8,21 +8,33 @@ interconnect hops, plus — under a bounded :class:`MemoryTimingParams` —
 the queueing delays of ports, MSHRs, interconnect links and the DRAM
 channel.
 
-The core-facing interface is the packet/port model: the pipeline builds a
-:class:`~repro.memory.packet.MemPacket` and :meth:`MemoryHierarchy.submit`
-turns the request into its response.  Internally, every coherence message
-that carries a ReCon bit-vector (writebacks, owner downgrades,
-invalidation acks under footnote 1) travels as a packet too — the vector
-is read from the packet payload at the receiving end, never directly from
-the remote cache.  Outstanding misses live in per-core
-:class:`~repro.memory.mshr.MSHRFile` s: a primary miss allocates an
-entry, a same-line access while the fill is in flight merges into it
-(hit-under-miss), and the entry is dropped when the line leaves the
-private hierarchy.  The legacy ``read()/write()`` call surface remains as
-thin wrappers over ``submit`` so exact-latency tests and analysis code
-keep working; the contention-free configuration (every timing knob
-``None``) reproduces the legacy per-access latencies exactly, which the
-golden parity suite (``tests/memory/test_parity_golden.py``) enforces.
+The core-facing interface has two doors onto one protocol.
+
+* :meth:`MemoryHierarchy.submit` takes a
+  :class:`~repro.memory.packet.MemPacket` and turns the request into its
+  response.  The reference cycle loop submits every access this way, and
+  traced runs and bounded timing always do.
+* ``read()``/``write()``/``reveal()`` return plain values.  The optimized
+  loop and the functional warmer call them.  On a contention-free
+  hierarchy with no telemetry collector, they serve a private hit (an
+  L1/L2 read hit, a store to an E/M line, a reveal) without a packet,
+  port grant or transaction clock, all of which are no-ops there.  A
+  directory transaction (L2 miss, S upgrade, write miss) they submit.
+
+Both doors run the same private-hit routines (:meth:`_read_hit`,
+:meth:`_write_hit`, :meth:`_reveal_private`); ``submit``'s handlers call
+them first and go to the directory only on a miss.
+Internally, every coherence message that carries a ReCon bit-vector
+(writebacks, owner downgrades, invalidation acks under footnote 1)
+travels as a packet — the vector is read from the packet payload at the
+receiving end, never directly from the remote cache.  Outstanding misses
+live in per-core :class:`~repro.memory.mshr.MSHRFile` s: a primary miss
+allocates an entry, a same-line access while the fill is in flight
+merges into it (hit-under-miss), and the entry is dropped when the line
+leaves the private hierarchy.  The contention-free configuration (every
+timing knob ``None``) reproduces the legacy per-access latencies
+exactly, which the golden parity suite
+(``tests/memory/test_parity_golden.py``) enforces.
 
 ReCon metadata rules implemented here (paper §5.2-5.3):
 
@@ -137,8 +149,16 @@ class MemoryHierarchy:
         self.telemetry = NULL_TELEMETRY
         #: Clock of the transaction currently being processed; internal
         #: messaging (hops, DRAM fetches) reads it so bounded resources
-        #: queue against the right cycle.  ``None`` outside a transaction.
+        #: queue against the right cycle.  ``None`` outside a transaction,
+        #: and always ``None`` when the hierarchy is contention-free.
         self._txn_now: Optional[int] = None
+        #: No timing knob is bounded: ports, NoC links and the DRAM queue
+        #: can never add delay, so transactions skip their bookkeeping.
+        self._contention_free = timing.contention_free
+        #: Whether reveal bits are stored at each level (fixed per run).
+        self._tracked = {level: params.recon_visible_at(level) for level in CacheLevel}
+        self._l1_latency = params.memory.l1.latency
+        self._l2_latency = params.memory.l2.latency
 
     # ------------------------------------------------------------------
     # wiring
@@ -149,10 +169,10 @@ class MemoryHierarchy:
 
     def _tracks(self, level: CacheLevel) -> bool:
         """True if reveal bits are stored at ``level``."""
-        return self.params.recon_visible_at(level)
+        return self._tracked[level]
 
     def _vector_if_tracked(self, vector: int, level: CacheLevel) -> int:
-        return vector if self._tracks(level) else recon_bits.ALL_CONCEALED
+        return vector if self._tracked[level] else recon_bits.ALL_CONCEALED
 
     # ------------------------------------------------------------------
     # messaging
@@ -426,31 +446,30 @@ class MemoryHierarchy:
         request-to-data time including every queueing delay, ``ready_at``
         the completion cycle.  The caller schedules ``pkt.fire()`` at
         ``ready_at`` for non-blocking completion delivery.
+
+        A contention-free hierarchy skips the port, the transaction clock
+        and the queue-cycle deltas: every one of them is zero there.
         """
         if not pkt.kind.is_request:
             raise ValueError(f"cannot submit a {pkt.kind} packet")
-        stats = self._stats[pkt.core]
-        priv = self._privs[pkt.core]
-        wait = priv.port.acquire(pkt.issued_at)
-        stats.port_stall_cycles += wait
-        noc_q0 = self.noc.queue_cycles
-        dram_q0 = self.dram.queue_cycles
-        self._txn_now = pkt.issued_at + wait
-        try:
-            if pkt.kind is PacketKind.READ_REQ:
-                self._do_read(pkt)
-            elif pkt.kind is PacketKind.WRITE_REQ:
-                self._do_write(pkt)
-            elif pkt.kind is PacketKind.INVISIBLE_REQ:
-                self._do_invisible(pkt)
-            else:
-                self._do_reveal(pkt)
-            assert pkt.latency is not None
-            pkt.latency += wait
-        finally:
-            now, self._txn_now = self._txn_now, None
-        stats.noc_queue_cycles += self.noc.queue_cycles - noc_q0
-        stats.dram_queue_cycles += self.dram.queue_cycles - dram_q0
+        if self._contention_free:
+            now = pkt.issued_at
+            self._handle(pkt, now)
+        else:
+            stats = self._stats[pkt.core]
+            wait = self._privs[pkt.core].port.acquire(pkt.issued_at)
+            stats.port_stall_cycles += wait
+            noc_q0 = self.noc.queue_cycles
+            dram_q0 = self.dram.queue_cycles
+            self._txn_now = now = pkt.issued_at + wait
+            try:
+                self._handle(pkt, now)
+                assert pkt.latency is not None
+                pkt.latency += wait
+            finally:
+                self._txn_now = None
+            stats.noc_queue_cycles += self.noc.queue_cycles - noc_q0
+            stats.dram_queue_cycles += self.dram.queue_cycles - dram_q0
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.emit(
@@ -460,26 +479,54 @@ class MemoryHierarchy:
                 addr=pkt.addr,
                 value=pkt.latency,
             )
-            telemetry.observe("mshr_occupancy", priv.mshr.occupancy(now))
+            telemetry.observe(
+                "mshr_occupancy", self._privs[pkt.core].mshr.occupancy(now)
+            )
             telemetry.observe("noc_queue_depth", self.noc.queue_depth(now))
         return pkt
 
+    def _handle(self, pkt: MemPacket, now: int) -> None:
+        kind = pkt.kind
+        if kind is PacketKind.READ_REQ:
+            self._do_read(pkt, now)
+        elif kind is PacketKind.WRITE_REQ:
+            self._do_write(pkt, now)
+        elif kind is PacketKind.INVISIBLE_REQ:
+            self._do_invisible(pkt, now)
+        else:
+            self._do_reveal(pkt)
+
     # ------------------------------------------------------------------
-    # legacy call surface (thin wrappers over submit)
+    # legacy call surface
     # ------------------------------------------------------------------
+    # On a contention-free hierarchy with no collector listening, a
+    # private hit needs no packet: the port grant and queue deltas
+    # ``submit`` would add are zero there, and only ``submit`` emits the
+    # per-transaction event.  Everything else — a directory transaction
+    # (L2 miss, S upgrade, write miss), bounded timing, a traced run —
+    # is submitted as a packet.  A private-hit routine that finds no hit
+    # has changed nothing, so ``submit`` can run it again.
+
     def read(self, core: int, addr: int, now: int = 0) -> AccessResult:
         """A load accesses ``addr``; returns latency + the word's reveal bit."""
-        pkt = self.submit(
-            MemPacket.request(PacketKind.READ_REQ, core, addr, now)
-        )
+        if self._contention_free and not self.telemetry.enabled:
+            hit = self._read_hit(core, addr, now)
+            if hit is not None:
+                latency, level, vector = hit
+                return AccessResult(
+                    latency, recon_bits.is_word_revealed(vector, addr), level
+                )
+        pkt = self.submit(MemPacket.request(PacketKind.READ_REQ, core, addr, now))
         assert pkt.latency is not None and pkt.level is not None
         return AccessResult(pkt.latency, pkt.revealed, pkt.level)
 
     def write(self, core: int, addr: int, now: int = 0) -> int:
         """A performed store writes ``addr``: obtain M, conceal the word."""
-        pkt = self.submit(
-            MemPacket.request(PacketKind.WRITE_REQ, core, addr, now)
-        )
+        if self._contention_free and not self.telemetry.enabled:
+            hit = self._write_hit(core, addr)
+            if hit is not None:
+                return hit[0]
+        pkt = self.submit(MemPacket.request(PacketKind.WRITE_REQ, core, addr, now))
         assert pkt.latency is not None
         return pkt.latency
 
@@ -496,35 +543,121 @@ class MemoryHierarchy:
 
         Returns False (and drops the request) if the line has left the
         private hierarchy — always safe, only a lost optimization
-        (paper §5.1.1).
+        (paper §5.1.1).  A reveal never leaves the private hierarchy, so
+        outside traced runs it needs no packet even under bounded timing:
+        only a width-bounded port can delay it.
         """
-        pkt = self.submit(
-            MemPacket.request(PacketKind.REVEAL_REQ, core, addr, now)
-        )
-        return pkt.acknowledged
-
-    def reveal_commit(self, core: int, addr: int, now: int) -> None:
-        """Packet-free REVEAL_REQ for the hot path.
-
-        Performs exactly the state and stat updates a submitted
-        REVEAL_REQ would (port grant, private lookup with LRU touch,
-        reveal bit, ``dropped_reveals``) without building a
-        :class:`MemPacket` the caller would discard.  REVEAL_REQ never
-        touches the NoC or DRAM, so the queue-cycle deltas ``submit``
-        accumulates are identically zero here.  Not telemetry
-        instrumented: traced runs go through :meth:`submit`.
-        """
-        priv = self._privs[core]
-        port = priv.port
-        if port.width is None:
-            port.grants += 1
-        else:
+        if self.telemetry.enabled:
+            pkt = self.submit(
+                MemPacket.request(PacketKind.REVEAL_REQ, core, addr, now)
+            )
+            return pkt.acknowledged
+        port = self._privs[core].port
+        if port.width is not None:
             self._stats[core].port_stall_cycles += port.acquire(now)
-        line, level = self._private_lookup(core, line_addr(addr))
-        if line is None or (level is not None and not self._tracks(level)):
-            self.dropped_reveals += 1
-            return
-        line.reveal = recon_bits.reveal_word(line.reveal, addr)
+        return self._reveal_private(core, addr)[1] is not None
+
+    # ------------------------------------------------------------------
+    # private hits (packet-free; shared by the wrappers and submit)
+    # ------------------------------------------------------------------
+    def _read_hit(
+        self, core: int, addr: int, now: int
+    ) -> Optional[Tuple[int, CacheLevel, int]]:
+        """The private part of a demand load.
+
+        An L1 hit, or an L2 hit that promotes the line into L1 (the L1
+        victim folds back into L2).  Returns ``(latency, level,
+        reveal_vector)``, or ``None`` when both private levels miss;
+        nothing is counted or touched then (:meth:`_do_read` counts).
+        """
+        laddr = line_addr(addr)
+        priv = self._privs[core]
+        stats = self._stats[core]
+        telemetry = self.telemetry
+        line = priv.l1.lookup(laddr)
+        if line is not None:
+            stats.l1_hits += 1
+            latency = self._pending_fill_latency(
+                core, laddr, now, self._l1_latency
+            )
+            vector = line.reveal
+            if telemetry.enabled:
+                telemetry.emit(
+                    CAT_CACHE, "l1_hit", core=core, addr=addr, value=latency
+                )
+                self._observe_load(
+                    telemetry, latency, recon_bits.is_word_revealed(vector, addr)
+                )
+            return latency, CacheLevel.L1, vector
+        line = priv.l2.lookup(laddr)
+        if line is None:
+            return None
+        stats.l1_misses += 1
+        stats.l2_hits += 1
+        if telemetry.enabled:
+            telemetry.emit(CAT_CACHE, "l1_miss", core=core, addr=addr)
+        vector = line.reveal
+        # Promote into L1 (same coherence state).
+        l1_line, victim = priv.l1.insert(
+            laddr, line.state, self._vector_if_tracked(vector, CacheLevel.L1)
+        )
+        l1_line.dirty = line.dirty
+        if victim is not None:
+            self._evict_private_l1(core, victim)
+        latency = self._pending_fill_latency(core, laddr, now, self._l2_latency)
+        if telemetry.enabled:
+            telemetry.emit(
+                CAT_CACHE, "l2_hit", core=core, addr=addr, value=latency
+            )
+            self._observe_load(
+                telemetry, latency, recon_bits.is_word_revealed(vector, addr)
+            )
+        return latency, CacheLevel.L2, vector
+
+    def _write_hit(
+        self, core: int, addr: int
+    ) -> Optional[Tuple[int, CacheLevel]]:
+        """The private part of a performed store.
+
+        A line held in E or M at L1 or L2 upgrades silently to M, the
+        written word is concealed, and the directory records the core
+        as owner.  Returns ``(latency, level)``, or ``None`` when the
+        store needs a directory transaction (S upgrade or write miss);
+        nothing is changed then.
+        """
+        laddr = line_addr(addr)
+        priv = self._privs[core]
+        array = priv.l1
+        line = array.lookup(laddr, touch=False)
+        if line is not None:
+            level = CacheLevel.L1
+            latency = self._l1_latency
+            other = priv.l2.lookup(laddr, touch=False)
+        else:
+            array = priv.l2
+            line = array.lookup(laddr, touch=False)
+            if line is None:
+                return None
+            level = CacheLevel.L2
+            latency = self._l2_latency
+            other = None  # L1 missed just now
+        state = line.state
+        if state is not MESIState.MODIFIED and state is not MESIState.EXCLUSIVE:
+            return None
+        array.touch(line)
+        for held in (line, other):
+            if held is not None:
+                held.state = MESIState.MODIFIED
+                held.dirty = True
+                held.reveal = recon_bits.conceal_word(held.reveal, addr)
+        dir_line = self.llc.lookup(laddr, touch=False)
+        if dir_line is not None:
+            dir_line.owner = core
+            dir_line.sharers = {core}
+        self._stats[core].words_concealed += 1
+        if self.telemetry.enabled:
+            self.telemetry.emit(CAT_RECON, "conceal", core=core, addr=addr)
+        return latency, level
 
     # ------------------------------------------------------------------
     # request handlers
@@ -536,64 +669,27 @@ class MemoryHierarchy:
         if revealed:
             telemetry.observe("reveal_latency", latency)
 
-    def _do_read(self, pkt: MemPacket) -> None:
-        """Demand load: GetS on a private miss."""
+    def _do_read(self, pkt: MemPacket, now: int) -> None:
+        """Demand load: a private hit, else GetS."""
         core, addr = pkt.core, pkt.addr
-        stats = self._stats[core]
-        laddr = pkt.line_addr
-        priv = self._privs[core]
-        now = self._txn_now
-        assert now is not None
-
-        telemetry = self.telemetry
-        line, level = self._private_lookup(core, laddr)
-        if level is CacheLevel.L1:
-            stats.l1_hits += 1
-            latency = self._pending_fill_latency(
-                core, laddr, now, self.params.memory.l1.latency
-            )
-            revealed = recon_bits.is_word_revealed(line.reveal, addr)
-            if telemetry.enabled:
-                telemetry.emit(
-                    CAT_CACHE, "l1_hit", core=core, addr=addr, value=latency
-                )
-                self._observe_load(telemetry, latency, revealed)
+        hit = self._read_hit(core, addr, now)
+        if hit is not None:
+            latency, level, vector = hit
             pkt.complete(
                 latency,
                 level=level,
-                reveal_vector=line.reveal,
-                revealed=revealed,
+                reveal_vector=vector,
+                revealed=recon_bits.is_word_revealed(vector, addr),
             )
             return
+        stats = self._stats[core]
+        laddr = pkt.line_addr
+        priv = self._privs[core]
+        telemetry = self.telemetry
         stats.l1_misses += 1
-        if telemetry.enabled:
-            telemetry.emit(CAT_CACHE, "l1_miss", core=core, addr=addr)
-        if level is CacheLevel.L2:
-            stats.l2_hits += 1
-            assert line is not None
-            vector = line.reveal
-            revealed = recon_bits.is_word_revealed(vector, addr)
-            # Promote into L1 (same coherence state).
-            l1_line, victim = priv.l1.insert(
-                laddr, line.state, self._vector_if_tracked(vector, CacheLevel.L1)
-            )
-            l1_line.dirty = line.dirty
-            if victim is not None:
-                self._evict_private_l1(core, victim)
-            latency = self._pending_fill_latency(
-                core, laddr, now, self.params.memory.l2.latency
-            )
-            if telemetry.enabled:
-                telemetry.emit(
-                    CAT_CACHE, "l2_hit", core=core, addr=addr, value=latency
-                )
-                self._observe_load(telemetry, latency, revealed)
-            pkt.complete(
-                latency, level=level, reveal_vector=vector, revealed=revealed
-            )
-            return
         stats.l2_misses += 1
         if telemetry.enabled:
+            telemetry.emit(CAT_CACHE, "l1_miss", core=core, addr=addr)
             telemetry.emit(CAT_CACHE, "l2_miss", core=core, addr=addr)
 
         # Primary miss: claim an MSHR entry (stalls when the file is full),
@@ -659,21 +755,26 @@ class MemoryHierarchy:
         if victim is not None:
             self._evict_private_l2(core, victim, stats)
 
-    def _do_write(self, pkt: MemPacket) -> None:
-        """Performed store: obtain M, conceal the written word."""
+    def _do_write(self, pkt: MemPacket, now: int) -> None:
+        """Performed store: a private E/M hit, else upgrade or GetM."""
         core, addr = pkt.core, pkt.addr
+        hit = self._write_hit(core, addr)
+        if hit is not None:
+            latency, level = hit
+            pkt.complete(latency, level=level)
+            return
         stats = self._stats[core]
         laddr = pkt.line_addr
         priv = self._privs[core]
-        now = self._txn_now
-        assert now is not None
-        line, level = self._private_lookup(core, laddr)
+        # No LRU touch: the fill below re-installs an upgraded S line at
+        # both levels, which makes it most recently used anyway.
+        line = priv.l1.lookup(laddr, touch=False)
+        level: Optional[CacheLevel] = CacheLevel.L1
+        if line is None:
+            line = priv.l2.lookup(laddr, touch=False)
+            level = CacheLevel.L2 if line is not None else None
 
-        if line is not None and line.state in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
-            # Hit with write permission (E upgrades to M silently).
-            self._set_private_state(core, laddr, MESIState.MODIFIED)
-            latency = self.params.memory.level(level).latency
-        elif line is not None and line.state is MESIState.SHARED:
+        if line is not None and line.state is MESIState.SHARED:
             # Upgrade: invalidate other sharers, take the directory vector.
             latency = self.params.memory.level(level).latency
             latency += self._acquire_modified(core, laddr, stats, own_vector=line.reveal)
@@ -766,18 +867,6 @@ class MemoryHierarchy:
         )
         return latency
 
-    def _set_private_state(self, core: int, laddr: int, state: MESIState) -> None:
-        priv = self._privs[core]
-        for array in (priv.l1, priv.l2):
-            held = array.lookup(laddr, touch=False)
-            if held is not None:
-                held.state = state
-                held.dirty = True
-        dir_line = self.llc.lookup(laddr, touch=False)
-        if dir_line is not None and state is MESIState.MODIFIED:
-            dir_line.owner = core
-            dir_line.sharers = {core}
-
     def _conceal_private(self, core: int, laddr: int, addr: int) -> None:
         priv = self._privs[core]
         for array in (priv.l1, priv.l2):
@@ -788,7 +877,7 @@ class MemoryHierarchy:
         if self.telemetry.enabled:
             self.telemetry.emit(CAT_RECON, "conceal", core=core, addr=addr)
 
-    def _do_invisible(self, pkt: MemPacket) -> None:
+    def _do_invisible(self, pkt: MemPacket, now: int) -> None:
         """Invisible (InvisiSpec-style) load: latency without state.
 
         The value is obtained from wherever the line currently lives, but
@@ -799,22 +888,16 @@ class MemoryHierarchy:
         core, addr = pkt.core, pkt.addr
         stats = self._stats[core]
         laddr = pkt.line_addr
-        now = self._txn_now
-        assert now is not None
         line, level = self._private_lookup(core, laddr)
         if level is CacheLevel.L1:
             pkt.complete(
-                self._pending_fill_latency(
-                    core, laddr, now, self.params.memory.l1.latency
-                ),
+                self._pending_fill_latency(core, laddr, now, self._l1_latency),
                 level=level,
             )
             return
         if level is CacheLevel.L2:
             pkt.complete(
-                self._pending_fill_latency(
-                    core, laddr, now, self.params.memory.l2.latency
-                ),
+                self._pending_fill_latency(core, laddr, now, self._l2_latency),
                 level=level,
             )
             return
@@ -835,28 +918,39 @@ class MemoryHierarchy:
                 self._hop(
                     src=self.noc.home_node(laddr), dst=dir_line.owner
                 )
-                + self.params.memory.l2.latency
+                + self._l2_latency
             )
         stats.llc_hits += 1
         pkt.complete(latency, level=CacheLevel.LLC)
 
     def _do_reveal(self, pkt: MemPacket) -> None:
         """LPT commit-time reveal of one word on the private copy."""
-        core, addr = pkt.core, pkt.addr
-        laddr = pkt.line_addr
-        line, level = self._private_lookup(core, laddr)
-        if line is None or (level is not None and not self._tracks(level)):
+        level, vector = self._reveal_private(pkt.core, pkt.addr)
+        pkt.complete(
+            0, level=level, reveal_vector=vector, acknowledged=vector is not None
+        )
+
+    def _reveal_private(
+        self, core: int, addr: int
+    ) -> Tuple[Optional[CacheLevel], Optional[int]]:
+        """Set the word's reveal bit on the core's closest private copy.
+
+        Returns ``(level, new_vector)``; the vector is ``None`` when the
+        request was dropped because no private level that stores reveal
+        bits holds the line.
+        """
+        line, level = self._private_lookup(core, line_addr(addr))
+        if line is None or (level is not None and not self._tracked[level]):
             self.dropped_reveals += 1
             if self.telemetry.enabled:
                 self.telemetry.emit(
                     CAT_RECON, "reveal_dropped", core=core, addr=addr
                 )
-            pkt.complete(0, level=level)
-            return
+            return level, None
         line.reveal = recon_bits.reveal_word(line.reveal, addr)
         if self.telemetry.enabled:
             self.telemetry.emit(CAT_RECON, "reveal", core=core, addr=addr)
-        pkt.complete(0, level=level, reveal_vector=line.reveal, acknowledged=True)
+        return level, line.reveal
 
     def peek_access(self, core: int, addr: int) -> "Tuple[bool, bool]":
         """Non-mutating probe: ``(would_hit_l1, word_revealed)``.

@@ -141,8 +141,8 @@ class MSHRFile:
         Returns the access latency (never less than ``hit_latency``), or
         ``None`` when there is nothing to merge into.
         """
-        ready = self.pending_ready(line_addr, now)
-        if ready is None:
+        ready = self._fills.get(line_addr)  # pending_ready, inlined: per hit
+        if ready is None or ready <= now:
             return None
         self.hits_under_miss += 1
         return max(hit_latency, ready - now)

@@ -1,12 +1,16 @@
 """Typed memory packets.
 
-Every request the pipeline sends into the memory hierarchy — and every
-coherence message the hierarchy generates on its behalf — is modeled as
+Every coherence transaction — a request that reaches the directory,
+and every message the hierarchy generates on its behalf — is modeled as
 a :class:`MemPacket`.  Packets are the *only* carriers of ReCon reveal
 bit-vectors between modules (paper §5.2–5.3: reveal/conceal state rides
-on coherence transactions, never on a side channel), so the pipeline
-reads reveal outcomes from the response payload rather than peeking at
-cache internals.
+on coherence transactions, never on a side channel), so a core reads
+reveal outcomes from the response rather than peeking at cache
+internals.  The reference cycle loop submits a packet for every access.
+Accesses that stay inside a core's private caches (L1/L2 hits, stores to
+E/M lines, reveals) need no packet on the untraced contention-free path:
+:class:`~repro.memory.hierarchy.MemoryHierarchy`'s ``read``/``write``/
+``reveal`` return the same latency and reveal bit as plain values.
 
 A packet's life cycle::
 
@@ -20,7 +24,7 @@ queue when the response lands, which is how non-blocking loads deliver
 their data without the core polling.
 
 ``MemPacket`` is a hand-written ``__slots__`` class rather than a
-dataclass: one packet is allocated per memory transaction, which makes
+dataclass: one packet is allocated per submitted transaction, which makes
 construction cost part of the simulator's hot path (dataclass
 ``__init__`` plus ``__dict__`` allocation measurably slowed miss-heavy
 cells; ``slots=True`` needs Python 3.10+ while CI still runs 3.9).
@@ -36,6 +40,12 @@ from repro.common.types import CacheLevel, line_addr
 from repro.memory import recon_bits
 
 __all__ = ["MemPacket", "PacketKind"]
+
+
+#: Values of the kinds a core may submit.
+_REQUEST_VALUES = frozenset(
+    {"read_req", "write_req", "invisible_req", "reveal_req"}
+)
 
 
 class PacketKind(enum.Enum):
@@ -56,19 +66,12 @@ class PacketKind(enum.Enum):
     #: Dirty-line eviction toward the next level / DRAM.
     WRITEBACK = "writeback"
 
-    @property
-    def is_request(self) -> bool:
-        return self in _REQUEST_KINDS
+    def __init__(self, value: str) -> None:
+        #: Whether a core may submit this kind; a plain attribute because
+        #: :meth:`~repro.memory.hierarchy.MemoryHierarchy.submit` checks it
+        #: on every request.
+        self.is_request = value in _REQUEST_VALUES
 
-
-_REQUEST_KINDS = frozenset(
-    {
-        PacketKind.READ_REQ,
-        PacketKind.WRITE_REQ,
-        PacketKind.INVISIBLE_REQ,
-        PacketKind.REVEAL_REQ,
-    }
-)
 
 _packet_ids = itertools.count()
 
@@ -148,7 +151,7 @@ class MemPacket:
         on_complete: Optional[Callable[["MemPacket"], None]] = None,
     ) -> "MemPacket":
         """Build a request packet originating at ``core``'s node."""
-        if kind not in _REQUEST_KINDS:
+        if not kind.is_request:
             raise ValueError(f"{kind} is not a request kind")
         return cls(
             kind,

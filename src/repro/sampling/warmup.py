@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.params import SystemParams
-from repro.common.types import MESIState
+from repro.common.types import MESIState, OpClass
 from repro.isa.microop import MicroOp
 from repro.memory.cache import CacheArray
 from repro.memory.hierarchy import MemoryHierarchy
@@ -40,6 +40,9 @@ __all__ = [
 
 
 IMAGE_VERSION = 1
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 def clone_slice(
@@ -194,23 +197,25 @@ class FunctionalWarmer:
                 % (self.position, upto)
             )
         hierarchy = self.hierarchy
+        read, write, reveal = hierarchy.read, hierarchy.write, hierarchy.reveal
+        lanes = list(zip(range(len(self.traces)), self.traces, self._pairs))
         for idx in range(self.position, upto):
-            for core, trace in enumerate(self.traces):
+            for core, trace, pairs in lanes:
                 if idx >= len(trace):
                     continue
                 uop = trace[idx]
-                if uop.is_load:
-                    pairs = self._pairs[core]
+                opclass = uop.opclass
+                if opclass is _LOAD:
                     for src in uop.srcs:
                         addr = pairs.get(src)
                         if addr is not None:
-                            hierarchy.reveal(core, addr, 0)
-                    hierarchy.read(core, uop.addr, 0)
+                            reveal(core, addr, 0)
+                    read(core, uop.addr, 0)
                     pairs[uop.dest] = uop.addr
-                elif uop.is_store:
-                    hierarchy.write(core, uop.addr, 0)
+                elif opclass is _STORE:
+                    write(core, uop.addr, 0)
                 elif uop.dest is not None:
-                    self._pairs[core].pop(uop.dest, None)
+                    pairs.pop(uop.dest, None)
         self.position = upto
 
     def snapshot(self, at: int) -> Dict[str, Any]:

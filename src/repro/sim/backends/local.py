@@ -183,6 +183,9 @@ class ThreadBackend(ExecutionBackend):
 
     def shutdown(self, wait: bool = True) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=wait)
+            # An abandoned pool must not start queued tasks: after a
+            # fail-fast error or Ctrl-C nothing keeps running behind the
+            # caller's back.
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
             self._pool = None
         self._inflight.clear()

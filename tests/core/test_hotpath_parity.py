@@ -9,6 +9,7 @@ field-for-field.  Backend selection (``REPRO_HOTPATH``) and the
 vectorized kernels get unit coverage here too.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import SchemeKind, StatSet, SystemParams
+from repro.common.params import MemoryTimingParams
 from repro.core.fastcore import FastCore
 from repro.core.hotpath import (
     BACKENDS,
@@ -37,7 +39,7 @@ from repro.workloads import build_trace, get_benchmark
 from tests.core.hotpath_driver import CELLS, GOLDEN_PATH, cell_key, run_one
 
 
-def _forced(profile, scheme, length, backend, cache, threads=1):
+def _forced(profile, scheme, length, backend, cache, threads=1, params=None):
     """Run one cell with the backend pinned; restores the environment."""
     saved = os.environ.get(HOTPATH_ENV)
     os.environ[HOTPATH_ENV] = backend
@@ -46,7 +48,7 @@ def _forced(profile, scheme, length, backend, cache, threads=1):
             profile,
             scheme,
             length,
-            config=RunConfig(threads=threads, cache=cache),
+            config=RunConfig(threads=threads, cache=cache, params=params),
         )
     finally:
         if saved is None:
@@ -122,6 +124,49 @@ class TestBackendParity:
         vector = _forced(profile, scheme, length, "vector", cache)
         assert vector.cycles == legacy.cycles
         assert vector.stats.as_dict() == legacy.stats.as_dict()
+
+
+class TestBoundedTimingParity:
+    """A bounded timing knob turns the packet-free memory path off.
+
+    Each cell bounds one :class:`MemoryTimingParams` knob; the reference
+    loop submits every access as a packet, so any access the optimized
+    loop wrongly kept off the transaction engine would miss its port,
+    MSHR, link or DRAM queueing and change the stats.
+    """
+
+    @pytest.mark.parametrize(
+        "knob, value, stall_field",
+        [
+            ("port_width", 1, "port_stall_cycles"),
+            ("mshr_entries", 2, "mshr_stall_cycles"),
+            ("noc_link_width", 1, "noc_queue_cycles"),
+            ("dram_queue_depth", 1, "dram_queue_cycles"),
+        ],
+    )
+    def test_legacy_vs_vector_with_one_bound(self, knob, value, stall_field):
+        base = SystemParams()
+        timing = MemoryTimingParams(**{knob: value})
+        params = dataclasses.replace(
+            base, memory=dataclasses.replace(base.memory, timing=timing)
+        )
+        profile = get_benchmark("parsec", "canneal")
+        cache = TraceCache()
+        runs = [
+            _forced(
+                profile, SchemeKind.STT_RECON, 2400, backend, cache,
+                threads=2, params=params,
+            )
+            for backend in ("legacy", "vector")
+        ]
+        legacy, vector = runs
+        assert vector.cycles == legacy.cycles
+        assert vector.stats.as_dict() == legacy.stats.as_dict()
+        assert [s.as_dict() for s in vector.per_core] == [
+            s.as_dict() for s in legacy.per_core
+        ]
+        # The bound actually bit: the cell is not contention-free in effect.
+        assert getattr(legacy.stats, stall_field) > 0
 
 
 class TestBackendSelection:

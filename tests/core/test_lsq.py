@@ -1,7 +1,9 @@
 """Unit tests for load/store queues and forwarding."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.common.types import word_addr
 from repro.core import LoadStoreUnit
 
 
@@ -168,3 +170,57 @@ class TestCommitDiscipline:
             lsq.resolve_store(7)
         with pytest.raises(KeyError):
             lsq.set_store_data(7, frozenset())
+
+
+def scan_forwarding_store(lsq, load_seq, addr):
+    """Reference for ``forwarding_store``: walk the SQ, then the SB."""
+    word = word_addr(addr)
+    for entry in reversed(lsq._sq):
+        if entry.seq < load_seq and entry.resolved and entry.word == word:
+            return entry
+    for entry in reversed(lsq._sb):
+        if entry.word == word:
+            return entry
+    return None
+
+
+#: Sixteen addresses over the eight words of one line: two addresses per
+#: word, so stores collide often, at different byte offsets.
+_ADDRS = st.integers(min_value=0, max_value=15).map(lambda i: 0x1000 + 4 * i)
+
+
+class TestIndexedForwardingMatchesScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "resolve", "commit", "drain"]),
+                _ADDRS,
+                st.integers(min_value=0, max_value=63),
+            ),
+            max_size=80,
+        )
+    )
+    def test_random_sequences(self, ops):
+        lsq = make_lsq(sq=64)
+        next_seq = 0
+        for op, addr, pick in ops:
+            if op == "add":
+                next_seq += 1 + pick % 3  # loads occupy the gaps
+                lsq.add_store(next_seq, 0x100, addr)
+            elif op == "resolve":
+                unresolved = [e.seq for e in lsq._sq if not e.resolved]
+                if unresolved:
+                    lsq.resolve_store(unresolved[pick % len(unresolved)])
+            elif op == "commit":
+                if lsq._sq:
+                    lsq.commit_store(lsq._sq[0].seq)
+            else:
+                before = list(lsq._sb)
+                drained = lsq.pop_performable_store()
+                assert drained is (before[0] if before else None)
+            for load_seq in range(0, next_seq + 2):
+                for probe in (0x1000, 0x1008, 0x1010, 0x1020, 0x1038):
+                    assert lsq.forwarding_store(
+                        load_seq, probe
+                    ) is scan_forwarding_store(lsq, load_seq, probe)

@@ -206,6 +206,36 @@ class TestEngineFailFast:
             execute_specs(specs, jobs=2, backend="threads")
 
 
+class TestAbandonedThreadPool:
+    def test_shutdown_without_wait_starts_no_queued_task(self, monkeypatch):
+        import threading
+
+        import repro.sim.backends.local as local_mod
+
+        entered = threading.Event()
+        release = threading.Event()
+        started = []
+
+        def blocking(spec, attempt=0, cache=None):
+            started.append(spec)
+            entered.set()
+            release.wait(10)
+            return ("ok", None, 0.0, 0)
+
+        monkeypatch.setattr(local_mod, "run_task", blocking)
+        backend = ThreadBackend(workers=1)
+        backend.submit("running")
+        backend.submit("queued")
+        assert entered.wait(10)
+        workers = list(backend._pool._threads)
+        backend.shutdown(wait=False)
+        release.set()
+        for worker in workers:
+            worker.join(10)
+            assert not worker.is_alive()
+        assert started == ["running"]
+
+
 class TestKeyboardInterrupt:
     def test_engine_interrupt_tears_down_owned_backend(self, monkeypatch):
         import repro.sim.backends.local as local_mod

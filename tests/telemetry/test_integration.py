@@ -6,10 +6,13 @@ outcome, exported metric counters equal the authoritative StatSet, and
 traced specs bypass the persistent result store.
 """
 
+import collections
 import dataclasses
 
-from repro.common import SchemeKind, StatSet
-from repro.sim import RunConfig, run_benchmark
+import pytest
+
+from repro.common import SchemeKind, StatSet, SystemParams
+from repro.sim import RunConfig, System, run_benchmark
 from repro.sim.engine import RunSpec, execute_specs
 from repro.sim.store import ResultStore, result_from_dict, result_to_dict
 from repro.telemetry import (
@@ -18,7 +21,8 @@ from repro.telemetry import (
     to_konata,
     validate_chrome_trace,
 )
-from repro.workloads import get_benchmark
+from repro.telemetry.events import CAT_CACHE
+from repro.workloads import build_parallel_traces, get_benchmark
 
 LENGTH = 1500
 
@@ -65,6 +69,47 @@ class TestMetricsMatchStats:
         assert histograms["load_latency"]["total"] > 0
         if result.stats.delay_cycles:
             assert histograms["delay_cycles"]["total"] > 0
+
+
+class _CacheEventCounter:
+    """Sink counting every cache event per (core, kind), before sampling."""
+
+    def __init__(self):
+        self.counts = collections.Counter()
+
+    def on_event(self, event):
+        if event.category == CAT_CACHE:
+            self.counts[event.core, event.kind] += 1
+
+
+class TestLiveEventsMatchStats:
+    """Every private-cache hit the stats count reaches the event bus."""
+
+    @pytest.mark.parametrize(
+        "suite, bench, threads",
+        [("spec2017", "mcf", 1), ("parsec", "canneal", 2)],
+    )
+    def test_hit_events_equal_hit_counters(self, suite, bench, threads):
+        traces = [
+            program.trace()
+            for program in build_parallel_traces(
+                get_benchmark(suite, bench), threads, LENGTH
+            )
+        ]
+        system = System(
+            SystemParams(),
+            traces,
+            SchemeKind.STT_RECON,
+            telemetry=TelemetryConfig(sample_rate=64, ring_buffer=16),
+        )
+        counter = _CacheEventCounter()
+        system.telemetry.add_sink(counter)
+        result = system.run()
+        for core, stats in enumerate(result.per_core):
+            assert stats.l1_hits > 0 and stats.l2_hits > 0
+            assert counter.counts[core, "l1_hit"] == stats.l1_hits
+            assert counter.counts[core, "l2_hit"] == stats.l2_hits
+            assert counter.counts[core, "l1_miss"] == stats.l1_misses
 
 
 class TestExportersOnRealRuns:
