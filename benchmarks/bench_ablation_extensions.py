@@ -16,7 +16,7 @@ import dataclasses
 
 from repro import SchemeKind, SystemParams
 from repro.common import SpeculationModel
-from repro.sim import format_table, geomean
+from repro.sim import RunConfig, format_table, geomean
 from repro.sim.runner import TraceCache, run_benchmark
 from repro.workloads import get_benchmark, spec2017_suite
 
@@ -35,17 +35,22 @@ def _spec_model_sweep():
         for profile in profiles:
             cache = TraceCache()
             unsafe = run_benchmark(
-                profile, SchemeKind.UNSAFE, BENCH_LENGTH, params=params, cache=cache
+                profile,
+                SchemeKind.UNSAFE,
+                BENCH_LENGTH,
+                config=RunConfig(params=params, cache=cache),
             )
             stt = run_benchmark(
-                profile, SchemeKind.STT, BENCH_LENGTH, params=params, cache=cache
+                profile,
+                SchemeKind.STT,
+                BENCH_LENGTH,
+                config=RunConfig(params=params, cache=cache),
             )
             recon = run_benchmark(
                 profile,
                 SchemeKind.STT_RECON,
                 BENCH_LENGTH,
-                params=params,
-                cache=cache,
+                config=RunConfig(params=params, cache=cache),
             )
             stt_vals.append(stt.ipc / unsafe.ipc)
             recon_vals.append(recon.ipc / unsafe.ipc)
@@ -94,17 +99,13 @@ def _footnote1_sweep():
             profile,
             SchemeKind.UNSAFE,
             PARSEC_LENGTH,
-            params=params,
-            threads=4,
-            cache=cache,
+            config=RunConfig(params=params, threads=4, cache=cache),
         )
         recon = run_benchmark(
             profile,
             SchemeKind.STT_RECON,
             PARSEC_LENGTH,
-            params=params,
-            threads=4,
-            cache=cache,
+            config=RunConfig(params=params, threads=4, cache=cache),
         )
         ratio = recon.cycles / unsafe.cycles
         outcomes[preserve] = (ratio, recon.stats.reveal_hits)
@@ -144,14 +145,16 @@ def _multi_source_sweep():
         params = SystemParams(lpt_sources=sources)
         cache = TraceCache()
         unsafe = run_benchmark(
-            profile, SchemeKind.UNSAFE, BENCH_LENGTH, params=params, cache=cache
+            profile,
+            SchemeKind.UNSAFE,
+            BENCH_LENGTH,
+            config=RunConfig(params=params, cache=cache),
         )
         recon = run_benchmark(
             profile,
             SchemeKind.STT_RECON,
             BENCH_LENGTH,
-            params=params,
-            cache=cache,
+            config=RunConfig(params=params, cache=cache),
         )
         outcomes[sources] = (
             recon.ipc / unsafe.ipc,

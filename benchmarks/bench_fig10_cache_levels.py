@@ -29,18 +29,18 @@ def _run():
         results = {}
         for profile in profiles:
             from benchmarks.common import BENCH_LENGTH
+            from repro.sim import RunConfig
             from repro.sim.runner import TraceCache, run_benchmark
 
             cache = TraceCache()
             unsafe = run_benchmark(
-                profile, SchemeKind.UNSAFE, BENCH_LENGTH, cache=cache
+                profile, SchemeKind.UNSAFE, BENCH_LENGTH, config=RunConfig(cache=cache)
             )
             recon = run_benchmark(
                 profile,
                 SchemeKind.STT_RECON,
                 BENCH_LENGTH,
-                params=params,
-                cache=cache,
+                config=RunConfig(params=params, cache=cache),
             )
             results[profile.name] = recon.ipc / unsafe.ipc
         columns[label] = results

@@ -8,7 +8,7 @@ its pairs are far apart (many interleaved chains).
 """
 
 from repro import SchemeKind
-from repro.sim import format_table, geomean
+from repro.sim import RunConfig, format_table, geomean
 from repro.sim.runner import TraceCache, run_benchmark
 from repro.sim.sweep import lpt_size_variants
 from repro.workloads import spec2017_suite
@@ -27,15 +27,14 @@ def _run():
     for profile in profiles:
         cache = TraceCache()
         unsafe = run_benchmark(
-            profile, SchemeKind.UNSAFE, BENCH_LENGTH, cache=cache
+            profile, SchemeKind.UNSAFE, BENCH_LENGTH, config=RunConfig(cache=cache)
         )
         for label, params in variants:
             recon = run_benchmark(
                 profile,
                 SchemeKind.STT_RECON,
                 BENCH_LENGTH,
-                params=params,
-                cache=cache,
+                config=RunConfig(params=params, cache=cache),
             )
             columns[label][profile.name] = recon.ipc / unsafe.ipc
             conflicts[label][profile.name] = recon.stats.lpt_conflicts

@@ -1,17 +1,20 @@
-"""Hot-path throughput trajectory — vectorized vs legacy core.
+"""Hot-path throughput trajectory — untraced vs traced cycle loop.
 
-Times the same grid cells under both simulator backends
-(``REPRO_HOTPATH=legacy`` and ``=vector``), on pre-built traces so only
+Times the same grid cells untraced and traced (a live telemetry
+collector on the same cycle loop), on pre-built traces so only
 simulation is inside the timed region, and writes the measurements to
-``results/BENCH_hotpath.json``: uops/s per cell per backend, the
-vector/legacy speedup, and a per-phase profile breakdown of the vector
+``results/BENCH_hotpath.json``: uops/s per cell per mode, the
+untraced/traced ratio, and a per-phase profile breakdown of the untraced
 run (dispatch / issue / commit / events / memory).
 
-The regression gate compares the measured *speedup ratio* — not
-absolute uops/s, which tracks the host machine — against the committed
-baseline (``benchmarks/data/bench_hotpath_baseline.json``) and fails on
-a >10% regression.  CI runs this bench on every push and uploads the
-JSON artifact, so the trajectory of the hot path is visible per commit.
+The regression gate compares the measured *ratio* — not absolute
+uops/s, which tracks the host machine — against the committed baseline
+(``benchmarks/data/bench_hotpath_baseline.json``) and fails on a >10%
+regression.  Both modes run the same loop on the same host, so the
+ratio falls when the untraced path picks up work it should skip (a
+telemetry hook that is not guarded, a packet-free path lost).  CI runs
+this bench on every push and uploads the JSON artifact, so the
+trajectory of the hot path is visible per commit.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ import time
 from pathlib import Path
 
 from repro import SchemeKind
-from repro.core.hotpath import HOTPATH_ENV
 from repro.sim import RunConfig, TraceCache, default_trace_length, run_benchmark
+from repro.telemetry import TelemetryConfig
 from repro.workloads import BenchmarkProfile, get_benchmark
 
 from benchmarks.common import emit, results_dir
 
-#: Shorter than the figure benches: every cell runs 2 backends x 3 rounds.
+#: Shorter than the figure benches: every cell runs 2 modes x 3 rounds.
 HOTPATH_LENGTH = default_trace_length(20_000)
 
 #: Every node of every chain on its own cache line: the miss-heavy chase
@@ -56,19 +59,21 @@ CELLS = (
 
 ROUNDS = 3
 BASELINE_PATH = Path(__file__).resolve().parent / "data" / "bench_hotpath_baseline.json"
-TOLERANCE = 0.9  # fail when speedup drops below 90% of the baseline
+TOLERANCE = 0.9  # fail when the ratio drops below 90% of the baseline
 
 _PHASES = ("dispatch", "issue", "commit", "events", "memory")
 
 
-def _time_cell(profile, scheme, cache, backend):
-    """Best-of-ROUNDS uops/s for one cell under one backend."""
-    os.environ[HOTPATH_ENV] = backend
+def _time_cell(profile, scheme, cache, telemetry):
+    """Best-of-ROUNDS uops/s for one cell, untraced or traced."""
     best = 0.0
     for _ in range(ROUNDS):
         start = time.perf_counter()
         result = run_benchmark(
-            profile, scheme, HOTPATH_LENGTH, config=RunConfig(cache=cache)
+            profile,
+            scheme,
+            HOTPATH_LENGTH,
+            config=RunConfig(cache=cache, telemetry=telemetry),
         )
         elapsed = time.perf_counter() - start
         if elapsed > 0:
@@ -89,8 +94,7 @@ def _phase_of(filename, funcname):
 
 
 def _phase_breakdown(profile, scheme, cache):
-    """Fraction of vector-run self-time spent in each pipeline phase."""
-    os.environ[HOTPATH_ENV] = "vector"
+    """Fraction of untraced self-time spent in each pipeline phase."""
     profiler = cProfile.Profile()
     profiler.enable()
     run_benchmark(profile, scheme, HOTPATH_LENGTH, config=RunConfig(cache=cache))
@@ -108,29 +112,22 @@ def _phase_breakdown(profile, scheme, cache):
 
 
 def _run():
-    saved = os.environ.get(HOTPATH_ENV)
     cache = TraceCache()
     cells = {}
-    try:
-        for label, profile, scheme in CELLS:
-            # Build the trace once, outside every timed region.
-            cache.get(profile, 1, HOTPATH_LENGTH)
-            legacy = _time_cell(profile, scheme, cache, "legacy")
-            vector = _time_cell(profile, scheme, cache, "vector")
-            cells[label] = {
-                "legacy_uops_per_sec": round(legacy),
-                "vector_uops_per_sec": round(vector),
-                "speedup": round(vector / legacy, 3) if legacy else 0.0,
-                "phases": {
-                    k: round(v, 4)
-                    for k, v in _phase_breakdown(profile, scheme, cache).items()
-                },
-            }
-    finally:
-        if saved is None:
-            os.environ.pop(HOTPATH_ENV, None)
-        else:
-            os.environ[HOTPATH_ENV] = saved
+    for label, profile, scheme in CELLS:
+        # Build the trace once, outside every timed region.
+        cache.get(profile, 1, HOTPATH_LENGTH)
+        untraced = _time_cell(profile, scheme, cache, None)
+        traced = _time_cell(profile, scheme, cache, TelemetryConfig())
+        cells[label] = {
+            "untraced_uops_per_sec": round(untraced),
+            "traced_uops_per_sec": round(traced),
+            "ratio": round(untraced / traced, 3) if traced else 0.0,
+            "phases": {
+                k: round(v, 4)
+                for k, v in _phase_breakdown(profile, scheme, cache).items()
+            },
+        }
     return {"length": HOTPATH_LENGTH, "rounds": ROUNDS, "cells": cells}
 
 
@@ -142,23 +139,23 @@ def test_hotpath_throughput_trajectory(benchmark):
     rows = []
     for label, cell in payload["cells"].items():
         rows.append(
-            f"{label:28s} legacy {cell['legacy_uops_per_sec'] / 1000:7.1f}k"
-            f"  vector {cell['vector_uops_per_sec'] / 1000:7.1f}k"
-            f"  speedup {cell['speedup']:.2f}x"
+            f"{label:28s} untraced {cell['untraced_uops_per_sec'] / 1000:7.1f}k"
+            f"  traced {cell['traced_uops_per_sec'] / 1000:7.1f}k"
+            f"  ratio {cell['ratio']:.2f}x"
         )
     emit("BENCH_hotpath", "hot-path throughput (uops/s)", "\n".join(rows))
 
     for label, cell in payload["cells"].items():
-        assert cell["vector_uops_per_sec"] > 0, label
-        assert cell["legacy_uops_per_sec"] > 0, label
+        assert cell["untraced_uops_per_sec"] > 0, label
+        assert cell["traced_uops_per_sec"] > 0, label
 
     baseline = json.loads(BASELINE_PATH.read_text())
     for label, base_cell in baseline["cells"].items():
         cell = payload["cells"].get(label)
         assert cell is not None, f"baseline cell {label} missing from bench"
-        floor = base_cell["speedup"] * TOLERANCE
-        assert cell["speedup"] >= floor, (
-            f"{label}: vector/legacy speedup {cell['speedup']:.2f}x fell "
-            f"below {floor:.2f}x (baseline {base_cell['speedup']:.2f}x "
-            f"- 10% tolerance); the hot path has regressed"
+        floor = base_cell["ratio"] * TOLERANCE
+        assert cell["ratio"] >= floor, (
+            f"{label}: untraced/traced ratio {cell['ratio']:.2f}x fell "
+            f"below {floor:.2f}x (baseline {base_cell['ratio']:.2f}x "
+            f"- 10% tolerance); the untraced hot path has regressed"
         )

@@ -3,7 +3,7 @@
 
 CI runs this after the benchmark jobs so every pipeline uploads one
 ``results/BENCH_trajectory.json`` carrying the perf/safety history:
-hot-path throughput (uops/s, vectorized speedup), red-team verdict
+hot-path throughput (untraced uops/s, untraced/traced ratio), red-team verdict
 counts, and the git sha each point was measured at.  See
 :mod:`repro.sim.trajectory` for the file format.
 
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     gadgets = latest.get("gadgets", {})
     line = (
         f"{out}: {len(trajectory['points'])} point(s); latest sha={sha} "
-        f"mean {hotpath.get('mean_vector_uops_per_sec', 0)} uops/s, "
+        f"mean {hotpath.get('mean_untraced_uops_per_sec', 0)} uops/s, "
         f"gadgets {gadgets.get('ok', 0)}/{gadgets.get('cells', 0)} ok"
     )
     sampled = latest.get("sampling")

@@ -15,12 +15,6 @@ Commands are grouped by what they do::
     python -m repro redteam audit                 # metadata AUC audit
     python -m repro serve                         # HTTP sweep service
 
-The pre-grouping spellings (``run <benchmark>``, ``suite``, ``replay``,
-``leakage``, ``sweep-lpt``, ``sweep-levels``, ``telemetry <trace>``)
-still work as hidden aliases for one release: they are rewritten onto
-the grouped tree and emit a :class:`DeprecationWarning` naming the
-replacement.
-
 Common options: ``--length`` (trace micro-ops), ``--schemes`` (comma
 list), ``--threads`` (parallel workloads), ``--seed`` (override profile
 seed), ``--jobs`` (worker processes; also the ``REPRO_JOBS`` environment
@@ -70,7 +64,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -1068,56 +1061,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Retired top-level commands and their grouped replacements.
-_ALIASES = {
-    "suite": ("run", "suite"),
-    "replay": ("run", "replay"),
-    "leakage": ("run", "leakage"),
-    "sweep-lpt": ("sweep", "lpt"),
-    "sweep-levels": ("sweep", "levels"),
-}
-
-#: ``run``'s subcommands; anything else after ``run`` is a benchmark label.
-_RUN_SUBCOMMANDS = frozenset({"one", "suite", "replay", "leakage"})
-
-
-def _warn_alias(old: str, new: str) -> None:
-    warnings.warn(
-        f"'repro {old}' is deprecated; use 'repro {new}'",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _rewrite_legacy_argv(argv: List[str]) -> List[str]:
-    """Map pre-grouping invocations onto the grouped command tree.
-
-    Rewrites emit a :class:`DeprecationWarning` naming the replacement;
-    already-grouped invocations pass through untouched.
-    """
-    if not argv:
-        return argv
-    head = argv[0]
-    if head in _ALIASES:
-        new = _ALIASES[head]
-        _warn_alias(head, " ".join(new))
-        return list(new) + argv[1:]
-    follower = argv[1] if len(argv) > 1 else None
-    bare = follower is not None and not follower.startswith("-")
-    if head == "run" and bare and follower not in _RUN_SUBCOMMANDS:
-        _warn_alias("run <benchmark>", "run one <benchmark>")
-        return ["run", "one"] + argv[1:]
-    if head == "telemetry" and bare and follower != "summarize":
-        _warn_alias("telemetry <trace>", "telemetry summarize <trace>")
-        return ["telemetry", "summarize"] + argv[1:]
-    return argv
-
-
 def main(argv: Sequence[str] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(_rewrite_legacy_argv(argv))
+    args = parser.parse_args(argv)
     if hasattr(args, "jobs"):
         try:
             resolve_jobs(args.jobs)

@@ -13,15 +13,11 @@ idempotent, so any core's step may drain the queue on behalf of all of
 them: callbacks are bound methods that only touch their own core's
 state.
 
-Two scheduling forms coexist:
-
-* :meth:`schedule` — the legacy closure form ``callback(now)``; kept for
-  the reference pipeline and external callers.
-* :meth:`push` — the hot-path form ``fn(arg, due)``: no lambda is
-  allocated per event, the payload rides the heap entry itself, and the
-  callee receives the cycle the event was scheduled for.  The run loops
-  never tick past a due event, so the due cycle and the service cycle
-  are always equal — the two forms are observably identical.
+Events are scheduled with :meth:`push` as ``fn(arg, due)``: no lambda
+is allocated per event, the payload rides the heap entry itself, and the
+callee receives the cycle the event was scheduled for.  The run loops
+never tick past a due event, so the due cycle is also the cycle the
+event is serviced at.
 """
 
 from __future__ import annotations
@@ -30,9 +26,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["EventQueue"]
-
-#: Distinguishes legacy closure events (no payload) from push() events.
-_NO_ARG = object()
 
 
 class EventQueue:
@@ -55,16 +48,11 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, cycle: int, callback: Callable[[int], None]) -> None:
-        """Fire ``callback(cycle)`` when the clock reaches ``cycle``."""
-        self._seq += 1
-        heappush(self._heap, (cycle, self._seq, callback, _NO_ARG))
-
     def push(self, cycle: int, fn: Callable, arg: Any) -> None:
         """Fire ``fn(arg, cycle)`` when the clock reaches ``cycle``.
 
-        The closure-free fast form: the payload rides the heap entry, so
-        scheduling allocates nothing beyond the tuple itself.
+        The payload rides the heap entry, so scheduling allocates nothing
+        beyond the tuple itself.
         """
         self._seq += 1
         heappush(self._heap, (cycle, self._seq, fn, arg))
@@ -77,10 +65,7 @@ class EventQueue:
         self.epoch += 1
         while heap and heap[0][0] <= cycle:
             due, _, callback, arg = heappop(heap)
-            if arg is _NO_ARG:
-                callback(cycle)
-            else:
-                callback(arg, due)
+            callback(arg, due)
         return True
 
     def next_cycle(self) -> Optional[int]:

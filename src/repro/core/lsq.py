@@ -19,7 +19,6 @@ import collections
 from typing import Deque, Dict, FrozenSet, List, Optional, Set
 
 from repro.common.types import word_addr
-from repro.memory.packet import MemPacket, PacketKind
 from repro.telemetry.events import CAT_PIPELINE, NULL_TELEMETRY
 
 __all__ = ["StoreEntry", "LoadEntry", "LoadStoreUnit"]
@@ -48,14 +47,6 @@ class StoreEntry:
         self.data_ready = False  # data register value available
         self.committed = False
         self.taint: FrozenSet[int] = frozenset()  # taint of the stored data
-
-    def drain_packet(self, core: int, cycle: int) -> MemPacket:
-        """The WRITE_REQ that performs this store when the SB drains.
-
-        Conceal-on-store rides the packet: the hierarchy clears the
-        word's reveal bit when ownership is acquired (paper §4.4).
-        """
-        return MemPacket.request(PacketKind.WRITE_REQ, core, self.addr, cycle)
 
 
 class LoadEntry:

@@ -22,27 +22,75 @@ Security hooks (see :mod:`repro.security`):
 * branch resolution asks the policy (STT implicit channel);
 * the commit stage runs the ReCon load-pair table and sends reveal
   requests to the L1; committed stores conceal their word when performed.
+
+There is one cycle loop, and traced and untraced runs share it.  It is
+written for throughput; none of the techniques below can change the
+cycle count or any :class:`~repro.common.stats.StatSet` field, which
+``tests/core/test_hotpath_parity.py`` pins against goldens captured from
+the straightforward reference loop it replaced (stats of 49 cells and
+the full telemetry event stream of 4 traced cells):
+
+* **Guarded telemetry.**  Every emission site checks ``self._traced``
+  (hoisted into a local in the per-instruction loops), so an untraced
+  run pays one falsy branch per site.  A live collector is propagated
+  to the hierarchy, policy, LSQ and LPT, and makes the hierarchy submit
+  every access as a packet, so the ``mem_txn`` stream is complete.
+* **Phase early-outs.**  ``step`` skips a phase when its inputs are
+  empty (no blocked branches, empty store buffer, ROB head incomplete,
+  empty ready queue); each phase would do nothing in those states.
+* **Closure-free events.**  Completions ride
+  :meth:`~repro.common.events.EventQueue.push` entries ``(fn, inst)``.
+  The run loops never tick past a due event, so the due cycle handed to
+  the callback is the cycle it is serviced at.
+* **Operand-taint memo.**  A waiting instruction's source taints cannot
+  change between issue attempts (its physical registers are not
+  reallocated until after it commits), so the union is computed once
+  and cached on the instruction (``_Inst.taint_cache``).
+* **Blocked-poll memo.**  A load or store that polled as blocked is not
+  re-polled until the event-queue epoch moves; every state change that
+  could unblock it (events, commits, drains, frontier moves, fills)
+  bumps the epoch, and a blocked poll changes no state.
+* **Policy-hook devirtualization.**  Hooks a policy does not override
+  (``on_commit``, ``word_is_public``, ``on_load_value``, the issue
+  gates) are skipped entirely; the base implementations are no-ops or
+  constants, precomputed here.  ``on_visibility`` is only called when
+  the frontier actually moved — the STT-family implementation is
+  idempotent at a fixed frontier, and new taint roots are always ahead
+  of it.
+* **Packet-free private hits.**  Loads, exposes, store-buffer drains
+  and LPT reveals call the hierarchy's ``read``/``write``/``reveal``.
+  On a contention-free, untraced hierarchy these serve private-cache
+  hits with the same routines ``submit`` runs, minus the packet and the
+  port grant, transaction clock and queue deltas that are no-ops there;
+  the rest they submit.
+* **Sorted-ready maintenance.**  The ready queue is kept sorted by
+  sequence number and re-sorted (via :func:`repro.core.hotpath.sort_ready`,
+  numpy argsort above its threshold) only after out-of-order wakeups
+  append to it.  Sequence numbers are unique, so sorting has a single
+  fixed result — resort timing cannot change the order issued.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.common.errors import SimulationHangError
+from repro.common.events import EventQueue
 from repro.common.params import SystemParams
 from repro.common.stats import StatSet
 from repro.common.types import MemPrediction, OpClass, SpeculationModel
+from repro.core.hotpath import count_unready, sort_ready
 from repro.core.lsq import LoadStoreUnit
 from repro.core.mdp import MemoryDependencePredictor
 from repro.core.rename import RegisterFile
-from repro.core.shadows import ShadowTracker
+from repro.core.shadows import NO_SHADOW, ShadowTracker
 from repro.isa.microop import MicroOp
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.packet import MemPacket, PacketKind
-from repro.common.events import EventQueue
-from repro.security.policy import EMPTY_TAINT, SecurityPolicy
 from repro.security.lpt import LoadPairTable
+from repro.security.policy import EMPTY_TAINT, SecurityPolicy
+from repro.security.stt import SttPolicy
 from repro.telemetry.events import (
     CAT_PIPELINE,
     CAT_RECON,
@@ -52,6 +100,16 @@ from repro.telemetry.events import (
 )
 
 __all__ = ["Core", "Observation"]
+
+_ALU = OpClass.ALU
+_MUL = OpClass.MUL
+_DIV = OpClass.DIV
+_FP = OpClass.FP
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
+_STF = MemPrediction.STF
 
 
 class Observation:
@@ -114,19 +172,10 @@ class _Inst:
         self.went_to_memory = False
         self.first_blocked = -1
         self.counted_delayed = False
-        #: Fast-path memo of the operand-taint union (None = not taken).
-        #: A waiting instruction's source taints cannot change between
-        #: issue attempts — the physical registers it reads are not
-        #: reallocated until after it commits — so the union is computed
-        #: once.  The reference loop recomputes it every attempt; both
-        #: produce the same value.
+        #: Memo of the operand-taint union (None = not taken yet).
         self.taint_cache: Optional[FrozenSet[int]] = None
-        #: Fast-path memo: the event-queue epoch at which this
-        #: instruction last polled as blocked.  While the epoch is
-        #: unchanged, nothing that could unblock it has happened, so the
-        #: poll (which mutates no state on a blocked outcome) may be
-        #: skipped.  The reference loop re-polls every cycle; both issue
-        #: on the same cycle.
+        #: The event-queue epoch at which this instruction last polled
+        #: as blocked; the poll is skipped while the epoch is unchanged.
         self.blocked_epoch = -1
 
 
@@ -158,7 +207,8 @@ class Core:
         #: live collector is propagated to every owned subcomponent so the
         #: whole core emits into one stream.
         self.telemetry = telemetry
-        if telemetry.enabled:
+        self._traced = telemetry.enabled
+        if self._traced:
             hierarchy.telemetry = telemetry
             policy.telemetry = telemetry
             policy.telemetry_core = core_id
@@ -189,27 +239,63 @@ class Core:
             if policy.use_recon
             else None
         )
-        if telemetry.enabled:
+        if self._traced:
             self.lsq.telemetry = telemetry
             self.lsq.telemetry_core = core_id
             if self.lpt is not None:
                 self.lpt.telemetry = telemetry
                 self.lpt.telemetry_core = core_id
 
-        self._latency = {
-            OpClass.ALU: core.alu_latency,
-            OpClass.MUL: core.mul_latency,
-            OpClass.DIV: core.div_latency,
-            OpClass.FP: core.fp_latency,
-            OpClass.BRANCH: core.branch_latency,
-            OpClass.NOP: 1,
-        }
+        self._decode_width = core.decode_width
+        self._issue_width = core.issue_width
+        self._commit_width = core.commit_width
+        self._rob_entries = core.rob_entries
+        self._iq_entries = core.iq_entries
+        self._mispredict_penalty = core.mispredict_penalty
+        self._sb_drain = core.sb_drain_per_cycle
+        self._lat_alu = core.alu_latency
+        self._lat_mul = core.mul_latency
+        self._lat_div = core.div_latency
+        self._lat_fp = core.fp_latency
+        self._lat_branch = core.branch_latency
+        self._trace_len = len(trace)
+        self._lpt_sources = params.lpt_sources
+        model = params.speculation_model
+        self._futuristic = model is SpeculationModel.FUTURISTIC
+        self._store_shadows = model is not SpeculationModel.CONTROL_ONLY
+        self._mdp_on = params.memory_dependence_speculation
+
+        # Which policy hooks are actually overridden; base-class hooks
+        # are no-ops/constants and their call sites collapse.
+        cls = type(policy)
+        base = SecurityPolicy
+        self._blocks_loads = cls.load_issue_blocked is not base.load_issue_blocked
+        self._blocks_stores = (
+            cls.store_issue_blocked is not base.store_issue_blocked
+        )
+        self._blocks_branches = (
+            cls.branch_resolution_blocked is not base.branch_resolution_blocked
+        )
+        self._gates_on_miss = policy.gates_on_miss
+        self._invisible = policy.invisible_speculation
+        self._use_recon = policy.use_recon
+        self._has_word_public = cls.word_is_public is not base.word_is_public
+        self._has_on_load_value = cls.on_load_value is not base.on_load_value
+        self._has_on_commit = cls.on_commit is not base.on_commit
+        self._has_on_visibility = cls.on_visibility is not base.on_visibility
+        if cls.propagate_taint is base.propagate_taint:
+            self._prop_mode = 0  # always EMPTY_TAINT
+        elif cls.propagate_taint is SttPolicy.propagate_taint:
+            self._prop_mode = 1  # identity (operand taint flows through)
+        else:  # pragma: no cover - no third implementation exists today
+            self._prop_mode = 2  # call the hook
 
         self._data_waiters: Dict[int, List[_Inst]] = {}
         self._rob: List[_Inst] = []  # in program order; head is index 0
         self._rob_head = 0
         self._iq_count = 0
         self._ready: List[_Inst] = []
+        self._ready_dirty = False
         #: Discrete-event queue; shared across cores (and packet
         #: completions) when a :class:`~repro.sim.system.System` passes
         #: one in, private otherwise (standalone cores in tests).
@@ -217,9 +303,12 @@ class Core:
         self._blocked_branches: List[_Inst] = []
         self._deferred: List[Tuple[int, _Inst]] = []  # NDA broadcast at safety
         self._pending_exposes: List[Tuple[int, int]] = []  # invisible loads
+        self._last_frontier: Optional[float] = None
         self._fetch_idx = 0
         self._fetch_blocked_by: Optional[int] = None  # mispredicted branch seq
         self._fetch_resume_cycle = 0
+        self._warm_pending = warmup_uops > 0
+        self._measure_pending = self._measure_at is not None
         self.cycle = 0
         self.done = False
 
@@ -248,14 +337,16 @@ class Core:
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 50_000_000) -> StatSet:
         """Run the trace to completion; returns the stats."""
+        step = self.step
+        next_wake = self.next_wake
         while not self.done:
-            if self.cycle >= max_cycles:
+            cycle = self.cycle
+            if cycle >= max_cycles:
                 raise self.hang_error(max_cycles)
-            active = self.step(self.cycle)
-            if active or self.done:
-                self.cycle += 1
+            if step(cycle) or self.done:
+                self.cycle = cycle + 1
             else:
-                self.cycle = self.next_wake(self.cycle)
+                self.cycle = next_wake(cycle)
         return self.stats
 
     @property
@@ -282,111 +373,148 @@ class Core:
             event_queue_depth=len(self.events),
         )
 
+    def next_wake(self, cycle: int) -> int:
+        """Earliest future cycle at which state can change."""
+        heap = self.events._heap
+        best = -1
+        if heap:
+            pending = heap[0][0]
+            if pending > cycle:
+                best = pending
+        if self._fetch_blocked_by is None:
+            resume = self._fetch_resume_cycle
+            if resume > cycle and (best < 0 or resume < best):
+                best = resume
+        floor = cycle + 1
+        return best if best > floor else floor
+
     def step(self, cycle: int) -> bool:
         """Advance one cycle; returns True if any pipeline activity occurred."""
         if self.done:
             return False
-        if self.telemetry.enabled:
+        if self._traced:
             # Cycle-less subcomponents (LSQ, LPT, hierarchy, policies)
             # stamp their events with the collector's current cycle.
             self.telemetry.now = cycle
-        activity = self._process_events(cycle)
-        activity |= self._resolve_blocked_branches(cycle)
-        self._advance_visibility(cycle)
-        activity |= self._drain_store_buffer(cycle)
-        activity |= self._commit(cycle) > 0
-        activity |= self._issue(cycle) > 0
-        activity |= self._dispatch(cycle) > 0
+        activity = self.events.service(cycle)
+        if self._blocked_branches:
+            if self._resolve_blocked_branches(cycle):
+                activity = True
+                self.events.epoch += 1  # resolutions broadcast registers
+
+        # -- visibility --
+        active = self.shadows._active
+        frontier = active[0] if active else NO_SHADOW
+        if frontier != self._last_frontier:
+            self._last_frontier = frontier
+            self.events.epoch += 1  # shadow frontier moved: re-poll blocked
+            if self._has_on_visibility:
+                # Idempotent at a fixed frontier: calling only on
+                # movement equals calling every cycle.
+                self.policy.on_visibility(frontier)
+        deferred = self._deferred
+        while deferred and deferred[0][0] < frontier:
+            _, inst = heappop(deferred)
+            self._broadcast(inst, EMPTY_TAINT)
+        exposes = self._pending_exposes
+        if exposes and exposes[0][0] < frontier:
+            read = self.hierarchy.read
+            core_id = self.core_id
+            while exposes and exposes[0][0] < frontier:
+                # Expose: install the line for real, off the critical path.
+                _, addr = heappop(exposes)
+                read(core_id, addr, cycle)
+
+        # -- store buffer: conceal-on-store rides the write (paper §4.4) --
+        lsq = self.lsq
+        sb = lsq._sb
+        if sb:
+            write = self.hierarchy.write
+            pop = lsq.pop_performable_store
+            core_id = self.core_id
+            for _ in range(self._sb_drain):
+                if not sb:
+                    break
+                write(core_id, pop().addr, cycle)
+            activity = True
+            self.events.epoch += 1  # stores performed: cache state changed
+
+        rob = self._rob
+        head = self._rob_head
+        if head < len(rob) and rob[head].completed:
+            if self._commit(cycle) > 0:
+                activity = True
+                self.events.epoch += 1  # commits move reveal/LSQ state
+        if self._ready:
+            activity |= self._issue(cycle) > 0
         if (
-            self._fetch_idx >= len(self.trace)
+            self._fetch_idx < self._trace_len
+            and self._fetch_blocked_by is None
+            and cycle >= self._fetch_resume_cycle
+        ):
+            activity |= self._dispatch(cycle) > 0
+        if (
+            self._fetch_idx >= self._trace_len
             and self._rob_head >= len(self._rob)
-            and self.lsq.sb_depth == 0
+            and not sb
         ):
             self.done = True
             self.stats.cycles = cycle + 1
             if self.lpt is not None:
                 self.stats.lpt_conflicts = self.lpt.conflicts
-        return activity
-
-    def next_wake(self, cycle: int) -> int:
-        """Earliest future cycle at which state can change."""
-        candidates = [cycle + 1]
-        pending = self.events.next_cycle()
-        if pending is not None and pending > cycle:
-            candidates.append(pending)
-        if self._fetch_blocked_by is None and self._fetch_resume_cycle > cycle:
-            candidates.append(self._fetch_resume_cycle)
-        if len(candidates) == 1:
-            # Nothing scheduled: only legal if a same-cycle wake is pending.
-            return cycle + 1
-        return max(cycle + 1, min(candidates[1:]))
+        return bool(activity)
 
     # ------------------------------------------------------------------
-    # cycle phases
+    # completion events
     # ------------------------------------------------------------------
-    def _schedule(self, cycle: int, kind: str, inst: _Inst) -> None:
-        if kind == "complete":
-            self.events.schedule(
-                cycle, lambda now, inst=inst: self._complete(inst, now)
-            )
-        elif kind == "load_return":
-            self.events.schedule(
-                cycle, lambda now, inst=inst: self._load_return(inst, now)
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown event {kind}")
-
-    def _process_events(self, cycle: int) -> bool:
-        return self.events.service(cycle)
-
     def _complete(self, inst: _Inst, cycle: int) -> None:
         uop = inst.uop
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.emit(
+        oc = uop.opclass
+        if self._traced:
+            self.telemetry.emit(
                 CAT_PIPELINE, "complete", core=self.core_id, seq=inst.seq
             )
-        if uop.opclass is OpClass.STORE:
+        if oc is _STORE:
             violated = self.lsq.resolve_store(inst.seq)
-            for load in violated:
+            if violated:
                 # Squash-lite: train the predictor and charge a flush-like
                 # bubble for the memory-order violation.
-                self.stats.mem_order_violations += 1
-                self.mdp.train_violation(load.pc)
-                self._fetch_resume_cycle = max(
-                    self._fetch_resume_cycle,
-                    cycle + self.params.core.mispredict_penalty,
-                )
-            if self.params.speculation_model is not SpeculationModel.CONTROL_ONLY:
-                self._shadow_exit(inst.seq)
+                stats = self.stats
+                mdp = self.mdp
+                bound = cycle + self._mispredict_penalty
+                for load in violated:
+                    stats.mem_order_violations += 1
+                    mdp.train_violation(load.pc)
+                if bound > self._fetch_resume_cycle:
+                    self._fetch_resume_cycle = bound
+            if self._store_shadows:
+                self.shadows.resolve(inst.seq)
+                if self._traced:
+                    self.telemetry.emit(
+                        CAT_SHADOW, "exit", core=self.core_id, seq=inst.seq
+                    )
             inst.agen_done = True
             if inst.data_pending == 0:
                 inst.completed = True
-        elif uop.opclass is OpClass.BRANCH:
-            if self.policy.branch_resolution_blocked(inst.captured_taint):
+        elif oc is _BRANCH:
+            if self._blocks_branches and self.policy.branch_resolution_blocked(
+                inst.captured_taint
+            ):
                 self._blocked_branches.append(inst)
             else:
                 self._resolve_branch(inst, cycle)
         else:
-            taint = self.policy.propagate_taint(inst.captured_taint)
+            mode = self._prop_mode
+            if mode == 0:
+                taint = EMPTY_TAINT
+            elif mode == 1:
+                taint = inst.captured_taint
+            else:  # pragma: no cover - no third implementation exists today
+                taint = self.policy.propagate_taint(inst.captured_taint)
             self._broadcast(inst, taint)
             inst.completed = True
 
-    def _shadow_cast(self, seq: int) -> None:
-        """Cast a speculation shadow, emitting the telemetry enter event."""
-        self.shadows.cast(seq)
-        if self.telemetry.enabled:
-            self.telemetry.emit(CAT_SHADOW, "enter", core=self.core_id, seq=seq)
-
-    def _shadow_exit(self, seq: int) -> None:
-        """Resolve a speculation shadow, emitting the telemetry exit event."""
-        self.shadows.resolve(seq)
-        if self.telemetry.enabled:
-            self.telemetry.emit(CAT_SHADOW, "exit", core=self.core_id, seq=seq)
-
     def _resolve_blocked_branches(self, cycle: int) -> bool:
-        if not self._blocked_branches:
-            return False
         still_blocked = []
         resolved_any = False
         for inst in self._blocked_branches:
@@ -399,11 +527,16 @@ class Core:
         return resolved_any
 
     def _resolve_branch(self, inst: _Inst, cycle: int) -> None:
-        self._shadow_exit(inst.seq)
+        self.shadows.resolve(inst.seq)
+        traced = self._traced
+        if traced:
+            self.telemetry.emit(
+                CAT_SHADOW, "exit", core=self.core_id, seq=inst.seq
+            )
         inst.completed = True
         if inst.uop.mispredict:
             self.stats.mispredicted_branches += 1
-            if self.telemetry.enabled:
+            if traced:
                 # The wrong-path fetch bubble is the squash in this
                 # correct-path model.
                 self.telemetry.emit(
@@ -411,201 +544,349 @@ class Core:
                 )
             if self._fetch_blocked_by == inst.seq:
                 self._fetch_blocked_by = None
-                self._fetch_resume_cycle = max(
-                    self._fetch_resume_cycle,
-                    cycle + self.params.core.mispredict_penalty,
-                )
+                resume = cycle + self._mispredict_penalty
+                if resume > self._fetch_resume_cycle:
+                    self._fetch_resume_cycle = resume
 
-    def _advance_visibility(self, cycle: int) -> None:
-        frontier = self.shadows.frontier
-        self.policy.on_visibility(frontier)
-        while self._deferred and self._deferred[0][0] < frontier:
-            _, inst = heapq.heappop(self._deferred)
-            self._broadcast(inst, EMPTY_TAINT)
-        while self._pending_exposes and self._pending_exposes[0][0] < frontier:
-            # Expose: install the line for real, off the critical path.
-            _, addr = heapq.heappop(self._pending_exposes)
-            self.hierarchy.submit(
-                MemPacket.request(
-                    PacketKind.READ_REQ, self.core_id, addr, cycle
+    def _load_return(self, inst: _Inst, cycle: int) -> None:
+        shadows = self.shadows
+        traced = self._traced
+        if self._futuristic:
+            # The load can no longer squash (functionally): release its
+            # shadow when the value arrives.
+            shadows.resolve(inst.seq)
+            if traced:
+                self.telemetry.emit(
+                    CAT_SHADOW, "exit", core=self.core_id, seq=inst.seq
                 )
+        active = shadows._active
+        speculative = inst.seq > (active[0] if active else NO_SHADOW)
+        use_recon = self._use_recon
+        went = inst.went_to_memory
+        revealed = inst.mem_revealed and use_recon
+        if not revealed and went and self._has_word_public:
+            revealed = self.policy.word_is_public(inst.uop.addr)
+        if speculative and use_recon and went:
+            if revealed:
+                self.stats.reveal_hits += 1
+            else:
+                self.stats.reveal_misses += 1
+            if traced:
+                self.telemetry.emit(
+                    CAT_RECON,
+                    "reveal_hit" if revealed else "reveal_miss",
+                    core=self.core_id,
+                    seq=inst.seq,
+                    addr=inst.uop.addr,
+                )
+        if self._has_on_load_value:
+            broadcast_now, taint = self.policy.on_load_value(
+                inst.seq, speculative, revealed, inst.fwd_taint
             )
+        else:
+            broadcast_now, taint = True, EMPTY_TAINT
+        inst.completed = True
+        if traced:
+            self.telemetry.emit(
+                CAT_PIPELINE, "complete", core=self.core_id, seq=inst.seq
+            )
+        if broadcast_now:
+            self._broadcast(inst, taint)
+        else:
+            if traced:
+                self.telemetry.emit(
+                    CAT_PIPELINE, "defer", core=self.core_id, seq=inst.seq
+                )
+            heappush(self._deferred, (inst.seq, inst))
 
+    def _broadcast(self, inst: _Inst, taint: FrozenSet[int]) -> None:
+        dest = inst.dest_phys
+        if dest is None:
+            return
+        regfile = self.regfile
+        regfile.ready[dest] = True
+        regfile.taint[dest] = taint
+        waiters = regfile.waiters.pop(dest, None)
+        if waiters:
+            ready_q = self._ready
+            woke = False
+            for waiter in waiters:
+                waiter.pending -= 1
+                if waiter.pending == 0:
+                    ready_q.append(waiter)
+                    woke = True
+            if woke:
+                self._ready_dirty = True
+        data_waiters = self._data_waiters.pop(dest, None)
+        if data_waiters:
+            for waiter in data_waiters:
+                waiter.data_pending -= 1
+                if waiter.data_pending == 0:
+                    self._store_data_ready(waiter)
+
+    def _store_data_ready(self, inst: _Inst) -> None:
+        """A store's data register(s) became available."""
+        taints = self.regfile.taint
+        taint = EMPTY_TAINT
+        for phys in inst.data_phys:
+            t = taints[phys]
+            if t:
+                taint = taint | t
+        self.lsq.set_store_data(inst.seq, taint)
+        if inst.agen_done:
+            inst.completed = True
+
+    # ------------------------------------------------------------------
+    # commit
+    # ------------------------------------------------------------------
     def _commit(self, cycle: int) -> int:
+        rob = self._rob
+        head = self._rob_head
+        rob_len = len(rob)
+        width = self._commit_width
         committed = 0
-        width = self.params.core.commit_width
-        while committed < width and self._rob_head < len(self._rob):
-            inst = self._rob[self._rob_head]
+        stats = self.stats
+        lsq = self.lsq
+        sb = lsq._sb
+        sq_entries = lsq.sq_entries
+        lpt = self.lpt
+        policy = self.policy
+        has_on_commit = self._has_on_commit
+        release = self.regfile.release
+        traced = self._traced
+        while committed < width and head < rob_len:
+            inst = rob[head]
             if not inst.completed:
                 break
             uop = inst.uop
-            if uop.opclass is OpClass.STORE:
-                if self.lsq.sb_full:
+            oc = uop.opclass
+            if oc is _STORE:
+                if len(sb) >= sq_entries:
                     break
-                self.lsq.commit_store(inst.seq)
-                self.stats.committed_stores += 1
-                if self.lpt is not None:
-                    self.lpt.on_other_commit(inst.dest_phys)
-            elif uop.opclass is OpClass.LOAD:
-                self.lsq.commit_load(inst.seq)
-                self.stats.committed_loads += 1
-                if self.lpt is not None:
+                lsq.commit_store(inst.seq)
+                stats.committed_stores += 1
+                if lpt is not None:
+                    lpt.on_other_commit(inst.dest_phys)
+            elif oc is _LOAD:
+                lsq.commit_load(inst.seq)
+                stats.committed_loads += 1
+                if lpt is not None:
                     self._lpt_load_commit(inst, cycle)
             else:
-                if uop.opclass is OpClass.BRANCH:
-                    self.stats.committed_branches += 1
-                if self.lpt is not None:
-                    self.lpt.on_other_commit(inst.dest_phys)
-            self.policy.on_commit(uop)
-            if self.telemetry.enabled:
+                if oc is _BRANCH:
+                    stats.committed_branches += 1
+                if lpt is not None:
+                    lpt.on_other_commit(inst.dest_phys)
+            if has_on_commit:
+                policy.on_commit(uop)
+            if traced:
                 # The uop reference rides the event for streaming sinks
                 # (leakage timeline); it is stripped before storage.
                 self.telemetry.emit(
-                    CAT_PIPELINE,
-                    "commit",
-                    core=self.core_id,
-                    seq=inst.seq,
-                    uop=uop,
+                    CAT_PIPELINE, "commit", core=self.core_id, seq=inst.seq, uop=uop
                 )
             if inst.freed_on_commit is not None:
-                self.regfile.release(inst.freed_on_commit)
-            self._rob[self._rob_head] = None  # type: ignore[call-overload]
-            self._rob_head += 1
-            self.stats.committed_uops += 1
+                release(inst.freed_on_commit)
+            rob[head] = None  # type: ignore[call-overload]
+            head += 1
+            stats.committed_uops += 1
             committed += 1
+            if self._warm_pending and stats.committed_uops >= self.warmup_uops:
+                self._warm_pending = False
+                stats.cycles = cycle
+                self._warm_snapshot = stats.snapshot()
             if (
-                self._warm_snapshot is None
-                and self.warmup_uops
-                and self.stats.committed_uops >= self.warmup_uops
+                self._measure_pending
+                and stats.committed_uops >= self._measure_at
             ):
-                self.stats.cycles = cycle
-                self._warm_snapshot = self.stats.snapshot()
-            if (
-                self._measure_at is not None
-                and self._measure_snapshot is None
-                and self.stats.committed_uops >= self._measure_at
-            ):
-                self.stats.cycles = cycle
-                if self.lpt is not None:
-                    self.stats.lpt_conflicts = self.lpt.conflicts
-                self._measure_snapshot = self.stats.snapshot()
+                self._measure_pending = False
+                stats.cycles = cycle
+                if lpt is not None:
+                    stats.lpt_conflicts = lpt.conflicts
+                self._measure_snapshot = stats.snapshot()
                 # Stop the core: everything past the window is cool-down
                 # trace kept only so fetch never starved mid-window.
                 self.done = True
                 break
-        if self._rob_head > 4096 and self._rob_head == len(self._rob):
-            del self._rob[: self._rob_head]
+        self._rob_head = head
+        if head > 4096 and head == rob_len:
+            del rob[:head]
             self._rob_head = 0
         return committed
 
     def _lpt_load_commit(self, inst: _Inst, cycle: int) -> None:
-        assert self.lpt is not None and inst.dest_phys is not None
-        sources = inst.src_phys[: self.params.lpt_sources]
+        """Run the ReCon load-pair table; reveal each detected pair's word."""
         reveals = self.lpt.on_load_commit_multi(
-            inst.dest_phys, sources, inst.uop.addr or 0
+            inst.dest_phys, inst.src_phys[: self._lpt_sources], inst.uop.addr or 0
         )
-        self.stats.load_pairs_detected += len(reveals)
-        for pkt in self.lpt.reveal_packets(reveals, self.core_id, cycle):
-            self.hierarchy.submit(pkt)
-
-    def _drain_store_buffer(self, cycle: int) -> bool:
-        drained = False
-        for _ in range(self.params.core.sb_drain_per_cycle):
-            entry = self.lsq.pop_performable_store()
-            if entry is None:
-                break
-            self.hierarchy.submit(entry.drain_packet(self.core_id, cycle))
-            drained = True
-        return drained
+        if reveals:
+            self.stats.load_pairs_detected += len(reveals)
+            reveal = self.hierarchy.reveal
+            for addr in reveals:
+                reveal(self.core_id, addr, cycle)
 
     # ------------------------------------------------------------------
     # issue
     # ------------------------------------------------------------------
     def _issue(self, cycle: int) -> int:
-        if not self._ready:
+        ready = self._ready
+        if not ready:
             return 0
-        self._ready.sort(key=lambda i: i.seq)
+        if self._ready_dirty:
+            ready = sort_ready(ready)
+            self._ready = ready
+            self._ready_dirty = False
         issued = 0
         kept: List[_Inst] = []
-        width = self.params.core.issue_width
-        for inst in self._ready:
+        kept_append = kept.append
+        width = self._issue_width
+        events = self.events
+        events_push = events.push
+        complete = self._complete
+        taints = self.regfile.taint
+        stats = self.stats
+        lat_alu = self._lat_alu
+        lat_branch = self._lat_branch
+        traced = self._traced
+        n = len(ready)
+        index = 0
+        while index < n:
+            inst = ready[index]
             if issued >= width:
-                kept.append(inst)
-                continue
+                kept.extend(ready[index:])
+                break
             uop = inst.uop
-            if uop.opclass is OpClass.LOAD:
-                outcome = self._try_issue_load(inst, cycle)
-            elif uop.opclass is OpClass.STORE:
-                outcome = self._try_issue_store(inst, cycle)
+            oc = uop.opclass
+            if oc is _LOAD:
+                # Epoch memo: a blocked verdict only changes when state
+                # it reads changes, and every such change bumps the
+                # epoch — skip the (side-effect-free) re-poll until then.
+                if inst.blocked_epoch == events.epoch:
+                    kept_append(inst)
+                    index += 1
+                    continue
+                ok = self._try_issue_load(inst, cycle)
+            elif oc is _STORE:
+                if inst.blocked_epoch == events.epoch:
+                    kept_append(inst)
+                    index += 1
+                    continue
+                ok = self._try_issue_store(inst, cycle)
             else:
-                inst.captured_taint = self.regfile.union_taint(inst.src_phys)
-                self._schedule(
-                    cycle + self._latency[uop.opclass], "complete", inst
-                )
-                outcome = True
-            if outcome:
+                taint = EMPTY_TAINT
+                for phys in inst.src_phys:
+                    t = taints[phys]
+                    if t:
+                        taint = taint | t
+                inst.captured_taint = taint
+                if oc is _ALU:
+                    lat = lat_alu
+                elif oc is _BRANCH:
+                    lat = lat_branch
+                elif oc is _MUL:
+                    lat = self._lat_mul
+                elif oc is _FP:
+                    lat = self._lat_fp
+                elif oc is _DIV:
+                    lat = self._lat_div
+                else:  # NOP
+                    lat = 1
+                events_push(cycle + lat, complete, inst)
+                ok = True
+            if ok:
                 issued += 1
-                self._iq_count -= 1
-                if self.telemetry.enabled:
+                if traced:
                     self.telemetry.emit(
                         CAT_PIPELINE, "issue", core=self.core_id, seq=inst.seq
                     )
             else:
-                self._note_blocked(inst, cycle)
-                kept.append(inst)
+                if inst.first_blocked < 0:
+                    inst.first_blocked = cycle
+                    if traced:
+                        self.telemetry.emit(
+                            CAT_SECURITY,
+                            "delay_start",
+                            core=self.core_id,
+                            seq=inst.seq,
+                        )
+                if not inst.counted_delayed and oc is _LOAD:
+                    inst.counted_delayed = True
+                    stats.delayed_loads += 1
+                inst.blocked_epoch = events.epoch
+                kept_append(inst)
+            index += 1
+        self._iq_count -= issued
         self._ready = kept
         return issued
 
-    def _note_blocked(self, inst: _Inst, cycle: int) -> None:
-        if inst.first_blocked < 0:
-            inst.first_blocked = cycle
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    CAT_SECURITY,
-                    "delay_start",
-                    core=self.core_id,
-                    seq=inst.seq,
-                )
-        if not inst.counted_delayed and inst.uop.opclass is OpClass.LOAD:
-            inst.counted_delayed = True
-            self.stats.delayed_loads += 1
+    def _finish_delay(self, inst: _Inst, cycle: int) -> None:
+        """A previously blocked load/store issues: account its delay."""
+        delay = cycle - inst.first_blocked
+        self.stats.delay_cycles += delay
+        if self._traced:
+            self.telemetry.emit(
+                CAT_SECURITY,
+                "delay_end",
+                core=self.core_id,
+                seq=inst.seq,
+                value=delay,
+            )
+            self.telemetry.observe("delay_cycles", delay)
 
     def _try_issue_store(self, inst: _Inst, cycle: int) -> bool:
-        taint = self.regfile.union_taint(inst.src_phys)
-        if self.policy.store_issue_blocked(taint):
+        taint = inst.taint_cache
+        if taint is None:
+            taints = self.regfile.taint
+            taint = EMPTY_TAINT
+            for phys in inst.src_phys:
+                t = taints[phys]
+                if t:
+                    taint = taint | t
+            inst.taint_cache = taint
+        if self._blocks_stores and self.policy.store_issue_blocked(taint):
             return False
         inst.captured_taint = taint
-        self._finish_delay_stat(inst, cycle)
-        self._schedule(cycle + self._latency[OpClass.ALU], "complete", inst)
+        if inst.first_blocked >= 0:
+            self._finish_delay(inst, cycle)
+        self.events.push(cycle + self._lat_alu, self._complete, inst)
         return True
 
     def _try_issue_load(self, inst: _Inst, cycle: int) -> bool:
-        taint = self.regfile.union_taint(inst.src_phys)
-        if self.policy.load_issue_blocked(taint):
+        taint = inst.taint_cache
+        if taint is None:
+            taints = self.regfile.taint
+            taint = EMPTY_TAINT
+            for phys in inst.src_phys:
+                t = taints[phys]
+                if t:
+                    taint = taint | t
+            inst.taint_cache = taint
+        policy = self.policy
+        if self._blocks_loads and policy.load_issue_blocked(taint):
             return False
         uop = inst.uop
         addr = uop.addr
-        assert addr is not None
-        if self.policy.gates_on_miss:
+        shadows = self.shadows
+        if self._gates_on_miss:
             l1_hit, revealed = self.hierarchy.peek_access(self.core_id, addr)
-            if not self.policy.may_issue_load(
-                self.shadows.is_speculative(inst.seq), l1_hit, revealed
+            if not policy.may_issue_load(
+                shadows.is_speculative(inst.seq), l1_hit, revealed
             ):
                 return False
         invisible = False
-        if self.policy.invisible_speculation:
+        if self._invisible:
             _, revealed = self.hierarchy.peek_access(self.core_id, addr)
-            invisible = self.policy.load_must_be_invisible(
-                self.shadows.is_speculative(inst.seq), revealed
+            invisible = policy.load_must_be_invisible(
+                shadows.is_speculative(inst.seq), revealed
             )
-        forward = self.lsq.forwarding_store(inst.seq, addr)
+        lsq = self.lsq
+        forward = lsq.forwarding_store(inst.seq, addr)
         if forward is not None and not forward.data_ready:
             return False  # matching older store exists but has no data yet
-        unresolved = self.lsq.has_older_unresolved_store(inst.seq)
-
-        if self.params.memory_dependence_speculation:
+        unresolved = lsq.has_older_unresolved_store(inst.seq)
+        if self._mdp_on:
             prediction = uop.forced_prediction or self.mdp.predict(uop.pc)
-            if prediction is MemPrediction.STF:
+            if prediction is _STF:
                 if unresolved:
                     return False  # wait for older store addresses
                 if forward is None:
@@ -615,14 +896,15 @@ class Core:
         else:
             if unresolved:
                 return False
-
         inst.captured_taint = taint
-        self._finish_delay_stat(inst, cycle)
+        if inst.first_blocked >= 0:
+            self._finish_delay(inst, cycle)
+        events_push = self.events.push
         if forward is not None:
             inst.fwd_taint = forward.taint
             inst.mem_revealed = False  # forwarded data is always concealed
             self.stats.store_forwards += 1
-            self._schedule(cycle + 2, "load_return", inst)
+            events_push(cycle + 2, self._load_return, inst)
         elif invisible:
             # InvisiSpec-style access: value without footprint; the line
             # is exposed (fetched for real) at the visibility point.  The
@@ -630,50 +912,41 @@ class Core:
             # read memory past unresolved stores, so it participates in
             # memory-order violation detection like any other load.
             access_cycle = cycle + 1
+            self.events.epoch += 1  # MDP may train on this issue
             pkt = self.hierarchy.submit(
                 MemPacket.request(
                     PacketKind.INVISIBLE_REQ, self.core_id, addr, access_cycle
                 )
             )
             inst.mem_revealed = False
-            entry = self.lsq.load_entry(inst.seq)
+            entry = lsq._lq.get(inst.seq)
             if entry is not None:
                 entry.went_to_memory = True
-            heapq.heappush(self._pending_exposes, (inst.seq, addr))
-            self._schedule_packet_return(pkt, inst)
+            heappush(self._pending_exposes, (inst.seq, addr))
+            events_push(pkt.issued_at + pkt.latency, self._load_return, inst)
         else:
             access_cycle = cycle + 1  # address generation
-            speculative = self.shadows.is_speculative(inst.seq)
-            observe_hit = False
-            if self.telemetry.enabled:
+            self.events.epoch += 1  # fill/evict can change later DoM peeks
+            speculative = shadows.is_speculative(inst.seq)
+            if self._traced:
                 # Peek *before* the access installs the line: the event
                 # records whether this access perturbed the cache (the
                 # attacker-visible side channel) — a speculative L1 hit
                 # leaves no footprint.
                 observe_hit, _ = self.hierarchy.peek_access(self.core_id, addr)
-            # Non-blocking load: the packet completes with a callback;
-            # the core keeps issuing younger work while the miss (and any
-            # misses merged into its MSHR entry) is outstanding.
-            pkt = self.hierarchy.submit(
-                MemPacket.request(
-                    PacketKind.READ_REQ, self.core_id, addr, access_cycle
-                )
-            )
-            inst.mem_revealed = pkt.revealed
+            # Non-blocking load: the completion is an event; the core
+            # keeps issuing younger work while the miss (and any misses
+            # merged into its MSHR entry) is outstanding.
+            access = self.hierarchy.read(self.core_id, addr, access_cycle)
+            inst.mem_revealed = access.revealed
             inst.went_to_memory = True
-            entry = self.lsq.load_entry(inst.seq)
+            entry = lsq._lq.get(inst.seq)
             if entry is not None:
                 entry.went_to_memory = True
             self.observations.append(
-                Observation(
-                    inst.seq,
-                    uop.pc,
-                    addr,
-                    access_cycle,
-                    speculative,
-                )
+                Observation(inst.seq, uop.pc, addr, access_cycle, speculative)
             )
-            if self.telemetry.enabled:
+            if self._traced:
                 # bit 0: L1 hit at access time; bit 1: issued under a
                 # speculation shadow.  The red-team harness classifies
                 # verdicts from this event.
@@ -685,90 +958,8 @@ class Core:
                     addr=addr,
                     value=(2 if speculative else 0) | (1 if observe_hit else 0),
                 )
-            self._schedule_packet_return(pkt, inst)
+            events_push(access_cycle + access.latency, self._load_return, inst)
         return True
-
-    def _schedule_packet_return(self, pkt: MemPacket, inst: _Inst) -> None:
-        """Deliver a completed packet's data to ``inst`` at ``ready_at``."""
-        pkt.on_complete = lambda p, inst=inst: self._load_return(
-            inst, p.ready_at
-        )
-        self.events.schedule(pkt.ready_at, lambda now, p=pkt: p.fire())
-
-    def _finish_delay_stat(self, inst: _Inst, cycle: int) -> None:
-        if inst.first_blocked >= 0:
-            delay = cycle - inst.first_blocked
-            self.stats.delay_cycles += delay
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    CAT_SECURITY,
-                    "delay_end",
-                    core=self.core_id,
-                    seq=inst.seq,
-                    value=delay,
-                )
-                self.telemetry.observe("delay_cycles", delay)
-
-    def _load_return(self, inst: _Inst, cycle: int) -> None:
-        telemetry = self.telemetry
-        if self.params.speculation_model is SpeculationModel.FUTURISTIC:
-            # The load can no longer squash (functionally): release its
-            # shadow when the value arrives.
-            self._shadow_exit(inst.seq)
-        speculative = self.shadows.is_speculative(inst.seq)
-        revealed = inst.mem_revealed and self.policy.use_recon
-        if not revealed and inst.went_to_memory:
-            assert inst.uop.addr is not None
-            revealed = self.policy.word_is_public(inst.uop.addr)
-        if speculative and self.policy.use_recon and inst.went_to_memory:
-            if revealed:
-                self.stats.reveal_hits += 1
-            else:
-                self.stats.reveal_misses += 1
-            if telemetry.enabled:
-                telemetry.emit(
-                    CAT_RECON,
-                    "reveal_hit" if revealed else "reveal_miss",
-                    core=self.core_id,
-                    seq=inst.seq,
-                    addr=inst.uop.addr,
-                )
-        broadcast_now, taint = self.policy.on_load_value(
-            inst.seq, speculative, revealed, inst.fwd_taint
-        )
-        inst.completed = True
-        if telemetry.enabled:
-            telemetry.emit(
-                CAT_PIPELINE, "complete", core=self.core_id, seq=inst.seq
-            )
-        if broadcast_now:
-            self._broadcast(inst, taint)
-        else:
-            if telemetry.enabled:
-                telemetry.emit(
-                    CAT_PIPELINE, "defer", core=self.core_id, seq=inst.seq
-                )
-            heapq.heappush(self._deferred, (inst.seq, inst))
-
-    def _broadcast(self, inst: _Inst, taint: FrozenSet[int]) -> None:
-        if inst.dest_phys is None:
-            return
-        for waiter in self.regfile.broadcast(inst.dest_phys, taint):
-            waiter.pending -= 1
-            if waiter.pending == 0:
-                self._ready.append(waiter)
-        for waiter in self._data_waiters.pop(inst.dest_phys, ()):
-            waiter.data_pending -= 1
-            if waiter.data_pending == 0:
-                self._store_data_ready(waiter)
-
-    def _store_data_ready(self, inst: _Inst) -> None:
-        """A store's data register(s) became available."""
-        self.lsq.set_store_data(
-            inst.seq, self.regfile.union_taint(inst.data_phys)
-        )
-        if inst.agen_done:
-            inst.completed = True
 
     # ------------------------------------------------------------------
     # dispatch
@@ -776,75 +967,138 @@ class Core:
     def _dispatch(self, cycle: int) -> int:
         if self._fetch_blocked_by is not None or cycle < self._fetch_resume_cycle:
             return 0
+        trace = self.trace
+        idx = self._fetch_idx
+        n = self._trace_len
+        decode_width = self._decode_width
+        rob_entries = self._rob_entries
+        iq_entries = self._iq_entries
+        rob = self._rob
+        rob_append = rob.append
+        rob_occ = len(rob) - self._rob_head
+        iq = self._iq_count
+        regfile = self.regfile
+        rmap = regfile._map
+        free = regfile._free
+        ready = regfile.ready
+        rtaint = regfile.taint
+        waiters = regfile.waiters
+        lsq = self.lsq
+        lq = lsq._lq
+        lq_entries = lsq.lq_entries
+        sq = lsq._sq
+        sq_entries = lsq.sq_entries
+        ready_q = self._ready
+        data_waiters = self._data_waiters
+        shadow_heap = self.shadows._active
+        futuristic = self._futuristic
+        store_shadows = self._store_shadows
+        traced = self._traced
         dispatched = 0
-        core = self.params.core
-        rob_occupancy = len(self._rob) - self._rob_head
-        while dispatched < core.decode_width and self._fetch_idx < len(self.trace):
-            uop = self.trace[self._fetch_idx]
-            if rob_occupancy >= core.rob_entries:
+        woke = False
+        blocked_by = None
+        while dispatched < decode_width and idx < n:
+            uop = trace[idx]
+            oc = uop.opclass
+            if rob_occ >= rob_entries or iq >= iq_entries:
                 break
-            if self._iq_count >= core.iq_entries:
+            if oc is _LOAD:
+                if len(lq) >= lq_entries:
+                    break
+            elif oc is _STORE:
+                if len(sq) >= sq_entries:
+                    break
+            dest = uop.dest
+            if dest is not None and not free:
                 break
-            if uop.opclass is OpClass.LOAD and self.lsq.lq_full:
-                break
-            if uop.opclass is OpClass.STORE and self.lsq.sq_full:
-                break
-            if not self.regfile.can_rename(uop.dest is not None):
-                break
-            inst = _Inst(uop.seq, uop)
-            renamed = self.regfile.rename(uop.srcs + uop.data_srcs, uop.dest)
-            split = len(uop.srcs)
-            inst.src_phys = renamed.src_phys[:split]
-            inst.data_phys = renamed.src_phys[split:]
-            inst.dest_phys = renamed.dest_phys
-            inst.freed_on_commit = renamed.freed_on_commit
-            self._rob.append(inst)
-            rob_occupancy += 1
-            self._iq_count += 1
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    CAT_PIPELINE,
-                    "dispatch",
-                    core=self.core_id,
-                    seq=uop.seq,
-                    addr=uop.pc,
-                )
-            model = self.params.speculation_model
-            if uop.opclass is OpClass.LOAD:
-                assert uop.addr is not None
-                self.lsq.add_load(uop.seq, uop.pc, uop.addr)
-                if model is SpeculationModel.FUTURISTIC:
-                    self._shadow_cast(uop.seq)
-            elif uop.opclass is OpClass.STORE:
-                assert uop.addr is not None
-                self.lsq.add_store(uop.seq, uop.pc, uop.addr)
-                if model is not SpeculationModel.CONTROL_ONLY:
-                    self._shadow_cast(uop.seq)
-            elif uop.opclass is OpClass.BRANCH:
-                self._shadow_cast(uop.seq)
-                if uop.mispredict:
-                    self._fetch_blocked_by = uop.seq
-            inst.pending = sum(
-                1 for phys in inst.src_phys if not self.regfile.ready[phys]
-            )
-            if inst.pending == 0:
-                self._ready.append(inst)
+            seq = uop.seq
+            inst = _Inst(seq, uop)
+            srcs = uop.srcs
+            if srcs:
+                inst.src_phys = src_phys = tuple([rmap[a] for a in srcs])
             else:
-                for phys in inst.src_phys:
-                    if not self.regfile.ready[phys]:
-                        self.regfile.waiters.setdefault(phys, []).append(inst)
-            if uop.opclass is OpClass.STORE:
-                inst.data_pending = sum(
-                    1 for phys in inst.data_phys if not self.regfile.ready[phys]
+                src_phys = ()
+            data_srcs = uop.data_srcs
+            if data_srcs:
+                inst.data_phys = data_phys = tuple(
+                    [rmap[a] for a in data_srcs]
                 )
-                if inst.data_pending == 0:
+            else:
+                data_phys = ()
+            if dest is not None:
+                inst.freed_on_commit = rmap[dest]
+                dest_phys = free.popleft()
+                rmap[dest] = dest_phys
+                ready[dest_phys] = False
+                rtaint[dest_phys] = EMPTY_TAINT
+                inst.dest_phys = dest_phys
+            rob_append(inst)
+            rob_occ += 1
+            iq += 1
+            if traced:
+                self.telemetry.emit(
+                    CAT_PIPELINE, "dispatch", core=self.core_id, seq=seq, addr=uop.pc
+                )
+            casts = False
+            if oc is _LOAD:
+                lsq.add_load(seq, uop.pc, uop.addr)
+                casts = futuristic
+            elif oc is _STORE:
+                lsq.add_store(seq, uop.pc, uop.addr)
+                casts = store_shadows
+            elif oc is _BRANCH:
+                casts = True
+                if uop.mispredict:
+                    blocked_by = seq
+            if casts:
+                heappush(shadow_heap, seq)
+                if traced:
+                    self.telemetry.emit(
+                        CAT_SHADOW, "enter", core=self.core_id, seq=seq
+                    )
+            if len(src_phys) > 3:  # wide uop: vectorized scoreboard scan
+                pending = count_unready(ready, src_phys)
+            else:
+                pending = 0
+                for phys in src_phys:
+                    if not ready[phys]:
+                        pending += 1
+            inst.pending = pending
+            if pending == 0:
+                ready_q.append(inst)
+                woke = True
+            else:
+                for phys in src_phys:
+                    if not ready[phys]:
+                        waiting = waiters.get(phys)
+                        if waiting is None:
+                            waiters[phys] = [inst]
+                        else:
+                            waiting.append(inst)
+            if oc is _STORE:
+                data_pending = 0
+                for phys in data_phys:
+                    if not ready[phys]:
+                        data_pending += 1
+                inst.data_pending = data_pending
+                if data_pending == 0:
                     self._store_data_ready(inst)
                 else:
-                    for phys in inst.data_phys:
-                        if not self.regfile.ready[phys]:
-                            self._data_waiters.setdefault(phys, []).append(inst)
-            self._fetch_idx += 1
+                    for phys in data_phys:
+                        if not ready[phys]:
+                            waiting = data_waiters.get(phys)
+                            if waiting is None:
+                                data_waiters[phys] = [inst]
+                            else:
+                                waiting.append(inst)
+            idx += 1
             dispatched += 1
-            if self._fetch_blocked_by is not None:
+            if blocked_by is not None:
                 break  # mispredicted branch: stop supplying younger uops
+        self._fetch_idx = idx
+        self._iq_count = iq
+        if blocked_by is not None:
+            self._fetch_blocked_by = blocked_by
+        if woke:
+            self._ready_dirty = True
         return dispatched

@@ -12,9 +12,9 @@ The core-facing interface has two doors onto one protocol.
 
 * :meth:`MemoryHierarchy.submit` takes a
   :class:`~repro.memory.packet.MemPacket` and turns the request into its
-  response.  The reference cycle loop submits every access this way, and
-  traced runs and bounded timing always do.
-* ``read()``/``write()``/``reveal()`` return plain values.  The optimized
+  response.  Traced runs submit every access this way, and bounded
+  timing every access but an untraced reveal.
+* ``read()``/``write()``/``reveal()`` return plain values.  The cycle
   loop and the functional warmer call them.  On a contention-free
   hierarchy with no telemetry collector, they serve a private hit (an
   L1/L2 read hit, a store to an E/M line, a reveal) without a packet,
@@ -444,8 +444,8 @@ class MemoryHierarchy:
         grant when the port is width-bounded), walks the coherence
         protocol, and mutates into its response: ``latency`` is the full
         request-to-data time including every queueing delay, ``ready_at``
-        the completion cycle.  The caller schedules ``pkt.fire()`` at
-        ``ready_at`` for non-blocking completion delivery.
+        the completion cycle, at which the caller delivers the response
+        (non-blocking completion).
 
         A contention-free hierarchy skips the port, the transaction clock
         and the queue-cycle deltas: every one of them is zero there.

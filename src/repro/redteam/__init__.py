@@ -21,7 +21,6 @@ from repro.redteam.harness import (
     CellOutcome,
     MatrixResult,
     arch_leaked_words,
-    hotpath_note,
     run_matrix,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "audit_all",
     "audit_scheme",
     "control_audit",
-    "hotpath_note",
     "mann_whitney_auc",
     "run_matrix",
 ]

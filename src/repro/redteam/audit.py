@@ -21,9 +21,8 @@ The positive control (:func:`control_audit`) proves the classifier has
 teeth: under the unsafe baseline with *timing* features and a secret
 that selects a warm vs. cold transmit target, the AUC saturates.
 
-The audit always runs with telemetry, which forces the reference core
-(the optimized FastCore carries no instrumentation) — see
-:func:`repro.redteam.harness.hotpath_note`.
+The audit always runs with telemetry, on the same cycle loop as every
+measured number.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import SystemParams
 from repro.common.types import SchemeKind
-from repro.redteam.harness import hotpath_note
 from repro.sim.system import System
 from repro.telemetry.events import TelemetryConfig
 from repro.workloads.gadgets import build_gadget, get_gadget
@@ -153,8 +151,6 @@ def _run_trial(
     if warm_line is not None:
         kwargs["warm_line"] = warm_line
     built = build_gadget(gadget, **kwargs)
-    # Telemetry forces the reference core (System never hands a traced
-    # run to FastCore), so this is safe under any REPRO_HOTPATH.
     result = System(
         SystemParams(num_cores=built.threads),
         [prog.trace() for prog in built.programs],
@@ -215,7 +211,6 @@ def audit_scheme(
         raise ValueError(f"gadget {gadget!r} has no tunable secret to audit")
     if trials < 2:
         raise ValueError("need at least 2 trials for a meaningful AUC")
-    hotpath_note()
     class_a: List[Dict[str, float]] = []
     class_b: List[Dict[str, float]] = []
     for trial in range(trials):
@@ -257,7 +252,6 @@ def control_audit(*, trials: int = 6) -> AuditResult:
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a meaningful AUC")
-    hotpath_note()
     gadget = "v1_bounds_bypass"
     class_a: List[Dict[str, float]] = []
     class_b: List[Dict[str, float]] = []

@@ -27,28 +27,21 @@ A cell's verdict combines two analyses:
 ``transmitted and public``      -> BENIGN;
 ``not transmitted``             -> PROTECTED.
 
-The harness forces the telemetry-instrumented reference core: attaching
-a :class:`~repro.telemetry.events.TelemetryConfig` makes
-:class:`~repro.sim.system.System` select the reference ``Core`` (the
-optimized FastCore carries no instrumentation and refuses telemetry),
-regardless of ``REPRO_HOTPATH``.  When that variable requests another
-backend, :func:`hotpath_note` says so in one line instead of letting a
-worker raise.
+Traced cells run on the same cycle loop as every measured number: the
+telemetry hooks on :class:`~repro.core.pipeline.Core` observe the run
+without changing it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import sys
 import time
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.clueless import Clueless
 from repro.common.types import SchemeKind
-from repro.core.hotpath import HOTPATH_ENV
 from repro.sim.config import RunConfig
 from repro.sim.engine import RunSpec, SuiteResult, execute_specs
 from repro.sim.runner import RunResult
@@ -75,7 +68,6 @@ __all__ = [
     "CellOutcome",
     "MatrixResult",
     "arch_leaked_words",
-    "hotpath_note",
     "run_matrix",
 ]
 
@@ -84,26 +76,6 @@ __all__ = [
 _CELL_TELEMETRY = TelemetryConfig(
     sample_rate=1, categories=frozenset({CAT_SECURITY, CAT_RECON})
 )
-
-
-def hotpath_note(stream=None) -> Optional[str]:
-    """One-line note when ``REPRO_HOTPATH`` requests a non-reference core.
-
-    The red-team matrix and the AUC audit need telemetry, which only the
-    reference core carries; the harness therefore always runs on it.
-    Returns the note (also printed to ``stream``, default stderr) or
-    ``None`` when the environment is compatible.
-    """
-    backend = os.environ.get(HOTPATH_ENV, "").strip().lower()
-    if not backend or backend in ("legacy", "auto"):
-        return None
-    note = (
-        f"redteam: {HOTPATH_ENV}={backend} ignored — the gadget matrix and "
-        f"AUC audit require telemetry, which only the reference core "
-        f"carries; using the reference (legacy) core."
-    )
-    print(note, file=stream if stream is not None else sys.stderr)
-    return note
 
 
 def arch_leaked_words(built: BuiltGadget) -> FrozenSet[int]:
@@ -265,7 +237,6 @@ def run_matrix(
             in :attr:`MatrixResult.failed_cells` instead of raising.
         progress: per-run progress lines on stderr.
     """
-    hotpath_note()
     cases: List[GadgetCase] = (
         [get_gadget(name) for name in gadgets] if gadgets else list(CATALOG)
     )

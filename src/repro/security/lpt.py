@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.memory.packet import MemPacket, PacketKind
 from repro.telemetry.events import CAT_RECON, NULL_TELEMETRY
 
 __all__ = ["LoadPairTable"]
@@ -110,21 +109,6 @@ class LoadPairTable:
         if telemetry.enabled:
             telemetry.observe("lpt_occupancy", self.occupancy)
         return reveals
-
-    def reveal_packets(
-        self, reveals: "List[int]", core: int, cycle: int
-    ) -> "List[MemPacket]":
-        """Wrap detected pair reveals as REVEAL_REQ packets.
-
-        Reveal requests originate here and piggyback on the memory
-        system (paper §5.1): the core submits each packet and the
-        hierarchy sets the word's bit in the private copy — or drops the
-        request if the line has left the private hierarchy.
-        """
-        return [
-            MemPacket.request(PacketKind.REVEAL_REQ, core, addr, cycle)
-            for addr in reveals
-        ]
 
     def on_other_commit(self, dest_phys: Optional[int]) -> None:
         """A non-load instruction committed: deactivate its dest entry."""

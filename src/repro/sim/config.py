@@ -3,15 +3,12 @@
 A :class:`RunConfig` bundles the knobs that used to be plumbed through
 ``run_benchmark`` / ``run_benchmark_seeds`` / ``run_suite`` as separate
 keyword arguments (``params``, ``threads``, ``cache``, ``warmup_uops``).
-The entry points now take ``config: RunConfig`` (keyword-only); the old
-kwargs are still accepted for one release behind a ``DeprecationWarning``
-shim (:func:`coerce_config`).
+The entry points take ``config: RunConfig`` (keyword-only).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.common.params import MemoryTimingParams, SystemParams
@@ -22,18 +19,7 @@ from repro.telemetry.events import TelemetryConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle (runner imports config)
     from repro.sim.runner import TraceCache
 
-__all__ = ["MemoryTimingParams", "RunConfig", "UNSET", "coerce_config"]
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<UNSET>"
-
-
-#: Default value of the deprecated legacy kwargs on the public entry points.
-UNSET: Any = _Unset()
+__all__ = ["MemoryTimingParams", "RunConfig"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,45 +96,3 @@ class RunConfig:
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (dataclasses.replace sugar)."""
         return dataclasses.replace(self, **changes)
-
-
-def coerce_config(
-    config: Optional[RunConfig],
-    *,
-    params: Any = UNSET,
-    threads: Any = UNSET,
-    cache: Any = UNSET,
-    warmup_uops: Any = UNSET,
-) -> RunConfig:
-    """Merge the deprecated per-knob kwargs into a :class:`RunConfig`.
-
-    Passing any legacy kwarg emits a :class:`DeprecationWarning`; passing
-    both a legacy kwarg and ``config`` is an error (ambiguous intent).
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("params", params),
-            ("threads", threads),
-            ("cache", cache),
-            ("warmup_uops", warmup_uops),
-        )
-        if value is not UNSET
-    }
-    if legacy:
-        if config is not None:
-            raise TypeError(
-                "pass either config=RunConfig(...) or the legacy kwargs "
-                f"({', '.join(sorted(legacy))}), not both"
-            )
-        passed = ", ".join(sorted(legacy))
-        fields = ", ".join(f"{name}=..." for name in sorted(legacy))
-        warnings.warn(
-            f"the {passed} kwarg{'s are' if len(legacy) > 1 else ' is'} "
-            f"deprecated; each maps to the RunConfig field of the same "
-            f"name — pass config=RunConfig({fields}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return RunConfig(**legacy)
-    return config if config is not None else RunConfig()

@@ -44,8 +44,10 @@ __all__ = [
     "JobLedger",
     "JobSnapshot",
     "LEDGER_NAME",
+    "append_jsonl",
     "durable_write",
     "fsync_directory",
+    "read_jsonl",
 ]
 
 #: Default ledger file name inside the service state directory.
@@ -99,6 +101,54 @@ def durable_write(path: Path, text: str) -> Path:
         raise
     fsync_directory(path.parent)
     return path
+
+
+def append_jsonl(
+    path: Path, record: Dict[str, Any], *, sync_dir: bool = False
+) -> None:
+    """Append ``record`` as one JSON line, torn-proof.
+
+    The line goes out in a single unbuffered ``O_APPEND`` write followed
+    by an fsync, so a crash can tear only the line being written, never
+    smear a partial buffer flush across already-acknowledged lines.  The
+    parent directory is fsync'd when the file is new (or ``sync_dir``).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    existed = path.exists()
+    fd = os.open(str(path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if not existed or sync_dir:
+        fsync_directory(path.parent)
+
+
+def read_jsonl(path: Path) -> List[Dict[str, Any]]:
+    """The JSON-object lines of ``path``, in order ([] if unreadable).
+
+    Torn lines (a killed writer's tail), garbage bytes and non-object
+    lines are skipped, not fatal.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return []
+    records: List[Dict[str, Any]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # torn tail from a killed writer
+        if isinstance(record, dict):
+            records.append(record)
+    return records
 
 
 @dataclasses.dataclass
@@ -220,20 +270,8 @@ class JobLedger:
 
     def _append(self, record: Dict[str, Any]) -> None:
         """One record = one unbuffered write + fsync (torn-proof append)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        existed = self.path.exists()
-        fd = os.open(
-            str(self.path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-        )
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        if not existed or not self._dir_synced:
-            fsync_directory(self.path.parent)
-            self._dir_synced = True
+        append_jsonl(self.path, record, sync_dir=not self._dir_synced)
+        self._dir_synced = True
         self.records_written += 1
         self._records_in_file += 1
 
@@ -246,22 +284,8 @@ class JobLedger:
         re-run, and a compaction would have carried the submit along.
         """
         snapshots: Dict[str, JobSnapshot] = {}
-        try:
-            text = self.path.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            return snapshots
-        count = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            count += 1
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a killed writer
-            if not isinstance(record, dict):
-                continue
+        records = read_jsonl(self.path)
+        for record in records:
             job_id = record.get("job")
             if not isinstance(job_id, str):
                 continue
@@ -287,7 +311,7 @@ class JobLedger:
                 snapshot.error = record.get("error")
                 snapshot.result_path = record.get("result_path")
                 snapshot.updated_at = float(record.get("at") or 0.0)
-        self._records_in_file = count
+        self._records_in_file = len(records)
         return snapshots
 
     # -- rotation ------------------------------------------------------

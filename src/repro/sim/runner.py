@@ -31,7 +31,7 @@ from typing import (
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.isa.microop import MicroOp
-from repro.sim.config import UNSET, RunConfig, coerce_config
+from repro.sim.config import RunConfig
 from repro.sim.system import System, SystemResult
 from repro.telemetry.events import TelemetryResult
 from repro.workloads.kernels import build_parallel_traces, build_trace
@@ -184,22 +184,15 @@ def run_benchmark(
     length: int,
     *,
     config: Optional[RunConfig] = None,
-    params: Any = UNSET,
-    threads: Any = UNSET,
-    cache: Any = UNSET,
-    warmup_uops: Any = UNSET,
 ) -> RunResult:
     """Run one benchmark under one scheme; returns the measurement.
 
     ``config`` carries the system parameters, thread count, trace cache,
     and warm-up prefix (paper §6.1: detailed warm-up so that the
     mechanism itself is warmed; the default warms up over the first 40%
-    of the trace).  The old ``params``/``threads``/``cache``/
-    ``warmup_uops`` kwargs still work behind a ``DeprecationWarning``.
+    of the trace).
     """
-    config = coerce_config(
-        config, params=params, threads=threads, cache=cache, warmup_uops=warmup_uops
-    )
+    config = config if config is not None else RunConfig()
     trace_cache = config.cache if config.cache is not None else _GLOBAL_CACHE
     traces = trace_cache.get(profile, config.threads, length)
     if config.sampling is not None:
@@ -259,10 +252,6 @@ def run_benchmark_seeds(
     config: Optional[RunConfig] = None,
     jobs: Optional[int] = None,
     store: Optional["ResultStore"] = None,
-    params: Any = UNSET,
-    threads: Any = UNSET,
-    cache: Any = UNSET,
-    warmup_uops: Any = UNSET,
 ) -> SeededResult:
     """Run one benchmark over several workload seeds.
 
@@ -275,9 +264,7 @@ def run_benchmark_seeds(
         raise ValueError("need at least one seed")
     from repro.sim.engine import RunSpec, execute_specs
 
-    config = coerce_config(
-        config, params=params, threads=threads, cache=cache, warmup_uops=warmup_uops
-    )
+    config = config if config is not None else RunConfig()
     specs = [
         RunSpec.build(
             dataclasses.replace(profile, seed=seed), scheme, length, config
@@ -301,10 +288,6 @@ def run_suite(
     journal: Optional[Any] = None,
     resume: bool = False,
     backend: Optional[Any] = None,
-    params: Any = UNSET,
-    threads: Any = UNSET,
-    cache: Any = UNSET,
-    warmup_uops: Any = UNSET,
 ) -> "SuiteResult":
     """Run a full benchmarks x schemes grid on identical traces.
 
@@ -325,9 +308,7 @@ def run_suite(
     """
     from repro.sim.engine import run_grid
 
-    config = coerce_config(
-        config, params=params, threads=threads, cache=cache, warmup_uops=warmup_uops
-    )
+    config = config if config is not None else RunConfig()
     return run_grid(
         profiles,
         schemes,

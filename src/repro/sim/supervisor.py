@@ -57,8 +57,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import json
-import os
 import random
 import sys
 import time
@@ -84,6 +82,7 @@ from repro.sim.engine import (
     _record,
     resolve_jobs,
 )
+from repro.sim.ledger import append_jsonl, read_jsonl
 from repro.sim.runner import RunResult
 from repro.sim.store import ResultStore
 from repro.telemetry.events import CAT_FAULT, TelemetryCollector, TelemetryConfig
@@ -212,19 +211,8 @@ class SuiteJournal:
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Entries by run key (last write wins; torn lines skipped)."""
         entries: Dict[str, Dict[str, Any]] = {}
-        try:
-            text = self.path.read_text(errors="replace")
-        except OSError:
-            return entries
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a killed writer
-            key = entry.get("key") if isinstance(entry, dict) else None
+        for entry in read_jsonl(self.path):
+            key = entry.get("key")
             if isinstance(key, str) and entry.get("status") in ("done", "failed"):
                 entries[key] = entry
         return entries
@@ -247,24 +235,7 @@ class SuiteJournal:
             pass
 
     def _append(self, entry: Dict[str, Any]) -> None:
-        # One unbuffered O_APPEND write + fsync per checkpoint: a crash
-        # can tear only the entry being written, never smear a partial
-        # buffer flush across already-acknowledged lines.
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
-        existed = self.path.exists()
-        fd = os.open(
-            str(self.path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-        )
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        if not existed:
-            from repro.sim.ledger import fsync_directory
-
-            fsync_directory(self.path.parent)
+        append_jsonl(self.path, entry)
 
 
 def _validate_result(spec: RunSpec, result: Any) -> RunResult:

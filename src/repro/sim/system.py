@@ -10,7 +10,6 @@ from repro.common.errors import SimulationHangError
 from repro.common.params import SystemParams
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
-from repro.core.hotpath import core_class
 from repro.core.pipeline import Core
 from repro.isa.microop import MicroOp
 from repro.memory.hierarchy import MemoryHierarchy
@@ -92,16 +91,12 @@ class System:
                     TimelineSink(interval=telemetry.timeline_interval)
                 )
         collector = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
-        # Traced runs use the reference loop (FastCore carries no
-        # telemetry instrumentation); untraced runs take the selected
-        # hot-path backend (REPRO_HOTPATH, default the fast path).
-        core_cls = Core if self.telemetry is not None else core_class()
         self.cores: List[Core] = []
         for core_id, trace in enumerate(traces):
             stats = StatSet()
             policy = make_policy(scheme, stats)
             self.cores.append(
-                core_cls(
+                Core(
                     core_id,
                     params,
                     list(trace),

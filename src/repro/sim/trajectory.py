@@ -79,32 +79,32 @@ def _summarize_hotpath(payload: Dict[str, Any]) -> Dict[str, Any]:
         name: {
             key: cell.get(key)
             for key in (
-                "legacy_uops_per_sec",
-                "vector_uops_per_sec",
-                "speedup",
+                "untraced_uops_per_sec",
+                "traced_uops_per_sec",
+                "ratio",
             )
             if key in cell
         }
         for name, cell in cells.items()
         if isinstance(cell, dict)
     }
-    vector = [
-        c["vector_uops_per_sec"]
+    untraced = [
+        c["untraced_uops_per_sec"]
         for c in summary_cells.values()
-        if isinstance(c.get("vector_uops_per_sec"), (int, float))
+        if isinstance(c.get("untraced_uops_per_sec"), (int, float))
     ]
-    speedups = [
-        c["speedup"]
+    ratios = [
+        c["ratio"]
         for c in summary_cells.values()
-        if isinstance(c.get("speedup"), (int, float))
+        if isinstance(c.get("ratio"), (int, float))
     ]
     return {
         "length": payload.get("length"),
         "cells": summary_cells,
-        "mean_vector_uops_per_sec": (
-            round(sum(vector) / len(vector)) if vector else 0
+        "mean_untraced_uops_per_sec": (
+            round(sum(untraced) / len(untraced)) if untraced else 0
         ),
-        "geomean_speedup": round(_geomean(speedups), 3) if speedups else 0.0,
+        "geomean_ratio": round(_geomean(ratios), 3) if ratios else 0.0,
     }
 
 

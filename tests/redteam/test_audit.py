@@ -98,16 +98,3 @@ class TestControlAudit:
         assert payload["scheme"] == "unsafe"
         assert payload["ok"] is False
         assert set(payload["feature_aucs"]) == set(control.feature_aucs)
-
-
-class TestHotpathCompatibility:
-    def test_audit_runs_under_vector_hotpath(self, monkeypatch, capsys):
-        """Satellite fix: with REPRO_HOTPATH=vector the audit still runs
-        on the reference core and prints one explanatory line instead of
-        a traceback."""
-        monkeypatch.setenv("REPRO_HOTPATH", "vector")
-        audit = audit_scheme(SchemeKind.NDA, trials=2)
-        assert audit.ok
-        err = capsys.readouterr().err
-        assert "REPRO_HOTPATH=vector" in err
-        assert "reference" in err

@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.common.types import SchemeKind
-from repro.redteam import hotpath_note, run_matrix
+from repro.redteam import run_matrix
 from repro.redteam.harness import CellOutcome
 from repro.workloads.gadgets import CATALOG, MATRIX_SCHEMES, Verdict
 
@@ -126,28 +126,3 @@ class TestMatrixResultPlumbing:
         )
         assert partial.ok
         assert len(partial.cells) == 2 * len(MATRIX_SCHEMES)
-
-
-class TestHotpathNote:
-    def test_silent_on_reference_backends(self, monkeypatch, capsys):
-        for value in ("", "legacy", "auto"):
-            monkeypatch.setenv("REPRO_HOTPATH", value)
-            assert hotpath_note() is None
-        assert capsys.readouterr().err == ""
-
-    def test_one_line_note_on_vector_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_HOTPATH", "vector")
-        note = hotpath_note()
-        assert note is not None and "\n" not in note
-        assert "REPRO_HOTPATH=vector" in note
-        assert "reference" in note
-        assert note in capsys.readouterr().err
-
-    def test_matrix_runs_under_vector_hotpath(self, monkeypatch, capsys):
-        """Satellite fix: no traceback, just the note, correct verdicts."""
-        monkeypatch.setenv("REPRO_HOTPATH", "vector")
-        result = run_matrix(
-            gadgets=["v1_bounds_bypass"], schemes=[SchemeKind.UNSAFE]
-        )
-        assert result.ok
-        assert "ignored" in capsys.readouterr().err

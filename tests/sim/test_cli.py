@@ -25,7 +25,7 @@ class TestList:
 class TestRun:
     def test_run_prints_scheme_table(self, capsys):
         code = main(
-            ["run", "spec2017/gcc", "--length", "800", "--schemes",
+            ["run", "one", "spec2017/gcc", "--length", "800", "--schemes",
              "unsafe,stt,stt+recon"]
         )
         assert code == 0
@@ -35,19 +35,19 @@ class TestRun:
 
     def test_unknown_benchmark_exits(self):
         with pytest.raises(SystemExit):
-            main(["run", "spec2017/doom", "--length", "500"])
+            main(["run", "one", "spec2017/doom", "--length", "500"])
 
     def test_malformed_label_exits(self):
         with pytest.raises(SystemExit):
-            main(["run", "mcf", "--length", "500"])
+            main(["run", "one", "mcf", "--length", "500"])
 
     def test_unknown_scheme_exits(self):
         with pytest.raises(SystemExit):
-            main(["run", "spec2017/gcc", "--schemes", "quantum"])
+            main(["run", "one", "spec2017/gcc", "--schemes", "quantum"])
 
     def test_seed_override(self, capsys):
         assert main(
-            ["run", "spec2017/gcc", "--length", "600", "--seed", "7",
+            ["run", "one", "spec2017/gcc", "--length", "600", "--seed", "7",
              "--schemes", "unsafe"]
         ) == 0
 
@@ -57,7 +57,7 @@ class TestSuite:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         args = [
-            "suite", "spec2017", "--length", "600", "--schemes",
+            "run", "suite", "spec2017", "--length", "600", "--schemes",
             "unsafe,stt", "--jobs", "2",
         ]
         assert main(args) == 0
@@ -76,7 +76,7 @@ class TestSuite:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         args = [
-            "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
+            "run", "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
             "--no-store",
         ]
         assert main(args) == 0
@@ -85,12 +85,12 @@ class TestSuite:
 
     def test_unknown_suite_exits(self):
         with pytest.raises(SystemExit):
-            main(["suite", "spec2095", "--length", "500"])
+            main(["run", "suite", "spec2095", "--length", "500"])
 
     def test_invalid_jobs_env_exits_cleanly(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
         with pytest.raises(SystemExit):
-            main(["suite", "spec2017", "--length", "500", "--schemes", "unsafe"])
+            main(["run", "suite", "spec2017", "--length", "500", "--schemes", "unsafe"])
 
 
 class TestBackendFlag:
@@ -136,7 +136,7 @@ class TestRobustnessFlags:
         # the chaos harness's expected output) still exits 0.
         code = main(
             [
-                "suite", "spec2017", "--length", "600",
+                "run", "suite", "spec2017", "--length", "600",
                 "--schemes", "unsafe,stt",
                 "--chaos", "seed=2,oom=0.6",
                 "--retries", "1",
@@ -156,7 +156,7 @@ class TestRobustnessFlags:
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         assert main(
             [
-                "run", "spec2017/gcc", "--length", "600",
+                "run", "one", "spec2017/gcc", "--length", "600",
                 "--schemes", "unsafe", "--chaos", "seed=1",
             ]
         ) == 0
@@ -188,13 +188,13 @@ class TestRobustnessFlags:
 
     def test_bad_chaos_spec_exits_cleanly(self):
         with pytest.raises(SystemExit):
-            main(["run", "spec2017/gcc", "--chaos", "bogus=1"])
+            main(["run", "one", "spec2017/gcc", "--chaos", "bogus=1"])
 
     def test_resume_reuses_checkpoints(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         args = [
-            "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
+            "run", "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
             "--retries", "2",
         ]
         assert main(args) == 0
@@ -210,7 +210,7 @@ class TestRobustnessFlags:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         args = [
-            "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
+            "run", "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
             "--retries", "1",
         ]
         assert main(args) == 0
@@ -225,7 +225,7 @@ class TestRobustnessFlags:
 class TestSamplingFlag:
     def test_run_sampled_prints_ci(self, capsys):
         code = main(
-            ["run", "spec2017/mcf", "--length", "1200", "--schemes",
+            ["run", "one", "spec2017/mcf", "--length", "1200", "--schemes",
              "unsafe", "--sampling", "on"]
         )
         assert code == 0
@@ -234,28 +234,28 @@ class TestSamplingFlag:
 
     def test_run_exact_has_no_ci(self, capsys):
         assert main(
-            ["run", "spec2017/mcf", "--length", "800", "--schemes", "unsafe"]
+            ["run", "one", "spec2017/mcf", "--length", "800", "--schemes", "unsafe"]
         ) == 0
         assert "±" not in capsys.readouterr().out
 
     def test_bad_sampling_spec_exits_cleanly(self):
         with pytest.raises(SystemExit):
             main(
-                ["run", "spec2017/mcf", "--length", "800",
+                ["run", "one", "spec2017/mcf", "--length", "800",
                  "--sampling", "zorp=1"]
             )
 
     def test_sampling_conflicts_with_trace(self, tmp_path):
         with pytest.raises(SystemExit, match="telemetry"):
             main(
-                ["run", "spec2017/mcf", "--length", "800", "--sampling",
+                ["run", "one", "spec2017/mcf", "--length", "800", "--sampling",
                  "on", "--trace", str(tmp_path / "trace.json")]
             )
 
     def test_suite_accepts_sampling(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(
-            ["suite", "spec2017", "--length", "800", "--schemes",
+            ["run", "suite", "spec2017", "--length", "800", "--schemes",
              "unsafe,stt", "--sampling", "ci=0.05,conf=0.9", "--no-store"]
         ) == 0
         out = capsys.readouterr().out
@@ -270,7 +270,7 @@ class TestSamplingFlag:
 
 class TestLeakage:
     def test_leakage_report(self, capsys):
-        assert main(["leakage", "spec2017/mcf", "--length", "1200"]) == 0
+        assert main(["run", "leakage", "spec2017/mcf", "--length", "1200"]) == 0
         out = capsys.readouterr().out
         assert "DIFT leaked" in out
         assert "pairs / DIFT" in out
@@ -278,12 +278,12 @@ class TestLeakage:
 
 class TestSweeps:
     def test_sweep_lpt(self, capsys):
-        assert main(["sweep-lpt", "spec2017/gcc", "--length", "800"]) == 0
+        assert main(["sweep", "lpt", "spec2017/gcc", "--length", "800"]) == 0
         out = capsys.readouterr().out
         assert "LPT/64" in out
 
     def test_sweep_levels(self, capsys):
-        assert main(["sweep-levels", "spec2017/gcc", "--length", "800"]) == 0
+        assert main(["sweep", "levels", "spec2017/gcc", "--length", "800"]) == 0
         out = capsys.readouterr().out
         assert "L1+L2" in out
 
@@ -294,25 +294,25 @@ class TestTraceWorkflow:
         assert main(["save-trace", "spec2017/gcc", path, "--length", "600"]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
-        assert main(["replay", path, "--schemes", "unsafe,stt+recon"]) == 0
+        assert main(["run", "replay", path, "--schemes", "unsafe,stt+recon"]) == 0
         out = capsys.readouterr().out
         assert "stt+recon" in out
         assert "pairs" in out
 
     def test_replay_missing_file_exits(self):
         with pytest.raises(SystemExit):
-            main(["replay", "/nonexistent.trace"])
+            main(["run", "replay", "/nonexistent.trace"])
 
     def test_spt_scheme_available(self, capsys):
         assert main(
-            ["run", "spec2017/gcc", "--length", "600", "--schemes",
+            ["run", "one", "spec2017/gcc", "--length", "600", "--schemes",
              "unsafe,stt+spt"]
         ) == 0
         assert "stt+spt" in capsys.readouterr().out
 
 
 class TestGroupedCommands:
-    """The run/sweep/telemetry groups and their deprecated aliases."""
+    """The run/sweep/telemetry groups; pre-grouping spellings are gone."""
 
     def test_run_one_new_form(self, capsys, recwarn):
         code = main(
@@ -342,32 +342,22 @@ class TestGroupedCommands:
         args = parser.parse_args(["telemetry", "summarize", "t.json"])
         assert args.path == "t.json"
 
-    def test_legacy_run_benchmark_warns(self, capsys):
-        with pytest.warns(DeprecationWarning, match="run one"):
-            code = main(
-                ["run", "spec2017/gcc", "--length", "600",
-                 "--schemes", "unsafe"]
-            )
-        assert code == 0
-        capsys.readouterr()
-
-    def test_legacy_suite_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="run suite"):
-            with pytest.raises(SystemExit):
-                main(["suite", "nonsuite", "--length", "500"])
-
-    def test_legacy_sweep_aliases_warn(self):
-        with pytest.warns(DeprecationWarning, match="sweep lpt"):
-            with pytest.raises(SystemExit):
-                main(["sweep-lpt", "badlabel"])
-        with pytest.warns(DeprecationWarning, match="sweep levels"):
-            with pytest.raises(SystemExit):
-                main(["sweep-levels", "badlabel"])
-
-    def test_legacy_telemetry_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="telemetry summarize"):
-            with pytest.raises(SystemExit):
-                main(["telemetry", "/nonexistent.json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "spec2017"],
+            ["replay", "x.trace"],
+            ["leakage", "spec2017/gcc"],
+            ["sweep-lpt", "spec2017/gcc"],
+            ["sweep-levels", "spec2017/gcc"],
+            ["run", "spec2017/gcc"],
+            ["telemetry", "t.json"],
+        ],
+    )
+    def test_pre_grouping_spellings_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_telemetry_summarize_new_form_does_not_warn(self, recwarn):
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""Tests for RunConfig, the deprecation shim, and the bounded TraceCache."""
+"""Tests for RunConfig, the retired legacy kwargs, and the bounded TraceCache."""
 
 import pytest
 
@@ -38,42 +38,7 @@ class TestRunConfig:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_still_work(self):
-        profile = get_benchmark("spec2017", "gcc")
-        with pytest.warns(DeprecationWarning):
-            legacy = run_benchmark(
-                profile, SchemeKind.UNSAFE, 800, cache=TraceCache(), warmup_uops=0
-            )
-        modern = run_benchmark(
-            profile,
-            SchemeKind.UNSAFE,
-            800,
-            config=RunConfig(cache=TraceCache(), warmup_uops=0),
-        )
-        assert legacy.cycles == modern.cycles
-        assert legacy.stats.as_dict() == modern.stats.as_dict()
-
-    def test_run_suite_legacy_kwargs_warn(self):
-        profiles = [get_benchmark("spec2017", "gcc")]
-        with pytest.warns(DeprecationWarning):
-            suite = run_suite(
-                profiles, (SchemeKind.UNSAFE,), 700, cache=TraceCache()
-            )
-        assert suite.get("gcc", SchemeKind.UNSAFE).ipc > 0
-
-    def test_warning_names_the_replacement_fields(self):
-        profile = get_benchmark("spec2017", "gcc")
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"config=RunConfig\(cache=\.\.\., warmup_uops=\.\.\.\)",
-        ):
-            run_benchmark(
-                profile, SchemeKind.UNSAFE, 800, cache=TraceCache(), warmup_uops=0
-            )
-        with pytest.warns(
-            DeprecationWarning, match=r"config=RunConfig\(threads=\.\.\.\)"
-        ):
-            run_benchmark(profile, SchemeKind.UNSAFE, 800, threads=1)
+    """The legacy per-knob kwargs are retired: ``config=`` is the only path."""
 
     def test_mixing_config_and_legacy_kwargs_is_an_error(self):
         profile = get_benchmark("spec2017", "gcc")
@@ -85,6 +50,13 @@ class TestDeprecationShim:
                 config=RunConfig(),
                 threads=2,
             )
+
+    def test_legacy_kwargs_are_type_errors(self):
+        profile = get_benchmark("spec2017", "gcc")
+        with pytest.raises(TypeError):
+            run_benchmark(profile, SchemeKind.UNSAFE, 800, cache=TraceCache())
+        with pytest.raises(TypeError):
+            run_suite([profile], (SchemeKind.UNSAFE,), 700, warmup_uops=0)
 
     def test_config_path_does_not_warn(self, recwarn):
         profile = get_benchmark("spec2017", "gcc")

@@ -35,15 +35,15 @@ def _write_bench_files(results_dir):
                 "length": 20000,
                 "cells": {
                     "spec2017/mcf/unsafe": {
-                        "legacy_uops_per_sec": 40000,
-                        "vector_uops_per_sec": 60000,
-                        "speedup": 1.5,
+                        "untraced_uops_per_sec": 60000,
+                        "traced_uops_per_sec": 40000,
+                        "ratio": 1.5,
                         "phases": {"dispatch": 0.1},
                     },
                     "spec2017/mcf/stt+recon": {
-                        "legacy_uops_per_sec": 30000,
-                        "vector_uops_per_sec": 45000,
-                        "speedup": 1.5,
+                        "untraced_uops_per_sec": 45000,
+                        "traced_uops_per_sec": 30000,
+                        "ratio": 1.5,
                         "phases": {"dispatch": 0.1},
                     },
                 },
@@ -74,8 +74,8 @@ class TestAggregatePoint:
             "BENCH_hotpath.json",
         ]
         hotpath = point["hotpath"]
-        assert hotpath["mean_vector_uops_per_sec"] == 52500
-        assert hotpath["geomean_speedup"] == 1.5
+        assert hotpath["mean_untraced_uops_per_sec"] == 52500
+        assert hotpath["geomean_ratio"] == 1.5
         # Per-cell phases are deliberately dropped: the trajectory keeps
         # the throughput headline, not the whole profile.
         assert "phases" not in hotpath["cells"]["spec2017/mcf/unsafe"]
