@@ -49,7 +49,7 @@ from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.sampling import SampledEstimate, SamplingConfig, parse_sampling
 from repro.sim.config import RunConfig
-from repro.sim.engine import RunSpec, SuiteResult, execute_specs
+from repro.sim.engine import RunSpec, SuiteResult, run_specs
 from repro.sim.runner import RunResult
 from repro.sim.store import ResultStore, default_store_root
 from repro.sim.supervisor import FaultPolicy, RunFailure
@@ -231,15 +231,20 @@ def run_single(
     variable), ``False`` disables it, and a
     :class:`~repro.sim.store.ResultStore` instance uses that store.
     Telemetry-enabled runs always bypass the store.
+
+    The cell runs under the same rule as :func:`run_suite`: fail-fast
+    unless its config carries chaos, which supervises it with the
+    default :class:`FaultPolicy`.  A failed run raises
+    :class:`~repro.sim.backends.TaskFailedError` either way.
     """
     spec = request.resolve()
-    results, records = execute_specs(
-        [spec],
-        config=request.config or RunConfig(),
-        jobs=1,
-        store=_resolve_store(store),
+    config = request.config or RunConfig()
+    (result,), suite = run_specs(
+        [spec], cache=config.cache, jobs=1, store=_resolve_store(store)
     )
-    result, record = results[0], records[0]
+    if suite.failures:
+        raise suite.failures[0].error()
+    record = suite.records[0]
     return RunRecord(
         benchmark=spec.profile.label,
         scheme=spec.scheme,
@@ -276,11 +281,15 @@ def run_suite(
             overwrite earlier ones in the grid mapping, as in the CLI).
         jobs: worker processes (``None`` honours ``REPRO_JOBS``, then
             runs inline).
-        supervise: ``True`` routes execution through the fault-tolerant
-            supervisor with the default :class:`FaultPolicy`; a policy
-            instance uses that policy; ``False`` (default) is the plain
-            fail-fast path.  Supervised cells that exhaust their retries
-            land in ``SuiteResult.failures`` instead of raising.
+        supervise: ``True`` supervises execution with the default
+            :class:`FaultPolicy`; a policy instance uses that policy;
+            ``False`` (default) is fail-fast unless a journal,
+            ``resume`` or a chaos config asks for supervision (see
+            :func:`~repro.sim.engine.supervision_policy`).  Supervised
+            cells that exhaust their retries land in
+            ``SuiteResult.failures`` instead of raising; fail-fast, the
+            first failed run raises
+            :class:`~repro.sim.backends.TaskFailedError`.
         telemetry: ``True`` enables tracing with default
             :class:`TelemetryConfig` knobs on every cell; a config
             instance applies that config; ``None`` leaves each request's
@@ -316,48 +325,18 @@ def run_suite(
     if sampling is not None:
         cfg = parse_sampling(sampling)
         specs = [dataclasses.replace(spec, sampling=cfg) for spec in specs]
-    resolved_store = _resolve_store(store)
-    start = time.perf_counter()
-    failures: List[RunFailure] = []
-    fault_counters: Dict[str, int] = {}
-    if supervise or journal is not None or resume:
-        # Imported lazily: the supervisor pulls in the worker-pool stack.
-        from repro.sim.supervisor import Supervisor
-
-        policy = supervise if isinstance(supervise, FaultPolicy) else None
-        supervisor = Supervisor(
-            policy,
-            jobs=jobs,
-            store=resolved_store,
-            journal=journal,
-            progress=progress,
-            backend=backend,
-            observer=observer,
-        )
-        results, records, failures = supervisor.execute(specs, resume=resume)
-        fault_counters = supervisor.fault_counters
-    else:
-        results, records = execute_specs(
-            specs,
-            jobs=jobs,
-            store=resolved_store,
-            progress=progress,
-            backend=backend,
-            observer=observer,
-        )
-    wall = time.perf_counter() - start
-    mapping: Dict[Tuple[str, SchemeKind], RunResult] = {
-        (spec.profile.name, spec.scheme): result
-        for spec, result in zip(specs, results)
-        if result is not None
-    }
-    return SuiteResult(
-        mapping,
-        records,
-        wall_time_s=wall,
-        failures=failures,
-        fault_counters=fault_counters,
+    _, suite = run_specs(
+        specs,
+        jobs=jobs,
+        store=_resolve_store(store),
+        progress=progress,
+        policy=FaultPolicy() if supervise is True else supervise or None,
+        journal=journal,
+        resume=resume,
+        backend=backend,
+        observer=observer,
     )
+    return suite
 
 
 def leakage_report(

@@ -85,6 +85,7 @@ from repro.sim import (
     resolve_jobs,
     run_suite,
 )
+from repro.sim.engine import supervision_policy
 from repro.sim.runner import TraceCache, default_trace_length, run_benchmark
 from repro.sim.store import ResultStore, default_store_root
 from repro.sim.sweep import lpt_size_variants, recon_level_variants
@@ -189,22 +190,22 @@ def _run_config(**kwargs) -> RunConfig:
 def _supervision_from_args(args: argparse.Namespace, store, chaos):
     """Build the supervisor knobs from --timeout/--retries/--resume.
 
-    Returns ``(policy, journal, resume)``; all ``None``/``False`` when
-    no robustness flag is set, which keeps the plain fail-fast engine
-    path in charge.
+    Returns ``(policy, journal, resume)``.  The checkpoint journal is
+    attached exactly when the engine's supervision rule
+    (:func:`~repro.sim.engine.supervision_policy`) supervises the sweep;
+    otherwise all three are ``None``/``False`` and it runs fail-fast.
     """
     timeout = getattr(args, "timeout", None)
     retries = getattr(args, "retries", None)
     resume = bool(getattr(args, "resume", False))
-    supervised = (
-        timeout is not None or retries is not None or resume or chaos is not None
-    )
-    if not supervised:
+    policy = None
+    if timeout is not None or retries is not None:
+        policy = FaultPolicy(
+            timeout_s=timeout,
+            retries=retries if retries is not None else FaultPolicy.retries,
+        )
+    if supervision_policy(policy, resume=resume, chaos=chaos is not None) is None:
         return None, None, False
-    policy = FaultPolicy(
-        timeout_s=timeout,
-        retries=retries if retries is not None else FaultPolicy.retries,
-    )
     journal = SuiteJournal(default_journal_path(store))
     if not resume:
         journal.clear()  # a fresh sweep must not inherit old checkpoints

@@ -19,10 +19,6 @@ A packet's life cycle::
     pkt.ready_at                   # completion time (issue + latency)
     pkt.word_revealed()            # ReCon payload consultation
 
-``on_complete`` lets the issuer attach a callback fired by the event
-queue when the response lands, which is how non-blocking loads deliver
-their data without the core polling.
-
 ``MemPacket`` is a hand-written ``__slots__`` class rather than a
 dataclass: one packet is allocated per submitted transaction, which makes
 construction cost part of the simulator's hot path (dataclass
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.common.types import CacheLevel, line_addr
 from repro.memory import recon_bits
@@ -100,7 +96,6 @@ class MemPacket:
         "reveal_vector",
         "revealed",
         "acknowledged",
-        "on_complete",
     )
 
     def __init__(
@@ -117,7 +112,6 @@ class MemPacket:
         reveal_vector: Optional[int] = None,
         revealed: bool = False,
         acknowledged: bool = False,
-        on_complete: Optional[Callable[["MemPacket"], None]] = None,
     ) -> None:
         self.kind = kind
         self.core = core
@@ -138,8 +132,6 @@ class MemPacket:
         self.revealed = revealed
         #: For REVEAL_REQ: whether the reveal took effect (line present).
         self.acknowledged = acknowledged
-        #: Fired by the event queue when the response lands.
-        self.on_complete = on_complete
 
     @classmethod
     def request(
@@ -148,19 +140,11 @@ class MemPacket:
         core: int,
         addr: int,
         issued_at: int,
-        on_complete: Optional[Callable[["MemPacket"], None]] = None,
     ) -> "MemPacket":
         """Build a request packet originating at ``core``'s node."""
         if not kind.is_request:
             raise ValueError(f"{kind} is not a request kind")
-        return cls(
-            kind,
-            core,
-            addr,
-            issued_at,
-            src=core,
-            on_complete=on_complete,
-        )
+        return cls(kind, core, addr, issued_at, src=core)
 
     @property
     def line_addr(self) -> int:
@@ -201,12 +185,6 @@ class MemPacket:
         self.revealed = revealed
         self.acknowledged = acknowledged
         return self
-
-    def fire(self) -> None:
-        """Invoke the completion callback, if any (idempotent)."""
-        callback, self.on_complete = self.on_complete, None
-        if callback is not None:
-            callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"resp@{self.ready_at}" if self.latency is not None else "req"

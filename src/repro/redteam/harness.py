@@ -3,10 +3,10 @@
 :func:`run_matrix` routes every (gadget, scheme) cell through the
 existing experiment engine — each cell is a telemetry-enabled
 :class:`~repro.sim.engine.RunSpec` executed by
-:func:`~repro.sim.engine.execute_specs` (or the fault-tolerant
-:class:`~repro.sim.supervisor.Supervisor`), so the matrix fans out over
-worker processes, benefits from the engine's crash handling, and lands
-in a :class:`~repro.sim.engine.SuiteResult` like any benchmark grid.
+:func:`~repro.sim.engine.run_specs`, fail-fast or supervised by the same
+rule as every grid, so the matrix fans out over worker processes,
+benefits from the engine's crash handling, and lands in a
+:class:`~repro.sim.engine.SuiteResult` like any benchmark grid.
 Telemetry-enabled specs always bypass the result store, so verdicts can
 never be served stale.
 
@@ -36,16 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.clueless import Clueless
 from repro.common.types import SchemeKind
 from repro.sim.config import RunConfig
-from repro.sim.engine import RunSpec, SuiteResult, execute_specs
+from repro.sim.engine import RunSpec, SuiteResult, run_specs
 from repro.sim.runner import RunResult
-from repro.sim.supervisor import FaultPolicy, RunFailure
+from repro.sim.supervisor import FaultPolicy
 from repro.telemetry.events import (
     CAT_RECON,
     CAT_REDTEAM,
@@ -255,19 +254,12 @@ def run_matrix(
             )
             meta.append((case, built))
 
-    start = time.perf_counter()
-    failures: List[RunFailure] = []
-    if supervise:
-        from repro.sim.supervisor import Supervisor
-
-        policy = supervise if isinstance(supervise, FaultPolicy) else None
-        supervisor = Supervisor(policy, jobs=jobs, store=None, progress=progress)
-        results, records, failures = supervisor.execute(specs)
-    else:
-        results, records = execute_specs(
-            specs, jobs=jobs, store=None, progress=progress
-        )
-    wall = time.perf_counter() - start
+    results, suite = run_specs(
+        specs,
+        jobs=jobs,
+        progress=progress,
+        policy=FaultPolicy() if supervise is True else supervise or None,
+    )
 
     collector = TelemetryCollector(
         TelemetryConfig(categories=frozenset({CAT_REDTEAM}))
@@ -311,18 +303,10 @@ def run_matrix(
     for ev in collector.events:
         counts[ev.kind] = counts.get(ev.kind, 0) + 1
 
-    mapping: Dict[Tuple[str, SchemeKind], RunResult] = {
-        (case.name, spec.scheme): result
-        for spec, (case, _), result in zip(specs, meta, results)
-        if result is not None
-    }
-    suite = SuiteResult(
-        mapping, records, wall_time_s=wall, failures=failures
-    )
     return MatrixResult(
         cells=cells,
         suite=suite,
         event_counts=counts,
-        wall_time_s=wall,
+        wall_time_s=suite.wall_time_s,
         failed_cells=failed,
     )

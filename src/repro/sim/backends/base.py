@@ -18,13 +18,13 @@ diagnostics, wall_s, pid)`` on a contained failure.  Chaos faults
 (:mod:`repro.sim.chaos`) fire inside :func:`run_task`, so every backend
 is exercised by the same fault harness.
 
-Consumers — the fail-fast engine (:func:`repro.sim.engine.execute_specs`)
-and the fault-tolerant supervisor (:class:`repro.sim.supervisor.Supervisor`)
-— are written against this contract only.  They never import
-``concurrent.futures`` types: a worker crash is a :class:`WorkerDeath`,
-an expired budget is a :class:`TaskTimeout`, regardless of whether the
-substrate is a ``ProcessPoolExecutor`` or a spool directory shared by
-detached workers on another host.
+One consumer drives this contract: the
+:class:`repro.sim.supervisor.Supervisor` loop, in fail-fast or
+supervised mode.  It never imports ``concurrent.futures`` types: a
+worker crash is a :class:`WorkerDeath`, an expired budget is a
+:class:`TaskTimeout`, regardless of whether the substrate is a
+``ProcessPoolExecutor`` or a spool directory shared by detached workers
+on another host.
 
 Backend selection: :func:`resolve_backend` maps a name (``inline`` /
 ``threads`` / ``process`` / ``queue``), the ``REPRO_BACKEND``
@@ -119,11 +119,15 @@ class CorruptResultError(RuntimeError):
 
 
 class TaskFailedError(RuntimeError):
-    """A fail-fast task reported an error envelope.
+    """A fail-fast run reported an error envelope.
 
-    Raised by the plain engine path (no supervision) when a backend task
-    settles with an ``("error", ...)`` envelope; carries the structured
-    fields so callers can still attribute the failure.
+    Raised by the :class:`~repro.sim.supervisor.Supervisor` in fail-fast
+    mode (no :class:`~repro.sim.supervisor.FaultPolicy`) for the first
+    run that fails, on every backend and at any ``jobs`` count: the
+    original exception is contained in the worker, so this carries its
+    type name, message and formatted traceback (``traceback_text``).
+    :func:`repro.api.run_single` raises it for a supervised cell that
+    exhausted its retries too.
     """
 
     def __init__(
@@ -393,16 +397,18 @@ def resolve_backend(
     *,
     jobs: Optional[int] = None,
     workers: Optional[int] = None,
-    **kwargs: Any,
+    cache: Any = None,
 ) -> Tuple[ExecutionBackend, bool]:
     """Map a backend argument onto a started-able backend instance.
 
     ``backend`` may be an :class:`ExecutionBackend` instance (returned
     as-is, caller keeps ownership), a registry name, or ``None`` — in
     which case the ``REPRO_BACKEND`` environment variable is consulted,
-    then the historical ``jobs``-based default.  Returns ``(backend,
-    owned)`` where ``owned`` tells the caller whether it must call
-    :meth:`ExecutionBackend.shutdown`.
+    then the historical ``jobs``-based default.  ``cache`` is handed to
+    a new inline backend, which keeps it instead of owning (and
+    clearing) one; the pool backends keep per-worker caches.  Returns
+    ``(backend, owned)`` where ``owned`` tells the caller whether it
+    must call :meth:`ExecutionBackend.shutdown`.
     """
     if isinstance(backend, ExecutionBackend):
         return backend, False
@@ -424,19 +430,19 @@ def resolve_backend(
     if name == "inline":
         from repro.sim.backends.local import InlineBackend
 
-        return InlineBackend(**kwargs), True
+        return InlineBackend(cache=cache), True
     if name == "threads":
         from repro.sim.backends.local import ThreadBackend
 
-        return ThreadBackend(workers=workers, **kwargs), True
+        return ThreadBackend(workers=workers), True
     if name == "process":
         from repro.sim.backends.process import ProcessBackend
 
-        return ProcessBackend(workers=workers, **kwargs), True
+        return ProcessBackend(workers=workers), True
     if name == "queue":
         from repro.sim.backends.queue import QueueBackend
 
-        return QueueBackend(workers=workers, **kwargs), True
+        return QueueBackend(workers=workers), True
     raise ValueError(
         f"unknown execution backend {name!r}; "
         f"choose from {', '.join(BACKEND_NAMES)}"

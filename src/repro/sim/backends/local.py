@@ -1,6 +1,6 @@
 """In-process backends: deterministic inline and a thread pool.
 
-``inline`` runs every task synchronously in the submitting process —
+``inline`` runs every task synchronously in the polling process —
 the deterministic debug substrate, and what the supervisor degrades to
 when worker pools keep dying.  ``threads`` fans tasks across a
 ``ThreadPoolExecutor``: no pickling, shared memory, but the GIL caps
@@ -33,21 +33,23 @@ __all__ = ["InlineBackend", "ThreadBackend"]
 class InlineBackend(ExecutionBackend):
     """Synchronous execution in the calling process.
 
-    ``submit`` runs the task to completion before returning, so handles
-    are always settled by the time ``poll`` sees them.  Owns a
-    :class:`~repro.sim.runner.TraceCache` cleared between grid cells
-    (same memory discipline as the historical ``jobs=1`` path) unless a
-    caller-provided cache is passed in.
+    ``submit`` only queues the task; ``poll`` runs every queued task to
+    completion and returns them settled.  As on the pool backends, a
+    handle settles after its ``submit`` returns, so the time between the
+    two is dispatch and the task's own wall is the run.  Owns a
+    :class:`~repro.sim.runner.TraceCache` cleared between grid cells so
+    long sweeps stay within memory budget, unless a caller-provided
+    cache is passed in: that one is shared across cells and calls, and
+    never cleared.
     """
 
     name = "inline"
     preemptible = False
 
-    def __init__(self, cache: Any = None, reraise: Tuple[type, ...] = (KeyboardInterrupt, SystemExit)) -> None:
+    def __init__(self, cache: Any = None) -> None:
         self._cache = cache
         self._own_cache = cache is None
-        self._reraise = reraise
-        self._settled: Deque[TaskHandle] = collections.deque()
+        self._queued: Deque[TaskHandle] = collections.deque()
         self._current_cell: Optional[Tuple[Any, ...]] = None
         self._completed = 0
 
@@ -65,21 +67,28 @@ class InlineBackend(ExecutionBackend):
     ) -> TaskHandle:
         self.start()
         handle = TaskHandle(spec, attempt)
-        cell = spec.trace_key
-        if self._own_cache and self._current_cell not in (None, cell):
-            self._cache.clear()
-        self._current_cell = cell
-        payload = run_task(
-            spec, attempt, cache=self._cache, reraise=self._reraise
-        )
-        handle.settle_payload(payload)
-        self._completed += 1
-        self._settled.append(handle)
+        self._queued.append(handle)
         return handle
 
     def poll(self, timeout: Optional[float] = None) -> List[TaskHandle]:
-        settled = list(self._settled)
-        self._settled.clear()
+        settled: List[TaskHandle] = []
+        while self._queued:
+            handle = self._queued.popleft()
+            cell = handle.spec.trace_key
+            if self._own_cache and self._current_cell not in (None, cell):
+                self._cache.clear()
+            self._current_cell = cell
+            handle.settle_payload(
+                run_task(
+                    handle.spec,
+                    handle.attempt,
+                    cache=self._cache,
+                    # A Ctrl-C must stop the sweep, not become a failure.
+                    reraise=(KeyboardInterrupt, SystemExit),
+                )
+            )
+            self._completed += 1
+            settled.append(handle)
         return settled
 
     def capacity(self) -> int:
@@ -90,7 +99,7 @@ class InlineBackend(ExecutionBackend):
             name=self.name,
             workers=1,
             alive_workers=1,
-            inflight=0,
+            inflight=len(self._queued),
             queue_depth=0,
             restarts=0,
             crash_restarts=0,
@@ -101,7 +110,7 @@ class InlineBackend(ExecutionBackend):
         if self._own_cache and self._cache is not None:
             self._cache.clear()
             self._cache = None
-        self._settled.clear()
+        self._queued.clear()
         self._current_cell = None
 
 

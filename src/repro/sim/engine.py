@@ -8,6 +8,15 @@ inside the worker, where the per-process trace cache amortizes them
 across schemes), and send back a plain
 :class:`~repro.sim.runner.RunResult`.
 
+There is one executor: the :class:`~repro.sim.supervisor.Supervisor`
+loop drives every backend, and :func:`supervision_policy` is the one
+rule that picks its mode.  A :class:`~repro.sim.supervisor.FaultPolicy`, a
+journal, ``resume``, or any chaos spec means supervised execution
+(retries, timeouts, failures recorded as data); anything else is
+fail-fast, where the first failing run raises a
+:class:`~repro.sim.backends.TaskFailedError` carrying the worker's
+traceback — at ``jobs=1`` as at ``jobs > 1``.
+
 Layered under the engine is the persistent result store
 (:mod:`repro.sim.store`): before a spec is executed its content hash is
 looked up, and completed runs are written back, so repeated invocations
@@ -18,11 +27,11 @@ The worker count comes from the ``jobs`` argument, falling back to the
 ``REPRO_JOBS`` environment variable, falling back to 1 (``jobs == 0``
 means "all cores"; negative counts are rejected).  The execution
 substrate comes from the ``backend`` argument, falling back to the
-``REPRO_BACKEND`` environment variable, falling back to the historical
-default: ``jobs=1`` executes inline in the calling process — no pool,
-identical results, and the engine clears its trace cache between grid
-cells so long sweeps stay within memory budget — while ``jobs > 1``
-uses the process-pool backend.
+``REPRO_BACKEND`` environment variable, falling back to inline
+execution for ``jobs=1`` and a process pool above.  The inline backend
+uses the caller's ``RunConfig.cache`` when one is given; otherwise it
+owns a trace cache and clears it between grid cells so long sweeps stay
+within memory budget.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -51,7 +59,7 @@ from repro.common.types import SchemeKind
 from repro.sampling.config import SamplingConfig
 from repro.sim.chaos import ChaosConfig
 from repro.sim.config import RunConfig
-from repro.sim.runner import RunResult, TraceCache, run_benchmark
+from repro.sim.runner import RunResult, TraceCache
 from repro.sim.store import ResultStore, result_from_dict, result_to_dict, run_key
 from repro.telemetry.events import TelemetryConfig
 from repro.workloads.profile import BenchmarkProfile
@@ -64,6 +72,8 @@ __all__ = [
     "execute_specs",
     "resolve_jobs",
     "run_grid",
+    "run_specs",
+    "supervision_policy",
 ]
 
 #: Environment variable supplying the default worker count.
@@ -115,7 +125,7 @@ class RunSpec:
     #: Telemetry configuration (``None`` = tracing off).  Deliberately
     #: excluded from :meth:`key`: telemetry observes a run without
     #: changing its outcome, but a stored result carries no event trace,
-    #: so telemetry-enabled specs bypass the store (see execute_specs).
+    #: so telemetry-enabled specs bypass the store (see the Supervisor).
     telemetry: Optional[TelemetryConfig] = None
     #: Fault-injection plan (``None`` = no chaos).  Also excluded from
     #: :meth:`key` — chaos perturbs *execution*, never the simulated
@@ -208,20 +218,6 @@ class RunRecord:
         return cls(**data)
 
 
-def _execute_spec(spec: RunSpec, cache: Optional[TraceCache] = None) -> RunResult:
-    """Run one spec (in a worker this uses the per-process trace cache)."""
-    from repro.sim.backends import base as _backend_base
-
-    return _backend_base.execute_run(spec, cache=cache)
-
-
-def _timed_execute(spec: RunSpec) -> Tuple[RunResult, float]:
-    """Worker entry point: run a spec and measure its wall time."""
-    start = time.perf_counter()
-    result = _execute_spec(spec)
-    return result, time.perf_counter() - start
-
-
 def _record(spec: RunSpec, result: RunResult, wall: float, from_store: bool) -> RunRecord:
     rate = result.stats.committed_uops / wall if wall > 0 else 0.0
     sampling = getattr(result, "sampling", None)
@@ -258,111 +254,101 @@ def execute_specs(
     backend: Optional[Any] = None,
     observer: Optional[Any] = None,
 ) -> Tuple[List[RunResult], List[RunRecord]]:
-    """Execute ``specs``, returning results and records in spec order.
+    """Execute ``specs`` fail-fast; results and records in spec order.
 
-    Specs already present in ``store`` are served from disk; the rest
-    run on the selected execution backend (``backend`` — a name or an
-    :class:`~repro.sim.backends.ExecutionBackend` instance — else the
-    ``REPRO_BACKEND`` env var, else inline for ``jobs=1`` / a process
-    pool above), and are written back to the store as they complete —
-    so an interrupted sweep resumes where it stopped.
-
-    This is the *fail-fast* path: the first failing run raises (a
-    :class:`~repro.sim.backends.TaskFailedError` carrying the worker's
-    structured error).  ``observer``, when given, is called with each
-    :class:`RunRecord` as it settles (the service layer streams these).
-    A ``KeyboardInterrupt`` tears the backend down without waiting but
-    every record already settled has hit the store, so the sweep
-    resumes from disk.
+    The :class:`~repro.sim.supervisor.Supervisor` with no policy: the
+    first failing run raises :class:`~repro.sim.backends.TaskFailedError`,
+    chaos specs included (:func:`run_specs` would supervise them).
     """
-    jobs = resolve_jobs(jobs)
-    total = len(specs)
-    results: List[Optional[RunResult]] = [None] * total
-    records: List[Optional[RunRecord]] = [None] * total
-    done = 0
+    # Imported lazily: supervisor imports this module at load time.
+    from repro.sim.supervisor import Supervisor
 
-    def emit(record: RunRecord) -> None:
-        if progress:
-            print(_progress_line(done, total, record), file=sys.stderr)
-        if observer is not None:
-            observer(record)
-
-    pending: List[int] = []
-    keys: List[Optional[str]] = [None] * total
-    for index, spec in enumerate(specs):
-        if store is not None and spec.telemetry is None:
-            keys[index] = spec.key()
-            cached = store.get(keys[index])
-            if cached is not None:
-                results[index] = cached
-                records[index] = _record(spec, cached, 0.0, from_store=True)
-                done += 1
-                emit(records[index])
-                continue
-        pending.append(index)
-
-    def finish(index: int, result: RunResult, wall: float) -> None:
-        nonlocal done
-        if store is not None and keys[index] is not None:
-            store.put(keys[index], result)
-        results[index] = result
-        records[index] = _record(specs[index], result, wall, from_store=False)
-        done += 1
-        emit(records[index])
-
-    explicit_backend = backend is not None or bool(
-        os.environ.get("REPRO_BACKEND")
+    supervisor = Supervisor(
+        None,
+        jobs=jobs,
+        store=store,
+        progress=progress,
+        backend=backend,
+        observer=observer,
+        cache=config.cache if config is not None else None,
     )
-    if pending and jobs == 1 and not explicit_backend:
-        # The historical deterministic fast path: no backend object, no
-        # envelope — original exceptions propagate unchanged.
-        cache = config.cache if config is not None else None
-        own_cache = cache is None
-        if own_cache:
-            cache = TraceCache()
-        current_cell: Optional[Tuple[str, int, int, int]] = None
-        for index in pending:
-            spec = specs[index]
-            if own_cache and current_cell not in (None, spec.trace_key):
-                cache.clear()
-            current_cell = spec.trace_key
-            start = time.perf_counter()
-            result = _execute_spec(spec, cache=cache)
-            finish(index, result, time.perf_counter() - start)
-    elif pending:
-        from repro.sim.backends import TaskFailedError, parse_envelope, resolve_backend
+    results, records, _ = supervisor.execute(specs)
+    return results, records  # type: ignore[return-value]
 
-        backend_obj, owned = resolve_backend(
-            backend, jobs=jobs, workers=min(jobs, len(pending))
-        )
-        try:
-            backend_obj.start()
-            handles = {
-                backend_obj.submit(specs[index]): index for index in pending
-            }
-            while handles:
-                for handle in backend_obj.poll():
-                    index = handles.pop(handle)
-                    # Fail fast: WorkerDeath/TaskTimeout raise here.
-                    payload = parse_envelope(handle.outcome())
-                    if payload[0] == "ok":
-                        _, result, wall, _pid = payload
-                        finish(index, result, wall)
-                        continue
-                    _, etype, message, tb, _diag, _wall, _pid = payload
-                    raise TaskFailedError(etype, message, tb)
-        except BaseException:
-            # Settled records have already hit the store; tear the
-            # backend down without waiting so Ctrl-C returns promptly
-            # and the sweep stays resumable from disk.
-            if owned:
-                backend_obj.shutdown(wait=False)
-            raise
-        else:
-            if owned:
-                backend_obj.shutdown()
 
-    return list(results), list(records)  # type: ignore[arg-type]
+def supervision_policy(
+    policy: Optional[Any] = None,
+    journal: Optional[Any] = None,
+    resume: bool = False,
+    chaos: bool = False,
+) -> Optional[Any]:
+    """The one supervision rule: the policy to run under, or ``None``.
+
+    A given :class:`~repro.sim.supervisor.FaultPolicy`, a journal,
+    ``resume``, or chaos on any spec means supervised execution under
+    ``policy or FaultPolicy()``; anything else (``None``) is fail-fast.
+    """
+    if policy is None and journal is None and not resume and not chaos:
+        return None
+    from repro.sim.supervisor import FaultPolicy
+
+    return policy or FaultPolicy()
+
+
+def run_specs(
+    specs: Sequence[RunSpec],
+    *,
+    cache: Optional[TraceCache] = None,
+    jobs: Optional[int] = None,
+    store: Optional[ResultStore] = None,
+    progress: bool = False,
+    policy: Optional[Any] = None,
+    journal: Optional[Any] = None,
+    resume: bool = False,
+    backend: Optional[Any] = None,
+    observer: Optional[Any] = None,
+) -> Tuple[List[Optional[RunResult]], "SuiteResult"]:
+    """Run ``specs`` on the one executor and assemble their grid.
+
+    :func:`supervision_policy` picks the mode.  Supervised, cells that
+    exhaust their retries land in ``SuiteResult.failures``; fail-fast,
+    each cell gets one attempt and the first failure raises
+    :class:`~repro.sim.backends.TaskFailedError`.
+
+    Returns the results in spec order (``None`` for failed cells) and
+    the :class:`SuiteResult` keyed by ``(benchmark, scheme)``.
+    ``cache`` is handed to the inline backend, which then keeps it
+    across cells instead of clearing its own.
+    """
+    from repro.sim.supervisor import Supervisor
+
+    policy = supervision_policy(
+        policy, journal, resume, any(spec.chaos is not None for spec in specs)
+    )
+    start = time.perf_counter()
+    supervisor = Supervisor(
+        policy,
+        jobs=jobs,
+        store=store,
+        journal=journal,
+        progress=progress,
+        backend=backend,
+        observer=observer,
+        cache=cache,
+    )
+    results, records, failures = supervisor.execute(specs, resume=resume)
+    suite = SuiteResult(
+        {
+            (spec.profile.name, spec.scheme): result
+            for spec, result in zip(specs, results)
+            if result is not None
+        },
+        records,
+        wall_time_s=time.perf_counter() - start,
+        failures=failures,
+        fault_counters={} if supervisor.fail_fast else supervisor.fault_counters,
+    )
+    return results, suite
 
 
 class SuiteResult(Mapping):
@@ -604,15 +590,15 @@ def run_grid(
     backend: Optional[Any] = None,
     observer: Optional[Any] = None,
 ) -> SuiteResult:
-    """Run a benchmarks x schemes grid through the engine.
+    """Run a benchmarks x schemes grid through :func:`run_specs`.
 
     With ``policy`` (a :class:`~repro.sim.supervisor.FaultPolicy`),
     ``journal`` (a :class:`~repro.sim.supervisor.SuiteJournal`),
-    ``resume``, or chaos on ``config``, execution routes through the
-    fault-tolerant :class:`~repro.sim.supervisor.Supervisor`: cells that
-    exhaust their retries land in ``SuiteResult.failures`` instead of
-    raising, and completed/failed keys are checkpointed for resume.
-    Otherwise the plain fail-fast :func:`execute_specs` path runs.
+    ``resume``, or chaos on ``config``, the grid runs supervised: cells
+    that exhaust their retries land in ``SuiteResult.failures`` instead
+    of raising, and completed/failed keys are checkpointed for resume.
+    Otherwise it runs fail-fast.  ``config.cache``, when set, is the
+    trace cache the inline backend shares across cells.
 
     ``backend`` selects the execution substrate on either path (a name
     — ``inline`` / ``threads`` / ``process`` / ``queue`` — or an
@@ -626,49 +612,16 @@ def run_grid(
         for profile in profiles
         for scheme in schemes
     ]
-    supervised = (
-        policy is not None
-        or journal is not None
-        or resume
-        or config.chaos is not None
+    _, suite = run_specs(
+        specs,
+        cache=config.cache,
+        jobs=jobs,
+        store=store,
+        progress=progress,
+        policy=policy,
+        journal=journal,
+        resume=resume,
+        backend=backend,
+        observer=observer,
     )
-    start = time.perf_counter()
-    if supervised:
-        # Imported lazily: supervisor imports this module at load time.
-        from repro.sim.supervisor import Supervisor
-
-        supervisor = Supervisor(
-            policy,
-            jobs=jobs,
-            store=store,
-            journal=journal,
-            progress=progress,
-            backend=backend,
-            observer=observer,
-        )
-        results, records, failures = supervisor.execute(specs, resume=resume)
-        fault_counters = supervisor.fault_counters
-    else:
-        results, records = execute_specs(
-            specs,
-            config=config,
-            jobs=jobs,
-            store=store,
-            progress=progress,
-            backend=backend,
-            observer=observer,
-        )
-        failures, fault_counters = [], {}
-    wall = time.perf_counter() - start
-    mapping = {
-        (spec.profile.name, spec.scheme): result
-        for spec, result in zip(specs, results)
-        if result is not None
-    }
-    return SuiteResult(
-        mapping,
-        records,
-        wall_time_s=wall,
-        failures=failures,
-        fault_counters=fault_counters,
-    )
+    return suite

@@ -258,11 +258,13 @@ def run_benchmark_seeds(
     Synthetic-workload noise is seed noise; reporting mean and standard
     deviation over seeds is the honest way to quote a number from this
     reproduction.  Seeds are independent runs, so they fan out across
-    ``jobs`` worker processes and memoize in ``store`` like any grid.
+    ``jobs`` worker processes and memoize in ``store`` like any grid,
+    under the same supervision rule; a failed seed raises
+    :class:`~repro.sim.backends.TaskFailedError`.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    from repro.sim.engine import RunSpec, execute_specs
+    from repro.sim.engine import RunSpec, run_specs
 
     config = config if config is not None else RunConfig()
     specs = [
@@ -271,7 +273,9 @@ def run_benchmark_seeds(
         )
         for seed in seeds
     ]
-    results, _ = execute_specs(specs, config=config, jobs=jobs, store=store)
+    results, suite = run_specs(specs, cache=config.cache, jobs=jobs, store=store)
+    if suite.failures:
+        raise suite.failures[0].error()
     return SeededResult(profile=profile, scheme=scheme, runs=results)
 
 
@@ -299,8 +303,9 @@ def run_suite(
     disk so repeated invocations are near-instant.
 
     ``policy`` / ``journal`` / ``resume`` (and chaos on ``config``)
-    route execution through the fault-tolerant supervisor — see
-    :func:`~repro.sim.engine.run_grid` and ``docs/robustness.md``.
+    supervise execution; otherwise it is fail-fast — see
+    :func:`~repro.sim.engine.supervision_policy` and
+    ``docs/robustness.md``.
     ``backend`` picks the execution substrate (``inline`` / ``threads``
     / ``process`` / ``queue`` or an
     :class:`~repro.sim.backends.ExecutionBackend` instance) — see

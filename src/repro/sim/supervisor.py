@@ -1,8 +1,15 @@
-"""Fault-tolerant supervision around the parallel experiment engine.
+"""The one executor: every grid runs through the :class:`Supervisor` loop.
 
-The plain engine path (:func:`repro.sim.engine.execute_specs`) is
-fail-fast: one worker crash, hang, or corrupted payload kills the whole
-suite.  The :class:`Supervisor` wraps the same fan-out with the
+The :class:`Supervisor` is the only code that drives an
+:class:`~repro.sim.backends.ExecutionBackend`, and
+:func:`repro.sim.engine.supervision_policy` is the one rule that picks
+its mode.  Without a :class:`FaultPolicy` it is **fail-fast**: one
+attempt per run, no timeout, and the first failing run raises a
+:class:`~repro.sim.backends.TaskFailedError` built from its error
+envelope (worker traceback in ``traceback_text``), while
+:class:`~repro.sim.backends.WorkerDeath`,
+:class:`~repro.sim.backends.TaskTimeout` and ``KeyboardInterrupt``
+propagate as they are.  With a policy it is **supervised**, with the
 guarantees a long sweep needs:
 
 * **per-run wall-clock timeouts** — a run that exceeds its deadline is
@@ -68,12 +75,12 @@ from repro.common.types import SchemeKind
 from repro.sim.backends.base import (
     CorruptResultError,
     ExecutionBackend,
+    TaskFailedError,
     TaskTimeout,
     WorkerDeath,
     error_envelope as _error_payload,
     parse_envelope as _parse_payload,
     resolve_backend,
-    run_task as _supervised_execute,
 )
 from repro.sim.engine import (
     RunRecord,
@@ -180,6 +187,10 @@ class RunFailure:
         data["scheme"] = self.scheme.value
         return data
 
+    def error(self) -> TaskFailedError:
+        """This failure as the exception a fail-fast caller raises."""
+        return TaskFailedError(self.error_type, self.message, self.traceback)
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunFailure":
         """Rebuild a failure from :meth:`as_dict` output."""
@@ -285,11 +296,19 @@ class Supervisor:
     failed cells) and ``failures`` holds one :class:`RunFailure` per
     exhausted cell, in spec order.
 
+    ``policy=None`` is fail-fast: each spec gets one attempt and no
+    timeout, and the first exhausted spec raises
+    :class:`~repro.sim.backends.TaskFailedError` (typed worker signals
+    and ``KeyboardInterrupt`` propagate unchanged) instead of becoming a
+    :class:`RunFailure`.
+
     ``backend`` selects the execution substrate (a registry name or an
     :class:`~repro.sim.backends.ExecutionBackend` instance; default:
-    inline for ``jobs=1``, process pool above).  ``observer``, when
-    given, is called with each settled :class:`RunRecord` /
-    :class:`RunFailure` as it lands — the service layer streams these.
+    inline for ``jobs=1``, process pool above).  ``cache`` is the trace
+    cache an inline backend shares across cells (it clears its own
+    otherwise).  ``observer``, when given, is called with each settled
+    :class:`RunRecord` / :class:`RunFailure` as it lands — the service
+    layer streams these.
     """
 
     def __init__(
@@ -302,14 +321,17 @@ class Supervisor:
         progress: bool = False,
         backend: Optional[Any] = None,
         observer: Optional[Any] = None,
+        cache: Optional[Any] = None,
     ) -> None:
-        self.policy = policy if policy is not None else FaultPolicy()
+        self.fail_fast = policy is None
+        self.policy = policy if policy is not None else FaultPolicy(retries=0)
         self.jobs = resolve_jobs(jobs)
         self.store = store
         self.journal = journal
         self.progress = progress
         self.backend = backend
         self.observer = observer
+        self.cache = cache
         self.collector = TelemetryCollector(
             TelemetryConfig(categories=frozenset({CAT_FAULT}))
         )
@@ -376,9 +398,10 @@ class Supervisor:
     ) -> Tuple[
         List[Optional[RunResult]], List[Optional[RunRecord]], List[RunFailure]
     ]:
-        """Run ``specs`` to a complete outcome (no exception escapes
-        except ``KeyboardInterrupt``, which tears the backend down and
-        re-raises with the journal and store already checkpointed).
+        """Run ``specs`` to a complete outcome (supervised, no exception
+        escapes except ``KeyboardInterrupt``, which tears the backend
+        down and re-raises with the journal and store already
+        checkpointed; fail-fast, the first failure raises the same way).
 
         Store hits and (on ``resume``) journal replays settle first;
         the rest fan out across the configured backend.  Every spec
@@ -440,6 +463,7 @@ class Supervisor:
                 self.backend,
                 jobs=self.jobs,
                 workers=min(self.jobs, len(pending)),
+                cache=self.cache,
             )
             self._run_backend(backend, owned, pending, results, records, failures)
 
@@ -496,20 +520,21 @@ class Supervisor:
         error: Tuple[Any, ...],
         now: float,
         failures: Dict[int, RunFailure],
-        *,
-        sleep_inline: bool = False,
     ) -> bool:
-        """Charge a failed attempt; True when the item should retry."""
+        """Charge a failed attempt; True when the item should retry.
+
+        Fail-fast, an exhausted item raises instead of becoming a failure.
+        """
         item.attempts += 1
         item.last_error = error
         if item.attempts <= self.policy.retries:
             delay = self.policy.backoff_for(item.attempts, self._rng)
             item.eligible_at = now + delay
             self._fault("retry", item, "fault_retries")
-            if sleep_inline and delay > 0:
-                time.sleep(delay)
             return True
         failure = self._failure_from(item)
+        if self.fail_fast:
+            raise failure.error()
         failures[item.index] = failure
         if self.journal is not None and item.key is not None:
             self.journal.record_failed(item.key, failure)
@@ -626,6 +651,8 @@ class Supervisor:
                     try:
                         payload = handle.outcome()
                     except TaskTimeout:
+                        if self.fail_fast:
+                            raise
                         self._fault("timeout", item, "fault_timeouts")
                         error = (
                             "error",
@@ -641,6 +668,8 @@ class Supervisor:
                             waiting.append(item)
                         continue
                     except WorkerDeath as death:
+                        if self.fail_fast:
+                            raise
                         if death.collateral:
                             # The backend killed this worker on purpose
                             # (cancelling someone else): innocent,

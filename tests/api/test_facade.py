@@ -5,6 +5,7 @@ import pytest
 from repro.api import (
     FaultPolicy,
     RunConfig,
+    RunFailure,
     RunRecord,
     RunRequest,
     RunResult,
@@ -16,6 +17,8 @@ from repro.api import (
     run_suite,
 )
 from repro.sim import TraceCache
+from repro.sim.backends import TaskFailedError
+from repro.sim.chaos import ChaosConfig
 from repro.sim.store import ResultStore
 from repro.workloads import get_benchmark
 
@@ -151,6 +154,30 @@ class TestRunSuite:
             store=False,
         )
         assert suite.ok
+
+
+class TestChaosIsSupervised:
+    """Chaos means supervision on every entry point, as in ``run_grid``."""
+
+    CHAOS = RunConfig(chaos=ChaosConfig(seed=1, oom=1.0))
+
+    def test_run_suite_records_failure_and_stores_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        suite = run_suite(
+            [RunRequest("spec2017/mcf", "stt", 400, self.CHAOS)], store=store
+        )
+        assert not suite.ok
+        assert len(suite) == 0
+        [failure] = suite.failures
+        assert isinstance(failure, RunFailure)
+        assert failure.error_type == "MemoryError"
+        assert failure.attempts == FaultPolicy().retries + 1
+        assert len(store) == 0
+
+    def test_run_single_raises_task_failed(self, tmp_path):
+        request = RunRequest("spec2017/mcf", "stt", 400, self.CHAOS)
+        with pytest.raises(TaskFailedError, match="MemoryError"):
+            run_single(request, store=ResultStore(tmp_path / "store"))
 
 
 class TestLoadResult:

@@ -95,16 +95,6 @@ class TestMemPacket:
         assert pkt.word_revealed()
         assert not pkt.word_revealed(0x1000)
 
-    def test_fire_invokes_callback_once(self):
-        fired = []
-        pkt = MemPacket.request(
-            PacketKind.READ_REQ, 0, 0x0, 0, on_complete=fired.append
-        )
-        pkt.complete(5)
-        pkt.fire()
-        pkt.fire()
-        assert fired == [pkt]
-
     def test_packet_ids_are_distinct(self):
         a = MemPacket.request(PacketKind.READ_REQ, 0, 0x0, 0)
         b = MemPacket.request(PacketKind.READ_REQ, 0, 0x0, 0)

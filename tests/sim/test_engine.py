@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common import SchemeKind, SystemParams
-from repro.sim import RunConfig, run_suite
+from repro.sim import RunConfig, TraceCache, run_suite
+from repro.sim.backends import TaskFailedError
+from repro.sim.chaos import ChaosConfig
 from repro.sim.engine import (
     RunSpec,
     SuiteResult,
@@ -145,6 +147,32 @@ class TestRunSuiteIntegration:
         assert isinstance(parallel, SuiteResult)
         for key in serial:
             assert serial[key].cycles == parallel[key].cycles
+
+    def test_caller_trace_cache_is_reused_across_calls(self):
+        # The inline backend keeps the caller's cache instead of owning
+        # and clearing one, so five schemes over two calls build the
+        # benchmark's trace once.
+        cache = TraceCache()
+        schemes = (
+            SchemeKind.UNSAFE,
+            SchemeKind.NDA,
+            SchemeKind.NDA_RECON,
+            SchemeKind.STT,
+            SchemeKind.STT_RECON,
+        )
+        mcf = get_benchmark("spec2017", "mcf")
+        for _ in range(2):
+            suite = run_suite([mcf], schemes, 400, config=RunConfig(cache=cache))
+            assert len(suite) == len(schemes)
+        assert cache.misses == 1
+
+    def test_fail_fast_error_at_one_job_carries_worker_traceback(self):
+        config = RunConfig(chaos=ChaosConfig(seed=1, oom=1.0))
+        specs = [RunSpec.build(_profiles()[0], SchemeKind.UNSAFE, 400, config)]
+        with pytest.raises(TaskFailedError) as info:
+            execute_specs(specs, config=config, jobs=1)
+        assert info.value.error_type == "MemoryError"
+        assert "Traceback" in info.value.traceback_text
 
     def test_run_suite_reads_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
