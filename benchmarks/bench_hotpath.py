@@ -12,7 +12,7 @@ uops/s, which tracks the host machine — against the committed baseline
 (``benchmarks/data/bench_hotpath_baseline.json``) and fails on a >10%
 regression.  Both modes run the same loop on the same host, so the
 ratio falls when the untraced path picks up work it should skip (a
-telemetry hook that is not guarded, a packet-free path lost).  CI runs
+telemetry hook that is not guarded, a submit-free path lost).  CI runs
 this bench on every push and uploads the JSON artifact, so the
 trajectory of the hot path is visible per commit.
 """

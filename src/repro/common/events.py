@@ -1,7 +1,7 @@
 """Shared discrete-event queue for cores and the memory system.
 
 One :class:`EventQueue` is shared by every core of a :class:`System`
-(and by the hierarchy's packet completions), replacing the per-core
+(and by the completions of memory accesses), replacing the per-core
 ``{cycle: [events]}`` dicts of the lockstep era.  Events are
 ``(cycle, seq, callback, arg)`` entries; insertion order breaks ties, so
 two events scheduled for the same cycle fire in the order they were

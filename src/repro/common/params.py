@@ -92,7 +92,7 @@ class CacheParams:
 
 @dataclasses.dataclass(frozen=True)
 class MemoryTimingParams:
-    """Contention knobs of the packet/port transaction engine.
+    """Contention knobs of the memory transaction engine.
 
     Every knob defaults to ``None`` (unbounded), which is the
     *contention-free* configuration: the transaction engine then
@@ -102,8 +102,8 @@ class MemoryTimingParams:
 
     * ``mshr_entries`` — outstanding misses per core; a primary miss
       with no free MSHR stalls until the oldest outstanding fill lands.
-    * ``port_width`` — request packets a core's master port accepts per
-      cycle; excess packets start on later cycles.
+    * ``port_width`` — transactions a core's master port accepts per
+      cycle; excess transactions start on later cycles.
     * ``noc_link_width`` — interconnect messages injected per cycle
       before hops queue.
     * ``dram_queue_depth`` — outstanding DRAM reads; a fetch beyond the

@@ -64,12 +64,12 @@ class StatSet:
     #: Store-to-load forwards from SQ/SB.
     store_forwards: int = 0
 
-    # --- transaction engine (packet/port/MSHR contention) ---------------
+    # --- transaction engine (port/MSHR/NoC/DRAM contention) ------------
     #: Secondary misses merged into an outstanding MSHR entry.
     mshr_hits_under_miss: int = 0
     #: Cycles primary misses waited for a free MSHR entry.
     mshr_stall_cycles: int = 0
-    #: Cycles request packets waited for a master-port grant.
+    #: Cycles transactions waited for a master-port grant.
     port_stall_cycles: int = 0
     #: Cycles interconnect messages queued for a link slot.
     noc_queue_cycles: int = 0

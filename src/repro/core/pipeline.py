@@ -34,7 +34,7 @@ the full telemetry event stream of 4 traced cells):
   (hoisted into a local in the per-instruction loops), so an untraced
   run pays one falsy branch per site.  A live collector is propagated
   to the hierarchy, policy, LSQ and LPT, and makes the hierarchy submit
-  every access as a packet, so the ``mem_txn`` stream is complete.
+  every access as a transaction, so the ``mem_txn`` stream is complete.
 * **Phase early-outs.**  ``step`` skips a phase when its inputs are
   empty (no blocked branches, empty store buffer, ROB head incomplete,
   empty ready queue); each phase would do nothing in those states.
@@ -57,10 +57,10 @@ the full telemetry event stream of 4 traced cells):
   the frontier actually moved — the STT-family implementation is
   idempotent at a fixed frontier, and new taint roots are always ahead
   of it.
-* **Packet-free private hits.**  Loads, exposes, store-buffer drains
-  and LPT reveals call the hierarchy's ``read``/``write``/``reveal``.
-  On a contention-free, untraced hierarchy these serve private-cache
-  hits with the same routines ``submit`` runs, minus the packet and the
+* **Private hits without ``submit``.**  Loads, exposes, store-buffer
+  drains and LPT reveals call the hierarchy's ``read``/``write``/
+  ``reveal``.  On a contention-free, untraced hierarchy these serve
+  private-cache hits with the same routines ``submit`` runs, minus the
   port grant, transaction clock and queue deltas that are no-ops there;
   the rest they submit.
 * **Sorted-ready maintenance.**  The ready queue is kept sorted by
@@ -87,7 +87,6 @@ from repro.core.rename import RegisterFile
 from repro.core.shadows import NO_SHADOW, ShadowTracker
 from repro.isa.microop import MicroOp
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.packet import MemPacket, PacketKind
 from repro.security.lpt import LoadPairTable
 from repro.security.policy import EMPTY_TAINT, SecurityPolicy
 from repro.security.stt import SttPolicy
@@ -296,7 +295,7 @@ class Core:
         self._iq_count = 0
         self._ready: List[_Inst] = []
         self._ready_dirty = False
-        #: Discrete-event queue; shared across cores (and packet
+        #: Discrete-event queue; shared across cores (and memory
         #: completions) when a :class:`~repro.sim.system.System` passes
         #: one in, private otherwise (standalone cores in tests).
         self.events = events if events is not None else EventQueue()
@@ -913,17 +912,15 @@ class Core:
             # memory-order violation detection like any other load.
             access_cycle = cycle + 1
             self.events.epoch += 1  # MDP may train on this issue
-            pkt = self.hierarchy.submit(
-                MemPacket.request(
-                    PacketKind.INVISIBLE_REQ, self.core_id, addr, access_cycle
-                )
+            latency = self.hierarchy.read_invisible(
+                self.core_id, addr, access_cycle
             )
             inst.mem_revealed = False
             entry = lsq._lq.get(inst.seq)
             if entry is not None:
                 entry.went_to_memory = True
             heappush(self._pending_exposes, (inst.seq, addr))
-            events_push(pkt.issued_at + pkt.latency, self._load_return, inst)
+            events_push(access_cycle + latency, self._load_return, inst)
         else:
             access_cycle = cycle + 1  # address generation
             self.events.epoch += 1  # fill/evict can change later DoM peeks

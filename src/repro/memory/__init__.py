@@ -1,9 +1,10 @@
 """Memory hierarchy: caches, MESI directory coherence, ReCon bit-vectors.
 
-The core-facing interface is the packet/port transaction engine:
-:class:`MemPacket` requests submitted through
-:meth:`MemoryHierarchy.submit`, with per-core :class:`MSHRFile` s and
-bandwidth-bounded ports supplying the contention model.
+The core-facing interface is :class:`MemoryHierarchy`: ``read``,
+``write``, ``read_invisible`` and ``reveal`` run one transaction each
+through :meth:`MemoryHierarchy.submit`, which returns plain values
+``(latency, level, reveal_vector)``.  Per-core :class:`MSHRFile` s and
+bandwidth-bounded ports supply the contention model.
 """
 
 from repro.memory.cache import CacheArray, CacheLine
@@ -11,7 +12,6 @@ from repro.memory.dram import MainMemory
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.interconnect import FixedLatencyInterconnect, MeshInterconnect
 from repro.memory.mshr import MSHRFile
-from repro.memory.packet import MemPacket, PacketKind
 from repro.memory.ports import BandwidthPort, MasterPort, SlavePort
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "MSHRFile",
     "MainMemory",
     "MasterPort",
-    "MemPacket",
     "MemoryHierarchy",
     "MeshInterconnect",
-    "PacketKind",
     "SlavePort",
 ]

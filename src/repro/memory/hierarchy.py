@@ -8,26 +8,24 @@ interconnect hops, plus — under a bounded :class:`MemoryTimingParams` —
 the queueing delays of ports, MSHRs, interconnect links and the DRAM
 channel.
 
-The core-facing interface has two doors onto one protocol.
+The cycle loop and the functional warmer call ``read()``/``write()``/
+``read_invisible()``/``reveal()``.  Each runs one transaction through
+:meth:`MemoryHierarchy.submit`, which takes ``(kind, core, addr, now)``
+and returns ``(latency, level, reveal_vector)``: the transaction is a
+synchronous walk of the protocol, so there is nothing to queue and
+nothing to hand back but those values.  One shortcut skips ``submit``:
+on a contention-free hierarchy with no telemetry collector, ``read``/
+``write``/``reveal`` serve a private hit (an L1/L2 read hit, a store to
+an E/M line, a reveal) directly, because the port grant, transaction
+clock and ``mem_txn`` event that ``submit`` adds are no-ops there.  The
+private-hit routines (:meth:`_read_hit`, :meth:`_write_hit`,
+:meth:`_reveal_private`) are the same ones ``submit``'s handlers call
+first before going to the directory.
 
-* :meth:`MemoryHierarchy.submit` takes a
-  :class:`~repro.memory.packet.MemPacket` and turns the request into its
-  response.  Traced runs submit every access this way, and bounded
-  timing every access but an untraced reveal.
-* ``read()``/``write()``/``reveal()`` return plain values.  The cycle
-  loop and the functional warmer call them.  On a contention-free
-  hierarchy with no telemetry collector, they serve a private hit (an
-  L1/L2 read hit, a store to an E/M line, a reveal) without a packet,
-  port grant or transaction clock, all of which are no-ops there.  A
-  directory transaction (L2 miss, S upgrade, write miss) they submit.
-
-Both doors run the same private-hit routines (:meth:`_read_hit`,
-:meth:`_write_hit`, :meth:`_reveal_private`); ``submit``'s handlers call
-them first and go to the directory only on a miss.
-Internally, every coherence message that carries a ReCon bit-vector
-(writebacks, owner downgrades, invalidation acks under footnote 1)
-travels as a packet — the vector is read from the packet payload at the
-receiving end, never directly from the remote cache.  Outstanding misses
+Every coherence message that carries a ReCon bit-vector (writebacks,
+owner downgrades, invalidation acks under footnote 1) is charged as a
+vector-carrying interconnect hop, and the receiving agent uses the
+vector the sender put on it.  Outstanding misses
 live in per-core :class:`~repro.memory.mshr.MSHRFile` s: a primary miss
 allocates an entry, a same-line access while the fill is in flight
 merges into it (hit-under-miss), and the entry is dropped when the line
@@ -67,7 +65,6 @@ from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.dram import MainMemory
 from repro.memory.interconnect import FixedLatencyInterconnect, MeshInterconnect
 from repro.memory.mshr import MSHRFile
-from repro.memory.packet import MemPacket, PacketKind
 from repro.memory.ports import MasterPort
 from repro.telemetry.events import (
     CAT_CACHE,
@@ -191,33 +188,6 @@ class MemoryHierarchy:
             now=self._txn_now,
         )
 
-    def _transfer(
-        self,
-        kind: PacketKind,
-        core: int,
-        laddr: int,
-        src: Optional[int],
-        dst: Optional[int],
-        vector: int,
-    ) -> MemPacket:
-        """Send one vector-carrying coherence message as a packet.
-
-        The returned packet's ``reveal_vector`` is the payload the
-        receiving agent reads — coherence code never reaches into the
-        remote cache for it — and ``latency`` is the hop cost.
-        """
-        pkt = MemPacket(
-            kind=kind,
-            core=core,
-            addr=laddr,
-            issued_at=self._txn_now or 0,
-            src=src,
-            dst=dst,
-            reveal_vector=vector,
-        )
-        pkt.latency = self._hop(carries_bitvector=True, src=src, dst=dst)
-        return pkt
-
     # ------------------------------------------------------------------
     # private-hierarchy helpers
     # ------------------------------------------------------------------
@@ -270,13 +240,9 @@ class MemoryHierarchy:
         # The line is gone from the private hierarchy: a fill still in
         # flight must not become a stale merge target for a later refetch.
         priv.mshr.retire(victim.addr)
-        wb = self._transfer(
-            PacketKind.WRITEBACK,
-            core,
-            victim.addr,
-            src=core,
-            dst=self.noc.home_node(victim.addr),
-            vector=self._vector_if_tracked(victim.reveal, CacheLevel.LLC),
+        vector = self._vector_if_tracked(victim.reveal, CacheLevel.LLC)
+        self._hop(
+            carries_bitvector=True, src=core, dst=self.noc.home_node(victim.addr)
         )
         stats.coherence_transactions += 1
         if self.telemetry.enabled:
@@ -290,14 +256,13 @@ class MemoryHierarchy:
                 addr=victim.addr,
                 value=_MESI_ORD[victim.state],
             )
-        assert wb.reveal_vector is not None
         if victim.state is MESIState.MODIFIED:
             # PutM: data + vector overwrite the directory copy.
-            dir_line.reveal = wb.reveal_vector
+            dir_line.reveal = vector
             dir_line.dirty = dir_line.dirty or victim.dirty
         else:
             # PutS/PutE: OR-merge preserves reveals across serial evictions.
-            dir_line.reveal = recon_bits.merge(dir_line.reveal, wb.reveal_vector)
+            dir_line.reveal = recon_bits.merge(dir_line.reveal, vector)
         if dir_line.owner == core:
             dir_line.owner = None
         dir_line.sharers.discard(core)
@@ -408,19 +373,16 @@ class MemoryHierarchy:
         """Owner writes data + vector back; becomes a sharer.  Returns cost."""
         owner = dir_line.owner
         assert owner is not None
-        resp = self._transfer(
-            PacketKind.SNOOP,
-            owner,
-            dir_line.addr,
-            src=self.noc.home_node(dir_line.addr),
-            dst=owner,
-            vector=self._authoritative_vector(owner, dir_line.addr),
+        vector = self._authoritative_vector(owner, dir_line.addr)
+        latency = (
+            self._hop(
+                carries_bitvector=True,
+                src=self.noc.home_node(dir_line.addr),
+                dst=owner,
+            )
+            + self.params.memory.l2.latency
         )
-        assert resp.latency is not None and resp.reveal_vector is not None
-        latency = resp.latency + self.params.memory.l2.latency
-        dir_line.reveal = self._vector_if_tracked(
-            resp.reveal_vector, CacheLevel.LLC
-        )
+        dir_line.reveal = self._vector_if_tracked(vector, CacheLevel.LLC)
         priv = self._privs[owner]
         for array in (priv.l1, priv.l2):
             held = array.lookup(dir_line.addr, touch=False)
@@ -437,88 +399,72 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # the transaction engine
     # ------------------------------------------------------------------
-    def submit(self, pkt: MemPacket) -> MemPacket:
-        """Process one request packet; completes and returns it.
+    def submit(
+        self, kind: str, core: int, addr: int, now: int
+    ) -> Tuple[int, Optional[CacheLevel], Optional[int]]:
+        """Run one transaction; return ``(latency, level, reveal_vector)``.
 
-        The packet acquires the issuing core's master port (waiting for a
-        grant when the port is width-bounded), walks the coherence
-        protocol, and mutates into its response: ``latency`` is the full
-        request-to-data time including every queueing delay, ``ready_at``
-        the completion cycle, at which the caller delivers the response
-        (non-blocking completion).
+        ``kind`` is ``"read_req"``, ``"write_req"``, ``"invisible_req"``
+        or ``"reveal_req"``.  The transaction acquires the issuing core's
+        master port (waiting for a grant when the port is width-bounded)
+        and walks the coherence protocol.  ``latency`` is the full
+        request-to-data time including every queueing delay, so the data
+        is ready at ``now + latency``.  ``level`` is where the access was
+        served.  ``reveal_vector`` is the line's reveal bits as the
+        requester sees them for a read, the updated vector for a reveal
+        (``None`` when the reveal was dropped), and ``None`` otherwise.
 
         A contention-free hierarchy skips the port, the transaction clock
         and the queue-cycle deltas: every one of them is zero there.
         """
-        if not pkt.kind.is_request:
-            raise ValueError(f"cannot submit a {pkt.kind} packet")
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            raise ValueError(f"unknown transaction kind {kind!r}")
         if self._contention_free:
-            now = pkt.issued_at
-            self._handle(pkt, now)
+            latency, level, vector = handler(self, core, addr, now)
         else:
-            stats = self._stats[pkt.core]
-            wait = self._privs[pkt.core].port.acquire(pkt.issued_at)
+            stats = self._stats[core]
+            wait = self._privs[core].port.acquire(now)
             stats.port_stall_cycles += wait
             noc_q0 = self.noc.queue_cycles
             dram_q0 = self.dram.queue_cycles
-            self._txn_now = now = pkt.issued_at + wait
+            self._txn_now = now = now + wait
             try:
-                self._handle(pkt, now)
-                assert pkt.latency is not None
-                pkt.latency += wait
+                latency, level, vector = handler(self, core, addr, now)
             finally:
                 self._txn_now = None
+            latency += wait
             stats.noc_queue_cycles += self.noc.queue_cycles - noc_q0
             stats.dram_queue_cycles += self.dram.queue_cycles - dram_q0
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.emit(
-                CAT_MEM_TXN,
-                pkt.kind.value,
-                core=pkt.core,
-                addr=pkt.addr,
-                value=pkt.latency,
-            )
+            telemetry.emit(CAT_MEM_TXN, kind, core=core, addr=addr, value=latency)
             telemetry.observe(
-                "mshr_occupancy", self._privs[pkt.core].mshr.occupancy(now)
+                "mshr_occupancy", self._privs[core].mshr.occupancy(now)
             )
             telemetry.observe("noc_queue_depth", self.noc.queue_depth(now))
-        return pkt
-
-    def _handle(self, pkt: MemPacket, now: int) -> None:
-        kind = pkt.kind
-        if kind is PacketKind.READ_REQ:
-            self._do_read(pkt, now)
-        elif kind is PacketKind.WRITE_REQ:
-            self._do_write(pkt, now)
-        elif kind is PacketKind.INVISIBLE_REQ:
-            self._do_invisible(pkt, now)
-        else:
-            self._do_reveal(pkt)
+        return latency, level, vector
 
     # ------------------------------------------------------------------
-    # legacy call surface
+    # the access calls
     # ------------------------------------------------------------------
     # On a contention-free hierarchy with no collector listening, a
-    # private hit needs no packet: the port grant and queue deltas
-    # ``submit`` would add are zero there, and only ``submit`` emits the
+    # private hit skips ``submit``: the port grant and queue deltas it
+    # would add are zero there, and only ``submit`` emits the
     # per-transaction event.  Everything else — a directory transaction
     # (L2 miss, S upgrade, write miss), bounded timing, a traced run —
-    # is submitted as a packet.  A private-hit routine that finds no hit
+    # goes through ``submit``.  A private-hit routine that finds no hit
     # has changed nothing, so ``submit`` can run it again.
 
     def read(self, core: int, addr: int, now: int = 0) -> AccessResult:
         """A load accesses ``addr``; returns latency + the word's reveal bit."""
+        hit = None
         if self._contention_free and not self.telemetry.enabled:
             hit = self._read_hit(core, addr, now)
-            if hit is not None:
-                latency, level, vector = hit
-                return AccessResult(
-                    latency, recon_bits.is_word_revealed(vector, addr), level
-                )
-        pkt = self.submit(MemPacket.request(PacketKind.READ_REQ, core, addr, now))
-        assert pkt.latency is not None and pkt.level is not None
-        return AccessResult(pkt.latency, pkt.revealed, pkt.level)
+        latency, level, vector = hit or self.submit("read_req", core, addr, now)
+        return AccessResult(
+            latency, recon_bits.is_word_revealed(vector, addr), level
+        )
 
     def write(self, core: int, addr: int, now: int = 0) -> int:
         """A performed store writes ``addr``: obtain M, conceal the word."""
@@ -526,17 +472,11 @@ class MemoryHierarchy:
             hit = self._write_hit(core, addr)
             if hit is not None:
                 return hit[0]
-        pkt = self.submit(MemPacket.request(PacketKind.WRITE_REQ, core, addr, now))
-        assert pkt.latency is not None
-        return pkt.latency
+        return self.submit("write_req", core, addr, now)[0]
 
     def read_invisible(self, core: int, addr: int, now: int = 0) -> int:
         """An invisible (InvisiSpec-style) load: latency without state."""
-        pkt = self.submit(
-            MemPacket.request(PacketKind.INVISIBLE_REQ, core, addr, now)
-        )
-        assert pkt.latency is not None
-        return pkt.latency
+        return self.submit("invisible_req", core, addr, now)[0]
 
     def reveal(self, core: int, addr: int, now: int = 0) -> bool:
         """Mark ``addr``'s word revealed in the core's private copy.
@@ -544,21 +484,18 @@ class MemoryHierarchy:
         Returns False (and drops the request) if the line has left the
         private hierarchy — always safe, only a lost optimization
         (paper §5.1.1).  A reveal never leaves the private hierarchy, so
-        outside traced runs it needs no packet even under bounded timing:
-        only a width-bounded port can delay it.
+        outside traced runs it skips ``submit`` even under bounded
+        timing: only a width-bounded port can delay it.
         """
         if self.telemetry.enabled:
-            pkt = self.submit(
-                MemPacket.request(PacketKind.REVEAL_REQ, core, addr, now)
-            )
-            return pkt.acknowledged
+            return self.submit("reveal_req", core, addr, now)[2] is not None
         port = self._privs[core].port
         if port.width is not None:
             self._stats[core].port_stall_cycles += port.acquire(now)
         return self._reveal_private(core, addr)[1] is not None
 
     # ------------------------------------------------------------------
-    # private hits (packet-free; shared by the wrappers and submit)
+    # private hits (shared by the access calls and submit's handlers)
     # ------------------------------------------------------------------
     def _read_hit(
         self, core: int, addr: int, now: int
@@ -669,21 +606,15 @@ class MemoryHierarchy:
         if revealed:
             telemetry.observe("reveal_latency", latency)
 
-    def _do_read(self, pkt: MemPacket, now: int) -> None:
+    def _do_read(
+        self, core: int, addr: int, now: int
+    ) -> Tuple[int, CacheLevel, int]:
         """Demand load: a private hit, else GetS."""
-        core, addr = pkt.core, pkt.addr
         hit = self._read_hit(core, addr, now)
         if hit is not None:
-            latency, level, vector = hit
-            pkt.complete(
-                latency,
-                level=level,
-                reveal_vector=vector,
-                revealed=recon_bits.is_word_revealed(vector, addr),
-            )
-            return
+            return hit
         stats = self._stats[core]
-        laddr = pkt.line_addr
+        laddr = line_addr(addr)
         priv = self._privs[core]
         telemetry = self.telemetry
         stats.l1_misses += 1
@@ -709,20 +640,16 @@ class MemoryHierarchy:
             dir_line.owner = core
         dir_line.sharers.add(core)
         vector = self._vector_if_tracked(dir_line.reveal, CacheLevel.LLC)
-        revealed = recon_bits.is_word_revealed(vector, addr)
         self._fill_private(core, laddr, state, vector, stats)
         latency += stall
         priv.mshr.register_fill(laddr, now + latency, now)
         if self.params.memory.prefetch_next_line:
             self._prefetch(core, laddr + self.params.memory.l1.line_bytes, stats)
         if telemetry.enabled:
-            self._observe_load(telemetry, latency, revealed)
-        pkt.complete(
-            latency,
-            level=CacheLevel.LLC,
-            reveal_vector=vector,
-            revealed=revealed,
-        )
+            self._observe_load(
+                telemetry, latency, recon_bits.is_word_revealed(vector, addr)
+            )
+        return latency, CacheLevel.LLC, vector
 
     def _prefetch(self, core: int, laddr: int, stats: StatSet) -> None:
         """Pull ``laddr`` into the requester's L2 off the critical path.
@@ -755,16 +682,15 @@ class MemoryHierarchy:
         if victim is not None:
             self._evict_private_l2(core, victim, stats)
 
-    def _do_write(self, pkt: MemPacket, now: int) -> None:
+    def _do_write(
+        self, core: int, addr: int, now: int
+    ) -> Tuple[int, Optional[CacheLevel], None]:
         """Performed store: a private E/M hit, else upgrade or GetM."""
-        core, addr = pkt.core, pkt.addr
         hit = self._write_hit(core, addr)
         if hit is not None:
-            latency, level = hit
-            pkt.complete(latency, level=level)
-            return
+            return hit[0], hit[1], None
         stats = self._stats[core]
-        laddr = pkt.line_addr
+        laddr = line_addr(addr)
         priv = self._privs[core]
         # No LRU touch: the fill below re-installs an upgraded S line at
         # both levels, which makes it most recently used anyway.
@@ -795,7 +721,7 @@ class MemoryHierarchy:
 
         self._conceal_private(core, laddr, addr)
         stats.words_concealed += 1
-        pkt.complete(latency, level=level)
+        return latency, level, None
 
     def _acquire_modified(
         self, core: int, laddr: int, stats: StatSet, own_vector: Optional[int]
@@ -807,44 +733,28 @@ class MemoryHierarchy:
         if dir_line.owner is not None and dir_line.owner != core:
             # Owner passes data + vector straight to the next writer.
             owner = dir_line.owner
-            owner_vec, owner_dirty = self._invalidate_private(owner, laddr)
-            resp = self._transfer(
-                PacketKind.RESP,
-                owner,
-                laddr,
-                src=self.noc.home_node(laddr),
-                dst=owner,
-                vector=owner_vec,
+            vector, owner_dirty = self._invalidate_private(owner, laddr)
+            latency += self._hop(
+                carries_bitvector=True, src=self.noc.home_node(laddr), dst=owner
             )
-            assert resp.latency is not None and resp.reveal_vector is not None
-            latency += resp.latency
             self._stats[owner].invalidations += 1
-            vector = resp.reveal_vector
             dir_line.dirty = dir_line.dirty or owner_dirty
             dir_line.owner = None
             dir_line.sharers.discard(owner)
+        preserve = self.params.preserve_invalidated_reveals
         for sharer in sorted(dir_line.sharers - {core}):
             # Invalidated readers lose their private vectors (footnote 1)
             # unless the preserve-on-invalidation optimization is on, in
             # which case the ack carries the vector to the writer (safe:
             # the writer conceals exactly the words it writes).
             sharer_vec, _ = self._invalidate_private(sharer, laddr)
-            if self.params.preserve_invalidated_reveals:
-                ack = self._transfer(
-                    PacketKind.SNOOP,
-                    sharer,
-                    laddr,
-                    src=self.noc.home_node(laddr),
-                    dst=sharer,
-                    vector=sharer_vec,
-                )
-                assert ack.latency is not None and ack.reveal_vector is not None
-                vector = recon_bits.merge(vector, ack.reveal_vector)
-                latency += ack.latency
-            else:
-                latency += self._hop(
-                    src=self.noc.home_node(laddr), dst=sharer
-                )
+            if preserve:
+                vector = recon_bits.merge(vector, sharer_vec)
+            latency += self._hop(
+                carries_bitvector=preserve,
+                src=self.noc.home_node(laddr),
+                dst=sharer,
+            )
             self._stats[sharer].invalidations += 1
             stats.invalidations += 1
             if self.telemetry.enabled:
@@ -877,7 +787,9 @@ class MemoryHierarchy:
         if self.telemetry.enabled:
             self.telemetry.emit(CAT_RECON, "conceal", core=core, addr=addr)
 
-    def _do_invisible(self, pkt: MemPacket, now: int) -> None:
+    def _do_invisible(
+        self, core: int, addr: int, now: int
+    ) -> Tuple[int, CacheLevel, None]:
         """Invisible (InvisiSpec-style) load: latency without state.
 
         The value is obtained from wherever the line currently lives, but
@@ -885,33 +797,23 @@ class MemoryHierarchy:
         made — so repeated speculative accesses to an uncached line pay
         the full distance every time.
         """
-        core, addr = pkt.core, pkt.addr
         stats = self._stats[core]
-        laddr = pkt.line_addr
-        line, level = self._private_lookup(core, laddr)
-        if level is CacheLevel.L1:
-            pkt.complete(
-                self._pending_fill_latency(core, laddr, now, self._l1_latency),
-                level=level,
-            )
-            return
-        if level is CacheLevel.L2:
-            pkt.complete(
-                self._pending_fill_latency(core, laddr, now, self._l2_latency),
-                level=level,
-            )
-            return
+        laddr = line_addr(addr)
+        _, level = self._private_lookup(core, laddr)
+        if level is not None:
+            hit = self._l1_latency if level is CacheLevel.L1 else self._l2_latency
+            return self._pending_fill_latency(core, laddr, now, hit), level, None
         latency = self.params.memory.llc.latency + self._hop(
             src=core, dst=self.noc.home_node(laddr)
         )
         dir_line = self.llc.lookup(laddr, touch=False)
         if dir_line is None:
             stats.llc_misses += 1
-            pkt.complete(
+            return (
                 latency + self.params.memory.dram_latency,
-                level=CacheLevel.MEMORY,
+                CacheLevel.MEMORY,
+                None,
             )
-            return
         if dir_line.owner is not None and dir_line.owner != core:
             # Data comes from the remote owner (no downgrade: invisible).
             latency += (
@@ -921,14 +823,25 @@ class MemoryHierarchy:
                 + self._l2_latency
             )
         stats.llc_hits += 1
-        pkt.complete(latency, level=CacheLevel.LLC)
+        return latency, CacheLevel.LLC, None
 
-    def _do_reveal(self, pkt: MemPacket) -> None:
+    def _do_reveal(
+        self, core: int, addr: int, now: int
+    ) -> Tuple[int, Optional[CacheLevel], Optional[int]]:
         """LPT commit-time reveal of one word on the private copy."""
-        level, vector = self._reveal_private(pkt.core, pkt.addr)
-        pkt.complete(
-            0, level=level, reveal_vector=vector, acknowledged=vector is not None
-        )
+        level, vector = self._reveal_private(core, addr)
+        return 0, level, vector
+
+    #: Transaction kind (the ``mem_txn`` event name) -> handler.  Plain
+    #: functions, not bound methods: a per-instance map of bound methods
+    #: would make every hierarchy a reference cycle that only the cyclic
+    #: collector frees.
+    _HANDLERS = {
+        "read_req": _do_read,
+        "write_req": _do_write,
+        "invisible_req": _do_invisible,
+        "reveal_req": _do_reveal,
+    }
 
     def _reveal_private(
         self, core: int, addr: int

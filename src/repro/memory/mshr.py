@@ -1,7 +1,7 @@
 """Miss Status Holding Registers.
 
 One :class:`MSHRFile` per core tracks that core's outstanding misses,
-replacing the ad-hoc ``fills`` dict of the pre-packet hierarchy:
+replacing the ad-hoc ``fills`` dict of the earlier hierarchy:
 
 * a **primary miss** allocates an entry holding the fill's completion
   time; with ``entries`` bounded and the file full, allocation stalls

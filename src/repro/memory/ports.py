@@ -2,14 +2,14 @@
 
 A core's LSU owns a :class:`MasterPort`; the hierarchy exposes one
 :class:`SlavePort` per core.  A port pair admits at most ``width``
-request packets per cycle — the (N+1)-th request of a cycle is granted a
+transactions per cycle — the (N+1)-th request of a cycle is granted a
 start slot on a later cycle and pays the wait as extra latency.  With
 ``width=None`` (the default) grants are free and instantaneous, which is
 the contention-free configuration the parity suite pins down.
 
 The accounting is analytic rather than event-driven on purpose: the
-grant table only records how many packets started on which cycle, so an
-unbounded port costs nothing and a bounded one needs no global
+grant table only records how many transactions started on which cycle,
+so an unbounded port costs nothing and a bounded one needs no global
 arbitration pass.
 """
 
@@ -28,7 +28,7 @@ class BandwidthPort:
             raise ValueError("port width must be positive (or None)")
         self.width = width
         self.grants = 0
-        #: Total cycles packets waited for a grant.
+        #: Total cycles transactions waited for a grant.
         self.stall_cycles = 0
         self._granted: Dict[int, int] = {}
 
@@ -61,8 +61,8 @@ class BandwidthPort:
 
 
 class MasterPort(BandwidthPort):
-    """Request side: the core injecting packets into the hierarchy."""
+    """Request side: the core injecting transactions into the hierarchy."""
 
 
 class SlavePort(BandwidthPort):
-    """Response side: the hierarchy accepting packets from one core."""
+    """Response side: the hierarchy accepting transactions from one core."""

@@ -42,7 +42,7 @@ import dataclasses
 import hashlib
 import os
 import time
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "CORRUPT_PAYLOAD",
@@ -136,16 +136,7 @@ class ChaosConfig:
         """
         if self.faulty_attempts is not None and attempt >= self.faulty_attempts:
             return None
-        digest = hashlib.sha256(
-            f"{self.seed}:{key}:{attempt}".encode("utf-8")
-        ).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        edge = 0.0
-        for kind in ("crash", "hang", "corrupt", "oom"):
-            edge += getattr(self, kind)
-            if draw < edge:
-                return kind
-        return None
+        return _draw(self, f"{key}:{attempt}", ("crash", "hang", "corrupt", "oom"))
 
     def active(self) -> bool:
         """Whether any fault can ever fire under this config."""
@@ -235,16 +226,7 @@ class ServiceChaosConfig:
         ``[0, 1)`` and walks the cumulative fault probabilities in a
         fixed order (drop, truncate, slow).
         """
-        digest = hashlib.sha256(
-            f"{self.seed}:{token}".encode("utf-8")
-        ).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        edge = 0.0
-        for kind in ("drop", "truncate", "slow"):
-            edge += getattr(self, kind)
-            if draw < edge:
-                return kind
-        return None
+        return _draw(self, token, ("drop", "truncate", "slow"))
 
     def active(self) -> bool:
         """Whether any service fault can ever fire under this config."""
@@ -252,6 +234,60 @@ class ServiceChaosConfig:
             self.drop + self.truncate + self.slow > 0.0
             or self.kill_after_cells > 0
         )
+
+
+def _draw(config: Any, token: str, kinds: Tuple[str, ...]) -> Optional[str]:
+    """The seeded fault draw shared by both chaos configs.
+
+    Hashes ``(config.seed, token)`` with SHA-256 to a uniform draw in
+    ``[0, 1)`` and walks the cumulative probabilities of ``kinds`` in
+    order; returns the kind the draw lands in, or ``None``.
+    """
+    digest = hashlib.sha256(f"{config.seed}:{token}".encode("utf-8")).digest()
+    draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
+    edge = 0.0
+    for kind in kinds:
+        edge += getattr(config, kind)
+        if draw < edge:
+            return kind
+    return None
+
+
+def _parse_spec(
+    text: Optional[str], label: str, fields: Dict[str, Tuple[str, type]]
+) -> Optional[Dict[str, Any]]:
+    """Parse a comma-separated ``name=value`` spec into config kwargs.
+
+    ``fields`` maps each spec name to ``(config field, value type)``.
+    ``None``/empty returns ``None``; a token without ``=``, an unknown
+    name or a malformed value raises ``ValueError`` naming ``label``.
+    """
+    if text is None or not text.strip():
+        return None
+    kwargs: Dict[str, Any] = {}
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "=" not in token:
+            raise ValueError(
+                f"{label} spec entries must be name=value, got {token!r}"
+            )
+        name, _, raw = token.partition("=")
+        name = name.strip()
+        if name not in fields:
+            raise ValueError(
+                f"unknown {label} field {name!r}; choose from {sorted(fields)}"
+            )
+        target, kind = fields[name]
+        try:
+            kwargs[target] = kind(raw.strip())
+        except ValueError:
+            raise ValueError(
+                f"{label} field {name!r} needs a {kind.__name__}, "
+                f"got {raw.strip()!r}"
+            ) from None
+    return kwargs
 
 
 def parse_service_chaos(text: Optional[str]) -> Optional[ServiceChaosConfig]:
@@ -262,40 +298,19 @@ def parse_service_chaos(text: Optional[str]) -> Optional[ServiceChaosConfig]:
     and ``kill_after_cells``, e.g.
     ``"seed=7,drop=0.3,kill_after_cells=2"``.
     """
-    if text is None or not text.strip():
-        return None
-    fields = {
-        "seed": int,
-        "drop": float,
-        "truncate": float,
-        "slow": float,
-        "slow_s": float,
-        "kill_after_cells": int,
-    }
-    kwargs: dict = {}
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" not in token:
-            raise ValueError(
-                f"service chaos spec entries must be name=value, got {token!r}"
-            )
-        name, _, raw = token.partition("=")
-        name = name.strip()
-        if name not in fields:
-            raise ValueError(
-                f"unknown service chaos field {name!r}; "
-                f"choose from {sorted(fields)}"
-            )
-        try:
-            kwargs[name] = fields[name](raw.strip())
-        except ValueError:
-            raise ValueError(
-                f"service chaos field {name!r} needs a "
-                f"{fields[name].__name__}, got {raw.strip()!r}"
-            ) from None
-    return ServiceChaosConfig(**kwargs)
+    kwargs = _parse_spec(
+        text,
+        "service chaos",
+        {
+            "seed": ("seed", int),
+            "drop": ("drop", float),
+            "truncate": ("truncate", float),
+            "slow": ("slow", float),
+            "slow_s": ("slow_s", float),
+            "kill_after_cells": ("kill_after_cells", int),
+        },
+    )
+    return None if kwargs is None else ServiceChaosConfig(**kwargs)
 
 
 def parse_chaos(text: Optional[str]) -> Optional[ChaosConfig]:
@@ -307,39 +322,17 @@ def parse_chaos(text: Optional[str]) -> Optional[ChaosConfig]:
     injected-hang duration.  ``None``/empty returns ``None`` (chaos
     off); unknown names or malformed values raise ``ValueError``.
     """
-    if text is None or not text.strip():
-        return None
-    fields = {
-        "seed": int,
-        "crash": float,
-        "hang": float,
-        "corrupt": float,
-        "oom": float,
-        "hang_s": float,
-        "attempts": int,
-    }
-    kwargs: dict = {}
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" not in token:
-            raise ValueError(
-                f"chaos spec entries must be name=value, got {token!r}"
-            )
-        name, _, raw = token.partition("=")
-        name = name.strip()
-        if name not in fields:
-            raise ValueError(
-                f"unknown chaos field {name!r}; "
-                f"choose from {sorted(fields)}"
-            )
-        try:
-            value = fields[name](raw.strip())
-        except ValueError:
-            raise ValueError(
-                f"chaos field {name!r} needs a "
-                f"{fields[name].__name__}, got {raw.strip()!r}"
-            ) from None
-        kwargs["faulty_attempts" if name == "attempts" else name] = value
-    return ChaosConfig(**kwargs)
+    kwargs = _parse_spec(
+        text,
+        "chaos",
+        {
+            "seed": ("seed", int),
+            "crash": ("crash", float),
+            "hang": ("hang", float),
+            "corrupt": ("corrupt", float),
+            "oom": ("oom", float),
+            "hang_s": ("hang_s", float),
+            "attempts": ("faulty_attempts", int),
+        },
+    )
+    return None if kwargs is None else ChaosConfig(**kwargs)

@@ -95,7 +95,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.sim.backends import BACKEND_NAMES
+from repro.sim.backends import BACKEND_NAMES, WorkerDeath
 from repro.sim.chaos import ServiceChaosConfig, parse_service_chaos
 from repro.sim.ledger import JobLedger, JobSnapshot, LEDGER_NAME, durable_write
 from repro.telemetry.metrics import MetricsRegistry
@@ -688,9 +688,13 @@ class SweepService:
                 resume=self.state_dir is not None,
             )
         except Exception as exc:  # job failures are data, not crashes
+            # An unsupervised cell surfaces its worker's death as the
+            # exception itself; a collateral death was not this cell's.
+            if isinstance(exc, WorkerDeath) and not exc.collateral:
+                self._feed_breaker(1)
             self._finalize_failed(job, exc)
             return
-        self._feed_breaker(part)
+        self._feed_breaker(part.fault_counters.get("fault_worker_crashes", 0))
         job.parts.append(part)
         job.cursor += 1
         self._after_cell()
@@ -701,14 +705,14 @@ class SweepService:
             self._ready.append(job)
             self._cond.notify()
 
-    def _feed_breaker(self, part: Any) -> None:
-        """Feed one cell's outcome to the breaker (crashes vs. success)."""
-        crashes = int(part.fault_counters.get("fault_worker_crashes", 0))
-        crashes += sum(
-            1
-            for failure in part.failures
-            if getattr(failure, "error_type", "") == "WorkerCrashError"
-        )
+    def _feed_breaker(self, crashes: int) -> None:
+        """Feed one cell's worker crashes (none: a success) to the breaker.
+
+        A supervised cell counts each crash once in
+        ``fault_worker_crashes``; the ``WorkerCrashError`` failure of a
+        cell whose retries ran out is the last of those crashes, not
+        another one.
+        """
         with self._breaker_lock:
             before = self.breaker.state
             if crashes > 0:

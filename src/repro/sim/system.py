@@ -81,7 +81,7 @@ class System:
         else:
             self.hierarchy = MemoryHierarchy(params)
         #: One event queue shared by every core and the memory system:
-        #: pipeline completions and packet callbacks all fire from here.
+        #: pipeline and memory completions all fire from here.
         self.events = EventQueue()
         self.telemetry: Optional[TelemetryCollector] = None
         if telemetry is not None:

@@ -35,7 +35,7 @@ security   delay_start, delay_end, nda_defer, stt_taint, observe (one per
            access time, bit 1 = issued under a speculation shadow)
 shadow     enter, exit
 mem_txn    read_req, write_req, invisible_req, reveal_req (one per
-           completed packet; ``value`` is the end-to-end latency)
+           submitted transaction; ``value`` is the end-to-end latency)
 fault      retry, timeout, worker_crash, corrupt_payload, pool_restart,
            exhausted, degrade, replayed_failure (engine supervision;
            ``seq`` is the spec index, ``value`` the attempt count)
@@ -89,7 +89,7 @@ CAT_RECON = "recon"
 CAT_SECURITY = "security"
 #: Speculation shadows (enter at dispatch, exit at resolution).
 CAT_SHADOW = "shadow"
-#: Memory transactions (one event per completed packet, value=latency).
+#: Memory transactions (one event per submitted transaction, value=latency).
 CAT_MEM_TXN = "mem_txn"
 #: Engine supervision faults (retries, timeouts, crashes, pool restarts).
 #: Emitted by the suite supervisor in the parent process, not by the

@@ -101,10 +101,10 @@ class TestBackendParity:
 
 
 class TestBoundedTimingParity:
-    """A bounded timing knob turns the packet-free memory path off.
+    """A bounded timing knob sends every access through ``submit``.
 
     Each cell bounds one :class:`MemoryTimingParams` knob; the reference
-    loop submitted every access as a packet, so any access the loop
+    loop submitted every access as a transaction, so any access the loop
     wrongly kept off the transaction engine would miss its port, MSHR,
     link or DRAM queueing and change the stats.
     """

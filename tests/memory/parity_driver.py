@@ -1,6 +1,6 @@
 """Deterministic drivers for the contention-free parity golden.
 
-The packet/port refactor must reproduce the legacy atomic
+The port/MSHR transaction engine must reproduce the legacy atomic
 latency-summing model *exactly* when contention is configured away
 (unbounded ports, unbounded MSHRs, no DRAM queue).  This module holds
 the deterministic stimulus shared by
@@ -93,15 +93,21 @@ ACCESS_CONFIGS = (
 )
 
 
-def drive_accesses(name: str, ops: int = 500, seed: int = 1234) -> List[Any]:
+def drive_accesses(
+    name: str, ops: int = 500, seed: int = 1234, telemetry: Any = None
+) -> List[Any]:
     """Drive a scripted read/write/reveal mix; return one record per op.
 
     Records are JSON-comparable: ``[kind, core, addr, now, outcome...]``.
     The address stream mixes a hot set (re-references, hit-under-fill)
-    with a cold sweep (misses, evictions) across all cores.
+    with a cold sweep (misses, evictions) across all cores.  A live
+    ``telemetry`` collector, when given, is wired into the hierarchy, so
+    every access (private hits included) goes through ``submit``.
     """
     params = _access_config(name)
     hier = MemoryHierarchy(params)
+    if telemetry is not None:
+        hier.telemetry = telemetry
     rng = random.Random(seed)
     hot = [i * 64 for i in range(16)]
     records: List[Any] = []

@@ -73,6 +73,23 @@ class TestBasicAccess:
         assert result.level is CacheLevel.L2
         assert result.latency == 6
 
+    def test_submit_returns_plain_values(self):
+        hier = MemoryHierarchy(small_params())
+        latency, level, vector = hier.submit("read_req", 0, 0x1008, 0)
+        assert level is CacheLevel.LLC and latency >= 100
+        assert vector == 0  # a line fetched from DRAM is fully concealed
+        assert hier.submit("reveal_req", 0, 0x1008, latency) == (
+            0,
+            CacheLevel.L1,
+            0b10,  # word index 1 of the line
+        )
+
+    def test_submit_rejects_unknown_kinds(self):
+        hier = MemoryHierarchy(small_params())
+        for kind in ("resp", "snoop", "writeback"):
+            with pytest.raises(ValueError, match="unknown transaction kind"):
+                hier.submit(kind, 0, 0x0, 0)
+
 
 class TestRevealConcealLifecycle:
     def test_reveal_then_read_sees_revealed(self):

@@ -1,12 +1,14 @@
 """Contention-free parity against the pre-refactor golden.
 
-The packet/port/MSHR transaction engine must reproduce the legacy
+The port/MSHR transaction engine must reproduce the legacy
 atomic latency-summing hierarchy *exactly* when every contention knob
 is left unbounded (the default ``MemoryTimingParams``).  The golden in
 ``tests/data/memory_parity_golden.json`` was captured from the
 pre-refactor model by ``scripts/capture_memory_golden.py``; these tests
 re-run the identical deterministic stimulus on the current engine and
-compare every latency, outcome, and counter.
+compare every latency, outcome, and counter.  Each stimulus also runs
+traced (a live collector on the hierarchy), which sends every access,
+private hits included, through ``MemoryHierarchy.submit``.
 """
 
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.telemetry.events import CAT_MEM_TXN, TelemetryCollector
 from tests.memory.parity_driver import (
     ACCESS_CONFIGS,
     GOLDEN_PATH,
@@ -31,13 +34,26 @@ def golden():
 
 
 class TestAccessParity:
-    @pytest.mark.parametrize("name", ACCESS_CONFIGS)
-    def test_access_stream_matches_golden(self, golden, name):
+    @pytest.mark.parametrize(
+        "name, traced",
+        [pytest.param(name, False, id=name) for name in ACCESS_CONFIGS]
+        + [
+            pytest.param(name, True, id=f"{name}-traced")
+            for name in ACCESS_CONFIGS
+        ],
+    )
+    def test_access_stream_matches_golden(self, golden, name, traced):
         expected = golden["accesses"][name]
-        actual = drive_accesses(name)
+        telemetry = TelemetryCollector() if traced else None
+        actual = drive_accesses(name, telemetry=telemetry)
         assert len(actual) == len(expected)
         for index, (got, want) in enumerate(zip(actual, expected)):
             assert got == want, f"{name} record {index}: {got} != {want}"
+        if traced:
+            # One mem_txn event per access: the trailing five records
+            # are end-of-run counters, not accesses.
+            txns = [e for e in telemetry.events if e.category == CAT_MEM_TXN]
+            assert len(txns) == len(actual) - 5
 
 
 class TestBenchmarkParity:

@@ -29,13 +29,17 @@ from repro.api import (
     result,
     submit_suite,
 )
+from repro.common.types import SchemeKind
+from repro.sim.backends import WorkerDeath
 from repro.sim.chaos import ServiceChaosConfig, parse_service_chaos
+from repro.sim.engine import SuiteResult
 from repro.sim.service import (
     CircuitBreaker,
     ServiceBusyError,
     SweepService,
     _serve_async,
 )
+from repro.sim.supervisor import RunFailure
 
 
 @contextlib.contextmanager
@@ -170,6 +174,63 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
+
+
+class TestBreakerFeed:
+    """The breaker sees every worker crash of a cell exactly once."""
+
+    @staticmethod
+    def _service(breaker):
+        return SweepService(
+            backend="inline", store=False, breaker=breaker, start_workers=False
+        )
+
+    def test_unsupervised_worker_deaths_trip_the_breaker(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise WorkerDeath(certain=True)
+
+        monkeypatch.setattr(api_mod, "run_suite", crash)
+        breaker = CircuitBreaker(threshold=3, cooldown_s=60.0)
+        service = self._service(breaker)
+        for scheme in ("unsafe", "stt", "nda"):
+            job = service.submit([_cell(scheme)], {})
+            service._run_cell(job)
+            assert job.status == "failed"
+            assert "WorkerDeath" in job.error
+        assert breaker.state == "open"
+        assert breaker.trips == 1
+        service.close()
+
+    def test_exhausted_crash_retries_count_once(self, monkeypatch):
+        # Two attempts, both crashed: two fault_worker_crashes, and the
+        # second one is also the cell's WorkerCrashError failure.
+        failure = RunFailure(
+            bench="spec2017/mcf",
+            scheme=SchemeKind.STT,
+            seed=0,
+            key=None,
+            error_type="WorkerCrashError",
+            message="worker process died mid-run",
+            traceback="",
+            attempts=2,
+            worker_pid=None,
+            wall_time_s=0.0,
+        )
+        part = SuiteResult(
+            {}, failures=[failure], fault_counters={"fault_worker_crashes": 2}
+        )
+        monkeypatch.setattr(api_mod, "run_suite", lambda *a, **k: part)
+        breaker = CircuitBreaker(threshold=3, cooldown_s=60.0)
+        service = self._service(breaker)
+        job = service.submit([_cell()], {"supervise": True})
+        service._run_cell(job)
+        assert job.status == "done"
+        assert breaker.state == "closed"
+        assert breaker.trips == 0
+        # The two crashes did count: one more trips the breaker.
+        breaker.record_crash()
+        assert breaker.state == "open"
+        service.close()
 
 
 class TestAdmissionControl:
