@@ -22,6 +22,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.backends.base import (
     BackendHealth,
+    CellTraces,
     ExecutionBackend,
     TaskHandle,
     run_task,
@@ -36,11 +37,10 @@ class InlineBackend(ExecutionBackend):
     ``submit`` only queues the task; ``poll`` runs every queued task to
     completion and returns them settled.  As on the pool backends, a
     handle settles after its ``submit`` returns, so the time between the
-    two is dispatch and the task's own wall is the run.  Owns a
-    :class:`~repro.sim.runner.TraceCache` cleared between grid cells so
-    long sweeps stay within memory budget, unless a caller-provided
-    cache is passed in: that one is shared across cells and calls, and
-    never cleared.
+    two is dispatch and the task's own wall is the run.  Keeps one grid
+    cell's traces at a time (:class:`CellTraces`) so long sweeps stay
+    within memory budget, unless a caller-provided cache is passed in:
+    that one is shared across cells and calls, and never cleared.
     """
 
     name = "inline"
@@ -48,16 +48,12 @@ class InlineBackend(ExecutionBackend):
 
     def __init__(self, cache: Any = None) -> None:
         self._cache = cache
-        self._own_cache = cache is None
+        self._traces = CellTraces()
         self._queued: Deque[TaskHandle] = collections.deque()
-        self._current_cell: Optional[Tuple[Any, ...]] = None
         self._completed = 0
 
     def start(self) -> None:
-        if self._own_cache and self._cache is None:
-            from repro.sim.runner import TraceCache
-
-            self._cache = TraceCache()
+        """Nothing to allocate: tasks run in the caller, traces on demand."""
 
     def submit(
         self,
@@ -65,7 +61,6 @@ class InlineBackend(ExecutionBackend):
         attempt: int = 0,
         timeout_s: Optional[float] = None,
     ) -> TaskHandle:
-        self.start()
         handle = TaskHandle(spec, attempt)
         self._queued.append(handle)
         return handle
@@ -74,15 +69,14 @@ class InlineBackend(ExecutionBackend):
         settled: List[TaskHandle] = []
         while self._queued:
             handle = self._queued.popleft()
-            cell = handle.spec.trace_key
-            if self._own_cache and self._current_cell not in (None, cell):
-                self._cache.clear()
-            self._current_cell = cell
+            cache = self._cache
+            if cache is None:
+                cache = self._traces.cache_for(handle.spec)
             handle.settle_payload(
                 run_task(
                     handle.spec,
                     handle.attempt,
-                    cache=self._cache,
+                    cache=cache,
                     # A Ctrl-C must stop the sweep, not become a failure.
                     reraise=(KeyboardInterrupt, SystemExit),
                 )
@@ -107,11 +101,8 @@ class InlineBackend(ExecutionBackend):
         )
 
     def shutdown(self, wait: bool = True) -> None:
-        if self._own_cache and self._cache is not None:
-            self._cache.clear()
-            self._cache = None
+        self._traces.clear()
         self._queued.clear()
-        self._current_cell = None
 
 
 class ThreadBackend(ExecutionBackend):

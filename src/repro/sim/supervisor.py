@@ -50,9 +50,10 @@ Supervision is observable: the supervisor owns a telemetry collector
 restricted to the :data:`~repro.telemetry.events.CAT_FAULT` category and
 bumps ``fault_*`` counters (retries, timeouts, worker crashes, corrupt
 payloads, pool restarts, exhausted cells) in its metrics registry; the
-backend's ``backend_*`` counters (steals, worker deaths, queue depth)
-are folded in at the end of a sweep, and the combined snapshot rides on
-``SuiteResult.fault_counters``.
+change in the backend's ``backend_*`` counters (steals, worker deaths,
+queue depth) over the sweep is folded in at its end, so a backend the
+caller holds across sweeps is counted once per sweep, and the combined
+snapshot rides on ``SuiteResult.fault_counters``.
 
 Timeouts require a preemptible backend: inline/thread runs are not
 preemptible, so their timeouts are recorded post-hoc but cannot
@@ -73,6 +74,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.sim.backends.base import (
+    BackendHealth,
     CorruptResultError,
     ExecutionBackend,
     TaskFailedError,
@@ -581,6 +583,11 @@ class Supervisor:
         ``inflight`` handle map.  All failure semantics flow from the
         two typed signals — :class:`WorkerDeath` and
         :class:`TaskTimeout` — plus the payload envelope.
+
+        A backend's counters are cumulative over its lifetime, and a
+        caller-held one outlives this call, so everything reported here
+        — ``backend_*`` counters, pool restarts, the degrade budget —
+        is the change since this call began.
         """
         policy = self.policy
         ready: Deque[_Pending] = collections.deque(
@@ -589,15 +596,18 @@ class Supervisor:
         verify: Deque[_Pending] = collections.deque()  # suspects, run solo
         waiting: List[_Pending] = []  # backing off
         inflight: Dict[Any, _Pending] = {}
-        last_restarts = 0
+        degraded: Optional[List[_Pending]] = None
+        base = backend.health()
+        last_restarts = base.restarts
 
         def sync_restarts() -> int:
+            """Count new restarts; returns this call's crash restarts."""
             nonlocal last_restarts
             health = backend.health()
             while last_restarts < health.restarts:
                 last_restarts += 1
                 self._metric_pool_restart()
-            return health.crash_restarts
+            return health.crash_restarts - base.crash_restarts
 
         try:
             backend.start()
@@ -726,39 +736,47 @@ class Supervisor:
                     sync_restarts() > policy.max_pool_restarts
                     and (ready or waiting or verify or inflight)
                 ):
-                    remaining = (
+                    degraded = (
                         list(verify)
                         + list(inflight.values())
                         + list(ready)
                         + waiting
                     )
                     inflight.clear()
-                    self._sync_backend_counters(backend)
-                    backend.shutdown(wait=False)
-                    self._degrade(remaining, results, records, failures)
-                    return
+                    break
             sync_restarts()
         except BaseException:
             # Ctrl-C (or a fatal error): every settled record has
             # already been journaled and stored, so tear the backend
             # down without waiting and leave a resumable sweep behind.
-            self._sync_backend_counters(backend)
-            if owned:
+            # A held backend goes down too if this call left work on
+            # it, so its next caller never polls a stale task.
+            self._sync_backend_counters(backend, base)
+            if owned or inflight:
                 backend.shutdown(wait=False)
             raise
-        self._sync_backend_counters(backend)
-        if owned:
+        self._sync_backend_counters(backend, base)
+        if degraded is not None:
+            # A held backend comes back on its next start().
+            backend.shutdown(wait=False)
+            self._degrade(degraded, results, records, failures)
+        elif owned:
             backend.shutdown()
 
-    def _sync_backend_counters(self, backend: ExecutionBackend) -> None:
-        """Fold the backend's ``backend_*`` counters into fault metrics."""
+    def _sync_backend_counters(
+        self, backend: ExecutionBackend, base: BackendHealth
+    ) -> None:
+        """Fold the backend's ``backend_*`` counter changes since
+        ``base`` into the fault metrics."""
         try:
             health = backend.health()
         except Exception:  # pragma: no cover - introspection best-effort
             return
         for name, value in sorted(health.counters.items()):
             if name.startswith("backend_"):
-                self.metrics.counter(name).set(value)
+                self.metrics.counter(name).inc(
+                    value - base.counters.get(name, 0)
+                )
 
     def _metric_pool_restart(self) -> None:
         """Count one backend worker/pool teardown-respawn."""

@@ -1,4 +1,4 @@
-"""Shared factories for pipeline-level tests."""
+"""Shared test helpers: pipeline factories and process liveness."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.isa import Program
 from repro.memory import MemoryHierarchy
 from repro.security import make_policy
 
-__all__ = ["small_system_params", "make_core", "run_program"]
+__all__ = ["small_system_params", "make_core", "process_alive", "run_program"]
 
 
 def small_system_params(num_cores: int = 1, **overrides) -> SystemParams:
@@ -58,3 +58,13 @@ def run_program(program: Program, scheme: SchemeKind = SchemeKind.UNSAFE, **kw):
     core = make_core(program, scheme, **kw)
     core.run()
     return core
+
+
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not zombie) process, from ``/proc``."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

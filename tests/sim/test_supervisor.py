@@ -290,6 +290,92 @@ class TestPoolSupervision:
             assert inline[key].stats.as_dict() == pooled[key].stats.as_dict()
 
 
+class TestCallerHeldBackend:
+    """A backend shared by several supervised calls is reported per call."""
+
+    @staticmethod
+    def _spec(profile, scheme, chaos=None):
+        return RunSpec.build(profile, scheme, LENGTH, RunConfig(chaos=chaos))
+
+    def test_shared_backend_counts_each_call_once(self):
+        from repro.sim.backends.process import ProcessBackend
+        from repro.sim.engine import SuiteResult, run_specs
+
+        backend = ProcessBackend(workers=1)
+        try:
+            parts = [
+                run_specs([spec], policy=FaultPolicy(), backend=backend)[1]
+                for spec in _specs()[:3]
+            ]
+        finally:
+            backend.shutdown()
+        for part in parts:
+            assert part.ok
+            assert part.fault_counters["backend_tasks_completed"] == 1
+        merged = SuiteResult.merged(parts)
+        assert merged.fault_counters["backend_tasks_completed"] == 3
+
+    def test_earlier_crashes_neither_show_nor_degrade_a_later_call(self):
+        from repro.sim.backends.process import ProcessBackend
+
+        profile = _profiles()[0]
+        crashing = self._spec(
+            profile,
+            SchemeKind.UNSAFE,
+            ChaosConfig(seed=2, crash=1.0, faulty_attempts=2),
+        )
+        clean = [self._spec(profile, scheme) for scheme in SCHEMES]
+        backend = ProcessBackend(workers=1)
+        try:
+            first = Supervisor(
+                FaultPolicy(retries=2, backoff_s=0.001), backend=backend
+            )
+            results, _, failures = first.execute([crashing])
+            assert results[0] is not None and not failures
+            assert first.fault_counters["fault_worker_crashes"] == 2
+            assert first.fault_counters["fault_pool_restarts"] == 2
+
+            second = Supervisor(
+                FaultPolicy(max_pool_restarts=1), backend=backend
+            )
+            results, _, failures = second.execute(clean)
+            counters = second.fault_counters
+        finally:
+            backend.shutdown()
+        assert all(result is not None for result in results) and not failures
+        assert "fault_degraded" not in counters
+        assert "fault_pool_restarts" not in counters
+        assert "fault_worker_crashes" not in counters
+        assert counters["backend_tasks_completed"] == len(clean)
+        assert counters["backend_worker_deaths"] == 0
+
+    def test_a_degrade_leaves_the_backend_usable(self):
+        from repro.sim.backends.process import ProcessBackend
+
+        profile = _profiles()[0]
+        crashing = [
+            self._spec(profile, scheme, ChaosConfig(seed=2, crash=1.0))
+            for scheme in SCHEMES
+        ]
+        backend = ProcessBackend(workers=1)
+        try:
+            first = Supervisor(
+                FaultPolicy(retries=0, max_pool_restarts=0), backend=backend
+            )
+            first.execute(crashing)
+            assert first.fault_counters["fault_degraded"] == 1
+
+            second = Supervisor(FaultPolicy(), backend=backend)
+            results, _, failures = second.execute(
+                [self._spec(profile, SchemeKind.STT)]
+            )
+            assert results[0] is not None and not failures
+            assert second.fault_counters["backend_tasks_completed"] == 1
+            assert backend.health().alive_workers == 1
+        finally:
+            backend.shutdown()
+
+
 class TestSupervisorTelemetry:
     def test_fault_events_name_the_failing_specs(self):
         chaos = ChaosConfig(seed=2, oom=1.0)
