@@ -24,6 +24,7 @@ from repro.sim.backends.base import (
     TaskHandle,
     TaskTimeout,
     WorkerDeath,
+    backend_name,
     default_backend_name,
     parse_envelope,
     resolve_backend,
@@ -47,6 +48,7 @@ __all__ = [
     "TaskTimeout",
     "ThreadBackend",
     "WorkerDeath",
+    "backend_name",
     "default_backend_name",
     "parse_envelope",
     "resolve_backend",
