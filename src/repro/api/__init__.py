@@ -312,8 +312,7 @@ def run_suite(
             supervised, each :class:`RunFailure`) as it lands — the
             sweep service streams these to HTTP clients.
         journal: a :class:`~repro.sim.supervisor.SuiteJournal` to
-            checkpoint completed/failed keys into; implies the
-            supervised path.
+            checkpoint exhausted runs into; implies the supervised path.
         resume: replay the journal before running, so already-settled
             cells are skipped (completed ones come back via the store);
             implies the supervised path.

@@ -50,7 +50,7 @@ Robustness options on ``run one``/``run suite`` (see
 ``docs/robustness.md``):
 ``--timeout SECONDS`` bounds each run's wall-clock time, ``--retries N``
 re-attempts failing runs with backoff, ``--resume`` continues an
-interrupted sweep from its checkpoint journal, and ``--chaos SPEC``
+interrupted sweep from the result store and its failure journal, and ``--chaos SPEC``
 injects deterministic faults (worker crashes, hangs, corrupt payloads,
 simulated OOM) to exercise the supervision layer.  Any of these routes
 execution through the fault-tolerant supervisor: cells that exhaust
@@ -817,8 +817,9 @@ def _parent_parsers():
     robustness.add_argument(
         "--resume",
         action="store_true",
-        help="continue an interrupted sweep from its checkpoint "
-        "journal (kept next to the result store)",
+        help="continue an interrupted sweep: finished runs come from "
+        "the result store, exhausted ones replay from the failure "
+        "journal kept next to it",
     )
     robustness.add_argument(
         "--chaos",

@@ -12,7 +12,7 @@ from repro.memory.dram import MainMemory
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.interconnect import FixedLatencyInterconnect, MeshInterconnect
 from repro.memory.mshr import MSHRFile
-from repro.memory.ports import BandwidthPort, MasterPort, SlavePort
+from repro.memory.ports import BandwidthPort, MasterPort
 
 __all__ = [
     "AccessResult",
@@ -25,5 +25,4 @@ __all__ = [
     "MasterPort",
     "MemoryHierarchy",
     "MeshInterconnect",
-    "SlavePort",
 ]

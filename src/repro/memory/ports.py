@@ -1,7 +1,6 @@
-"""Master/slave ports with bounded per-cycle bandwidth.
+"""Master ports with bounded per-cycle bandwidth.
 
-A core's LSU owns a :class:`MasterPort`; the hierarchy exposes one
-:class:`SlavePort` per core.  A port pair admits at most ``width``
+A core's LSU owns a :class:`MasterPort`, which admits at most ``width``
 transactions per cycle — the (N+1)-th request of a cycle is granted a
 start slot on a later cycle and pays the wait as extra latency.  With
 ``width=None`` (the default) grants are free and instantaneous, which is
@@ -17,11 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-__all__ = ["BandwidthPort", "MasterPort", "SlavePort"]
+__all__ = ["BandwidthPort", "MasterPort"]
 
 
 class BandwidthPort:
-    """Grant counter for one direction of a port pair."""
+    """Grant counter for one port."""
 
     def __init__(self, width: Optional[int] = None) -> None:
         if width is not None and width <= 0:
@@ -62,7 +61,3 @@ class BandwidthPort:
 
 class MasterPort(BandwidthPort):
     """Request side: the core injecting transactions into the hierarchy."""
-
-
-class SlavePort(BandwidthPort):
-    """Response side: the hierarchy accepting transactions from one core."""

@@ -43,6 +43,7 @@ from repro.analysis.clueless import Clueless
 from repro.common.types import SchemeKind
 from repro.sim.config import RunConfig
 from repro.sim.engine import RunSpec, SuiteResult, run_specs
+from repro.sim.ledger import durable_write
 from repro.sim.runner import RunResult
 from repro.sim.supervisor import FaultPolicy
 from repro.telemetry.events import (
@@ -182,13 +183,10 @@ class MatrixResult:
         }
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Atomically write the matrix artifact (``BENCH_gadgets.json``)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
-        return path
+        """Durably write the matrix artifact (``BENCH_gadgets.json``)."""
+        return durable_write(
+            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        )
 
 
 def _classify(

@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import (
@@ -59,6 +58,7 @@ from repro.common.types import SchemeKind
 from repro.sampling.config import SamplingConfig
 from repro.sim.chaos import ChaosConfig
 from repro.sim.config import RunConfig
+from repro.sim.ledger import durable_write
 from repro.sim.runner import RunResult, TraceCache
 from repro.sim.store import ResultStore, result_from_dict, result_to_dict, run_key
 from repro.telemetry.events import TelemetryConfig
@@ -69,7 +69,6 @@ __all__ = [
     "RunRecord",
     "RunSpec",
     "SuiteResult",
-    "execute_specs",
     "resolve_jobs",
     "run_grid",
     "run_specs",
@@ -242,38 +241,6 @@ def _progress_line(done: int, total: int, record: RunRecord) -> str:
         f"{label}  {record.wall_time_s:.2f}s"
         f"  {record.uops_per_sec / 1000:.0f}k uops/s"
     )
-
-
-def execute_specs(
-    specs: Sequence[RunSpec],
-    *,
-    config: Optional[RunConfig] = None,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    progress: bool = False,
-    backend: Optional[Any] = None,
-    observer: Optional[Any] = None,
-) -> Tuple[List[RunResult], List[RunRecord]]:
-    """Execute ``specs`` fail-fast; results and records in spec order.
-
-    The :class:`~repro.sim.supervisor.Supervisor` with no policy: the
-    first failing run raises :class:`~repro.sim.backends.TaskFailedError`,
-    chaos specs included (:func:`run_specs` would supervise them).
-    """
-    # Imported lazily: supervisor imports this module at load time.
-    from repro.sim.supervisor import Supervisor
-
-    supervisor = Supervisor(
-        None,
-        jobs=jobs,
-        store=store,
-        progress=progress,
-        backend=backend,
-        observer=observer,
-        cache=config.cache if config is not None else None,
-    )
-    results, records, _ = supervisor.execute(specs)
-    return results, records  # type: ignore[return-value]
 
 
 def supervision_policy(
@@ -546,29 +513,10 @@ class SuiteResult(Mapping):
         )
 
     def save(self, path: Path) -> Path:
-        """Write the JSON form under ``path`` atomically.
-
-        The payload lands in a sibling temp file first and is renamed
-        into place, so a crash mid-save never leaves a truncated suite
-        artifact where a resumable one used to be.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = self.to_json(indent=2)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        """Write the JSON form under ``path`` durably and atomically
+        (:func:`~repro.sim.ledger.durable_write`), so a crash mid-save
+        never leaves a truncated suite artifact behind."""
+        return durable_write(path, self.to_json(indent=2))
 
     @classmethod
     def load(cls, path: Path) -> "SuiteResult":
@@ -596,7 +544,7 @@ def run_grid(
     ``journal`` (a :class:`~repro.sim.supervisor.SuiteJournal`),
     ``resume``, or chaos on ``config``, the grid runs supervised: cells
     that exhaust their retries land in ``SuiteResult.failures`` instead
-    of raising, and completed/failed keys are checkpointed for resume.
+    of raising, and exhausted runs are journaled for resume.
     Otherwise it runs fail-fast.  ``config.cache``, when set, is the
     trace cache the inline backend shares across cells.
 

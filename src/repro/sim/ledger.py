@@ -16,10 +16,10 @@ Write-ahead ordering is the contract that makes restart sound:
   ``SuiteResult`` JSON has been durably written to the job's result
   sidecar file (:func:`durable_write`: temp file + fsync +
   atomic rename), so a ``done`` job always has a readable result;
-* per-cell progress is *not* ledgered — it already lives in the
-  supervisor's checkpoint journal and the result store, which is what
-  :meth:`~repro.sim.service.SweepService.recover` replays a running
-  job through.
+* per-cell progress is *not* ledgered — finished cells live in the
+  result store and exhausted ones in the supervisor's failure journal,
+  which is what :meth:`~repro.sim.service.SweepService.recover` replays
+  a running job through.
 
 Replay (:meth:`JobLedger.replay`) folds the record stream into one
 :class:`JobSnapshot` per job (last state wins) and tolerates torn or
@@ -173,7 +173,8 @@ class JobSnapshot:
         return self.status in _TERMINAL
 
     def submit_record(self) -> Dict[str, Any]:
-        """The compacted ``submit`` record for :meth:`JobLedger.rotate`."""
+        """This job's ``submit`` record (appended, or compacted by
+        :meth:`JobLedger.rotate`)."""
         return {
             "kind": "submit",
             "job": self.job_id,
@@ -184,7 +185,8 @@ class JobSnapshot:
         }
 
     def state_record(self) -> Dict[str, Any]:
-        """The compacted last-``state`` record for :meth:`JobLedger.rotate`."""
+        """This job's last ``state`` record (appended, or compacted by
+        :meth:`JobLedger.rotate`)."""
         record: Dict[str, Any] = {
             "kind": "state",
             "job": self.job_id,
@@ -226,16 +228,14 @@ class JobLedger:
         at: Optional[float] = None,
     ) -> None:
         """Ledger a submitted job **before** it is acknowledged."""
-        self._append(
-            {
-                "kind": "submit",
-                "job": job_id,
-                "requests": list(requests),
-                "options": dict(options),
-                "idempotency_key": idempotency_key,
-                "at": time.time() if at is None else at,
-            }
+        snapshot = JobSnapshot(
+            job_id,
+            list(requests),
+            dict(options),
+            idempotency_key=idempotency_key,
+            created_at=time.time() if at is None else at,
         )
+        self._append(snapshot.submit_record())
 
     def record_state(
         self,
@@ -256,17 +256,16 @@ class JobLedger:
             raise ValueError(
                 f"unknown job status {status!r}; choose from {_STATUSES}"
             )
-        record: Dict[str, Any] = {
-            "kind": "state",
-            "job": job_id,
-            "status": status,
-            "at": time.time() if at is None else at,
-        }
-        if error is not None:
-            record["error"] = error
-        if result_path is not None:
-            record["result_path"] = result_path
-        self._append(record)
+        snapshot = JobSnapshot(
+            job_id,
+            [],
+            {},
+            status=status,
+            error=error,
+            result_path=result_path,
+            updated_at=time.time() if at is None else at,
+        )
+        self._append(snapshot.state_record())
 
     def _append(self, record: Dict[str, Any]) -> None:
         """One record = one unbuffered write + fsync (torn-proof append)."""

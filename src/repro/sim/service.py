@@ -46,9 +46,9 @@ durably written to a per-job sidecar *before* its ``done`` record.  On
 restart, :meth:`SweepService.recover` replays the ledger: finished jobs
 re-attach their sidecar results, and in-flight jobs re-enter the queue
 — their already-completed cells come back instantly (and bit-identically)
-from the :class:`~repro.sim.store.ResultStore`, and previously
-exhausted failures replay from the per-job supervisor journal, so a
-kill -9 mid-suite costs at most the cell that was running.
+from the :class:`~repro.sim.store.ResultStore`, and a supervised job's
+previously exhausted failures replay from its per-job supervisor
+journal, so a kill -9 mid-suite costs at most the cell that was running.
 
 **Fair scheduling**: a bounded worker pool runs jobs *one cell at a
 time*, round-robin — a job runs a cell, then goes to the back of the
@@ -203,7 +203,8 @@ class Job:
     absolute monotonic ``seq``; record/failure totals are kept in
     separate counters so summaries stay exact even after the ring wraps.
     ``cursor``/``parts`` track cell-by-cell execution: the scheduler
-    runs one cell per turn and merges ``parts`` into the final grid.
+    runs one cell per turn and merges ``parts`` into the final grid,
+    then drops them: a finished job keeps only its ``result_json``.
     """
 
     job_id: str
@@ -455,8 +456,9 @@ class SweepService:
         queued/running jobs re-enter the ready queue from cell 0 —
         cells completed before the crash settle instantly from the
         result store (bit-identical, since a run is a pure function of
-        its spec) and previously exhausted failures replay from the
-        per-job supervisor journal, so nothing is lost or run twice.
+        its spec) and a supervised job's previously exhausted failures
+        replay from its per-job supervisor journal, so nothing is lost
+        or run twice.
         """
         if self._ledger is None:
             self._recovered = True
@@ -722,17 +724,23 @@ class SweepService:
         try:
             request = self._parse_request(job.requests[index])
             options = job.options
+            supervise = bool(options.get("supervise", False))
+            # Only a supervised job journals its failures: a journal
+            # would force supervision, and a job's outcome must not
+            # depend on whether the service is durable.  Finished cells
+            # resume from the store either way.
+            journaled = supervise and self.state_dir is not None
             part = api_mod.run_suite(
                 [request],
                 jobs=options.get("jobs", self.default_jobs),
-                supervise=bool(options.get("supervise", False)),
+                supervise=supervise,
                 telemetry=options.get("telemetry"),
                 sampling=options.get("sampling"),
                 store=self.store,
                 backend=self._cell_backend(options),
                 observer=lambda item: job.add_event(_observer_event(item)),
-                journal=self._job_journal(job),
-                resume=self.state_dir is not None,
+                journal=self._job_journal(job) if journaled else None,
+                resume=journaled,
             )
         except Exception as exc:  # job failures are data, not crashes
             # An unsupervised cell surfaces its worker's death as the
@@ -808,6 +816,7 @@ class SweepService:
             if value:
                 merged.fault_counters[name] = value
         job.result_json = merged.to_json()
+        job.parts = []  # the JSON is the job's result from here on
         result_path = self._result_path(job)
         if result_path is not None:
             # Result first, durably; the 'done' ledger record is the
@@ -825,6 +834,7 @@ class SweepService:
 
     def _finalize_failed(self, job: Job, exc: BaseException) -> None:
         job.error = f"{type(exc).__name__}: {exc}"
+        job.parts = []
         # Status before the ledger record, for the same rotation-
         # snapshot reason as in _finalize_done.
         job.status = "failed"

@@ -5,15 +5,14 @@ determines their outcome — ``(profile, scheme, length, threads, seed,
 SystemParams, code-schema version)`` — so repeated bench invocations are
 near-instant and interrupted sweeps resume where they stopped.
 
-Layout: one JSON file per run at ``<root>/<hash[:2]>/<hash>.json``,
-written atomically (tmp file + rename) so a crash mid-write never leaves
-a truncated entry behind.  Very large sweeps (the queue backend's
-detached workers write results concurrently) can deepen the prefix
-fan-out with ``ResultStore(root, shard_depth=2)`` or the
-``REPRO_STORE_SHARDS`` environment variable — entries then land at
-``<root>/<hash[:2]>/<hash[2:4]>/<hash>.json`` and so on, keeping any
-single directory small.  Reads fall back across shard depths, so a
-store written at one depth stays readable at another.  A *corrupt* entry — present on disk but
+The store is the only record of a finished run: a resumed sweep finds
+its completed cells here, not in the supervisor's journal.
+
+Layout: one JSON file per run at ``<root>/<hash[:2]>/<hash>.json``, so
+a lookup is one ``open``.  Entries are written through
+:func:`~repro.sim.ledger.durable_write` (temp file + fsync + rename), so
+a crash mid-write never leaves a truncated entry behind.  A *corrupt*
+entry — present on disk but
 unparseable or schema-invalid — is never silently swallowed: it is
 quarantined in place (renamed to ``<entry>.json.corrupt`` so it stops
 matching future lookups but remains inspectable), a ``RuntimeWarning``
@@ -33,7 +32,6 @@ import enum
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -41,6 +39,7 @@ from typing import Any, Dict, Optional
 from repro.common.params import SystemParams
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
+from repro.sim.ledger import durable_write
 from repro.sim.runner import RunResult
 from repro.telemetry.events import TelemetryResult
 from repro.workloads.profile import BenchmarkProfile
@@ -48,9 +47,7 @@ from repro.workloads.profile import BenchmarkProfile
 __all__ = [
     "SCHEMA_VERSION",
     "STORE_ENV",
-    "STORE_SHARDS_ENV",
     "ResultStore",
-    "default_shard_depth",
     "default_store_root",
     "result_from_dict",
     "result_to_dict",
@@ -64,27 +61,7 @@ SCHEMA_VERSION = 1
 #: Environment variable naming the store directory ("off" disables it).
 STORE_ENV = "REPRO_STORE"
 
-#: Environment variable setting the default key-prefix shard depth.
-STORE_SHARDS_ENV = "REPRO_STORE_SHARDS"
-
 _DISABLED_VALUES = ("", "0", "off", "none", "disabled")
-
-_MAX_SHARD_DEPTH = 4
-
-
-def default_shard_depth() -> int:
-    """The shard depth from ``REPRO_STORE_SHARDS``, clamped to [1, 4]."""
-    value = os.environ.get(STORE_SHARDS_ENV)
-    if value is None:
-        return 1
-    try:
-        depth = int(value)
-    except ValueError:
-        raise ValueError(
-            f"{STORE_SHARDS_ENV} must be an integer in [1, {_MAX_SHARD_DEPTH}], "
-            f"got {value!r}"
-        ) from None
-    return max(1, min(_MAX_SHARD_DEPTH, depth))
 
 
 def default_store_root() -> Optional[Path]:
@@ -197,43 +174,15 @@ def result_from_dict(data: Dict[str, Any]) -> RunResult:
 class ResultStore:
     """File-backed memo of completed runs, keyed by :func:`run_key`."""
 
-    def __init__(self, root: Path, shard_depth: Optional[int] = None) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        if shard_depth is None:
-            shard_depth = default_shard_depth()
-        if not 1 <= shard_depth <= _MAX_SHARD_DEPTH:
-            raise ValueError(
-                f"shard_depth must be in [1, {_MAX_SHARD_DEPTH}], "
-                f"got {shard_depth}"
-            )
-        #: Key-prefix directory levels under :attr:`root` (2 hex chars each).
-        self.shard_depth = shard_depth
         self.hits = 0
         self.misses = 0
         #: Entries found damaged and quarantined (renamed ``*.corrupt``).
         self.corrupt_entries = 0
 
-    def _path_at(self, key: str, depth: int) -> Path:
-        path = self.root
-        for level in range(depth):
-            path = path / key[2 * level : 2 * level + 2]
-        return path / f"{key}.json"
-
     def _path(self, key: str) -> Path:
-        return self._path_at(key, self.shard_depth)
-
-    def _read(self, key: str) -> "Optional[tuple[Path, str]]":
-        """Entry text at the configured depth, else any other depth."""
-        depths = [self.shard_depth] + [
-            d for d in range(1, _MAX_SHARD_DEPTH + 1) if d != self.shard_depth
-        ]
-        for depth in depths:
-            path = self._path_at(key, depth)
-            try:
-                return path, path.read_text()
-            except OSError:
-                continue
-        return None
+        return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[RunResult]:
         """The stored result for ``key``, or ``None`` (counts hit/miss).
@@ -243,11 +192,12 @@ class ResultStore:
         ``RuntimeWarning`` is emitted, :attr:`corrupt_entries` is
         bumped, and the lookup counts as a miss.
         """
-        found = self._read(key)
-        if found is None:
+        path = self._path(key)
+        try:
+            text = path.read_text()
+        except OSError:
             self.misses += 1
             return None
-        path, text = found
         try:
             result = result_from_dict(json.loads(text))
         except (ValueError, KeyError, TypeError) as exc:
@@ -274,23 +224,8 @@ class ResultStore:
         )
 
     def put(self, key: str, result: RunResult) -> None:
-        """Persist ``result`` under ``key`` (atomic write)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(result_to_dict(result))
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Persist ``result`` under ``key`` (durable, atomic write)."""
+        durable_write(self._path(key), json.dumps(result_to_dict(result)))
 
     # ------------------------------------------------------------------
     # content-hash blob entries
@@ -327,34 +262,15 @@ class ResultStore:
         return payload
 
     def put_entry(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
-        """Persist a JSON blob under ``(kind, key)`` (atomic write)."""
-        path = self._entry_path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Persist a JSON blob under ``(kind, key)`` (durable, atomic write)."""
+        durable_write(self._entry_path(kind, key), json.dumps(payload))
 
     def _entries(self):
-        """Every stored entry at any shard depth (skips tmp/corrupt files)."""
+        """Every stored run entry (skips tmp, corrupt and blob files)."""
         return (
             entry
-            for entry in self.root.rglob("*.json")
+            for entry in self.root.glob("??/*.json")
             if not entry.name.startswith(".")
-            and not any(
-                part.startswith(".")
-                for part in entry.relative_to(self.root).parts[:-1]
-            )
         )
 
     def __len__(self) -> int:

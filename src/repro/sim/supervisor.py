@@ -29,10 +29,11 @@ guarantees a long sweep needs:
 * **graceful degradation** — after ``max_pool_restarts`` crash-driven
   backend restarts the remaining work runs inline in the parent,
   where a process-level chaos fault degrades to an exception;
-* **checkpoint/resume** — a :class:`SuiteJournal` (JSON-lines file next
-  to the result store) records every completed/failed run key, so an
-  interrupted sweep restarts where it left off and previously-exhausted
-  failures are replayed instead of re-run;
+* **checkpoint/resume** — finished runs live in the result store, and a
+  :class:`SuiteJournal` (JSON-lines file next to it) records the runs
+  that exhausted their attempts, so an interrupted sweep restarts where
+  it left off and previously-exhausted failures are replayed instead of
+  re-run;
 * **first-class failures** — a run that exhausts its retries becomes a
   :class:`RunFailure` (exception type, message, traceback, attempt
   count, worker pid, hang diagnostics) carried through
@@ -209,35 +210,33 @@ def default_journal_path(store: Optional[ResultStore]) -> Path:
 
 
 class SuiteJournal:
-    """Append-only JSON-lines checkpoint of completed/failed run keys.
+    """Append-only JSON-lines checkpoint of a sweep's exhausted runs.
 
-    One line per outcome: ``{"key": ..., "status": "done", "record":
-    {...}}`` or ``{"key": ..., "status": "failed", "failure": {...}}``.
-    Appends are flushed and fsynced so a SIGKILL of the runner loses at
-    most the entry being written; :meth:`load` tolerates a torn final
-    line (and any malformed line) by skipping it.
+    One line per failure: ``{"key": ..., "status": "failed", "failure":
+    {...}}``.  Finished runs are not journaled: the result store is
+    their record.  Appends are flushed and fsynced so a SIGKILL of the
+    runner loses at most the entry being written; :meth:`load` tolerates
+    a torn final line (and any malformed line) by skipping it, and skips
+    the ``done`` lines that older journals hold.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
 
     def load(self) -> Dict[str, Dict[str, Any]]:
-        """Entries by run key (last write wins; torn lines skipped)."""
+        """Failure entries by run key (last write wins; torn lines skipped)."""
         entries: Dict[str, Dict[str, Any]] = {}
         for entry in read_jsonl(self.path):
             key = entry.get("key")
-            if isinstance(key, str) and entry.get("status") in ("done", "failed"):
+            if isinstance(key, str) and entry.get("status") == "failed":
                 entries[key] = entry
         return entries
 
-    def record_done(self, key: str, record: RunRecord) -> None:
-        """Checkpoint a completed run."""
-        self._append({"key": key, "status": "done", "record": record.as_dict()})
-
     def record_failed(self, key: str, failure: RunFailure) -> None:
         """Checkpoint a run that exhausted its attempts."""
-        self._append(
-            {"key": key, "status": "failed", "failure": failure.as_dict()}
+        append_jsonl(
+            self.path,
+            {"key": key, "status": "failed", "failure": failure.as_dict()},
         )
 
     def clear(self) -> None:
@@ -246,9 +245,6 @@ class SuiteJournal:
             self.path.unlink()
         except OSError:
             pass
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        append_jsonl(self.path, entry)
 
 
 def _validate_result(spec: RunSpec, result: Any) -> RunResult:
@@ -346,18 +342,11 @@ class Supervisor:
 
     @property
     def fault_counters(self) -> Dict[str, int]:
-        """Snapshot of the ``fault_*`` / ``backend_*`` / store counters.
-
-        The service layer (:mod:`repro.sim.service`) folds its own
-        ``ledger_*`` / ``admission_*`` / ``breaker_*`` counters into the
-        same namespace, so the prefix filter admits those too.
-        """
+        """Snapshot of the ``fault_*`` / ``backend_*`` / store counters."""
         return {
             name: counter.value
             for name, counter in sorted(self.metrics.counters.items())
-            if name.startswith(
-                ("fault_", "backend_", "ledger_", "admission_", "breaker_")
-            )
+            if name.startswith(("fault_", "backend_"))
             or name == "store_corrupt_entries"
         }
 
@@ -402,10 +391,10 @@ class Supervisor:
     ]:
         """Run ``specs`` to a complete outcome (supervised, no exception
         escapes except ``KeyboardInterrupt``, which tears the backend
-        down and re-raises with the journal and store already
+        down and re-raises with the store and journal already
         checkpointed; fail-fast, the first failure raises the same way).
 
-        Store hits and (on ``resume``) journal replays settle first;
+        Store hits and (on ``resume``) journaled failures settle first;
         the rest fan out across the configured backend.  Every spec
         ends as either a result+record or a failure.
         """
@@ -426,8 +415,22 @@ class Supervisor:
                 self.store is not None or self.journal is not None
             ):
                 key = spec.key()
+            if (
+                self.store is not None
+                and key is not None
+                and spec.chaos is None  # chaos sweeps must not hit the store
+            ):
+                # The store is the record of a finished run, so it wins
+                # over a failure journaled by an earlier sweep.
+                cached = self.store.get(key)
+                if cached is not None:
+                    results[index] = cached
+                    records[index] = _record(spec, cached, 0.0, from_store=True)
+                    self._done += 1
+                    self._emit_progress(records[index])
+                    continue
             entry = journal_entries.get(key) if key is not None else None
-            if entry is not None and entry.get("status") == "failed":
+            if entry is not None:
                 try:
                     failure = RunFailure.from_dict(entry["failure"])
                 except (KeyError, TypeError, ValueError):
@@ -441,22 +444,6 @@ class Supervisor:
                         "fault_replayed_failures",
                     )
                     self._emit_failure(failure)
-                    continue
-            if (
-                self.store is not None
-                and key is not None
-                and spec.chaos is None  # chaos sweeps must not hit the store
-            ):
-                cached = self.store.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    records[index] = _record(spec, cached, 0.0, from_store=True)
-                    if self.journal is not None:
-                        # Journal prefetch hits too, so the journal is a
-                        # complete settled-cell record of this sweep.
-                        self.journal.record_done(key, records[index])
-                    self._done += 1
-                    self._emit_progress(records[index])
                     continue
             pending.append(_Pending(index, spec, key))
 
@@ -511,8 +498,6 @@ class Supervisor:
         results[item.index] = result
         record = _record(item.spec, result, wall, from_store=False)
         records[item.index] = record
-        if self.journal is not None and item.key is not None:
-            self.journal.record_done(item.key, record)
         self._done += 1
         self._emit_progress(record)
 
@@ -746,8 +731,8 @@ class Supervisor:
                     break
             sync_restarts()
         except BaseException:
-            # Ctrl-C (or a fatal error): every settled record has
-            # already been journaled and stored, so tear the backend
+            # Ctrl-C (or a fatal error): every settled run has already
+            # been stored or journaled, so tear the backend
             # down without waiting and leave a resumable sweep behind.
             # A held backend goes down too if this call left work on
             # it, so its next caller never polls a stale task.

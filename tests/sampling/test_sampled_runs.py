@@ -17,7 +17,7 @@ from repro import SchemeKind
 from repro.api import RunRequest, run_single, run_suite
 from repro.sampling import SampledEstimate, SamplingConfig
 from repro.sim import RunConfig, run_benchmark
-from repro.sim.engine import RunSpec, execute_specs
+from repro.sim.engine import RunSpec, run_specs
 from repro.sim.store import ResultStore
 from repro.workloads import get_benchmark
 
@@ -128,12 +128,12 @@ class TestBackendDeterminism:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        results, _ = execute_specs(_sampled_specs(), jobs=1, backend="inline")
+        results, _ = run_specs(_sampled_specs(), jobs=1, backend="inline")
         return results
 
     @pytest.mark.parametrize("name", ["threads", "process", "queue"])
     def test_backend_matches_inline(self, name, reference):
-        results, _ = execute_specs(_sampled_specs(), jobs=2, backend=name)
+        results, _ = run_specs(_sampled_specs(), jobs=2, backend=name)
         assert len(results) == len(reference)
         for ours, theirs in zip(results, reference):
             assert ours.sampling == theirs.sampling
@@ -186,10 +186,10 @@ class TestStoreRoundTrip:
     def test_sampled_result_memoizes_and_restores(self, tmp_path):
         store = ResultStore(tmp_path)
         specs = _sampled_specs(names=("mcf",), schemes=(SchemeKind.UNSAFE,))
-        first, records_first = execute_specs(specs, jobs=1, store=store)
-        assert not records_first[0].from_store
-        second, records_second = execute_specs(specs, jobs=1, store=store)
-        assert records_second[0].from_store
+        first, suite_first = run_specs(specs, jobs=1, store=store)
+        assert not suite_first.records[0].from_store
+        second, suite_second = run_specs(specs, jobs=1, store=store)
+        assert suite_second.records[0].from_store
         assert second[0].sampling == first[0].sampling
         assert second[0].stats.as_dict() == first[0].stats.as_dict()
 
@@ -203,8 +203,8 @@ class TestStoreRoundTrip:
             profile, SchemeKind.UNSAFE, LENGTH, RunConfig(sampling=SAMPLING)
         )
         assert exact.key() != sampled.key()
-        execute_specs([exact], jobs=1, store=store)
+        run_specs([exact], jobs=1, store=store)
         # The sampled spec must not be served the exact result.
-        results, records = execute_specs([sampled], jobs=1, store=store)
-        assert not records[0].from_store
+        results, suite = run_specs([sampled], jobs=1, store=store)
+        assert not suite.records[0].from_store
         assert results[0].sampling is not None

@@ -35,7 +35,7 @@ from repro.sim.backends.base import (
     parse_envelope,
 )
 from repro.sim.chaos import CORRUPT_PAYLOAD, ChaosConfig
-from repro.sim.engine import RunSpec, execute_specs
+from repro.sim.engine import RunSpec, run_specs
 from repro.sim.store import ResultStore
 from repro.sim.supervisor import FaultPolicy, SuiteJournal, Supervisor
 from repro.workloads import get_benchmark
@@ -111,17 +111,18 @@ class TestParity:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        results, records = execute_specs(_specs(), jobs=1, backend="inline")
+        results, _ = run_specs(_specs(), jobs=1, backend="inline")
         return results
 
     @pytest.mark.parametrize("name", ["threads", "process", "queue"])
     def test_backend_matches_inline(self, name, reference):
-        results, records = execute_specs(_specs(), jobs=2, backend=name)
+        results, suite = run_specs(_specs(), jobs=2, backend=name)
         assert len(results) == len(reference)
         for ours, theirs in zip(results, reference):
             assert ours.cycles == theirs.cycles
             assert ours.stats.as_dict() == theirs.stats.as_dict()
-        assert all(record.wall_time_s >= 0.0 for record in records)
+        assert len(suite.records) == len(reference)
+        assert all(record.wall_time_s >= 0.0 for record in suite.records)
 
     def test_supervised_queue_matches_inline(self, reference, tmp_path):
         supervisor = Supervisor(
@@ -158,7 +159,7 @@ class TestBackendHealth:
     def test_engine_env_backend_selection(self, monkeypatch):
         # REPRO_BACKEND forces even single-job suites off the fast path.
         monkeypatch.setenv("REPRO_BACKEND", "threads")
-        results, records = execute_specs(_specs(names=("mcf",)), jobs=1)
+        results, _ = run_specs(_specs(names=("mcf",)), jobs=1)
         assert all(result is not None for result in results)
 
 
@@ -205,11 +206,16 @@ class TestQueueChaos:
 
 
 class TestEngineFailFast:
-    def test_error_envelope_raises_task_failed(self):
-        chaos = ChaosConfig(seed=3, oom=1.0)
-        specs = _specs(RunConfig(chaos=chaos), names=("mcf",))
+    def test_error_envelope_raises_task_failed(self, monkeypatch):
+        import repro.sim.backends.base as base_mod
+
+        def oom(spec, cache=None):
+            raise MemoryError("injected")
+
+        # Not chaos: a chaos spec would make run_specs supervise.
+        monkeypatch.setattr(base_mod, "execute_run", oom)
         with pytest.raises(TaskFailedError, match="MemoryError"):
-            execute_specs(specs, jobs=2, backend="threads")
+            run_specs(_specs(names=("mcf",)), jobs=2, backend="threads")
 
 
 class TestAbandonedThreadPool:
@@ -257,7 +263,7 @@ class TestKeyboardInterrupt:
 
         monkeypatch.setattr(local_mod, "run_task", flaky)
         with pytest.raises(KeyboardInterrupt):
-            execute_specs(_specs(), jobs=1, backend="inline")
+            run_specs(_specs(), jobs=1, backend="inline")
 
     def test_supervisor_interrupt_leaves_resumable_journal(
         self, tmp_path, monkeypatch
@@ -286,12 +292,15 @@ class TestKeyboardInterrupt:
         )
         with pytest.raises(KeyboardInterrupt):
             supervisor.execute(specs)
-        # The two runs that finished before Ctrl-C are checkpointed.
-        checkpointed = journal.load()
-        assert len(checkpointed) == 2
-        assert all(e["status"] == "done" for e in checkpointed.values())
+        # The two runs that finished before Ctrl-C are in the store,
+        # and nothing failed, so the journal holds nothing.
+        finished = [spec.key() for spec in specs[:2]]
+        assert len(store) == 2
+        assert all(store.get(key) is not None for key in finished)
+        assert journal.load() == {}
 
-        # A --resume sweep replays them and only simulates the rest.
+        # A --resume sweep serves them from the store and only
+        # simulates the rest.
         monkeypatch.setattr(local_mod, "run_task", real)
         resumed = Supervisor(
             FaultPolicy(),
@@ -303,8 +312,8 @@ class TestKeyboardInterrupt:
         results, records, failures = resumed.execute(specs, resume=True)
         assert not failures
         assert all(result is not None for result in results)
-        replayed = sum(1 for record in records if record.from_store)
-        assert replayed >= 2
+        assert [record.from_store for record in records[:2]] == [True, True]
+        assert not any(record.from_store for record in records[2:])
 
 
 class TestProcessWorkerLifetime:

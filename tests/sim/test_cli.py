@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.sim.supervisor import SuiteJournal
 
 
 @pytest.fixture(autouse=True)
@@ -213,14 +214,15 @@ class TestRobustnessFlags:
             "run", "suite", "spec2017", "--length", "600", "--schemes", "unsafe",
             "--retries", "1",
         ]
-        assert main(args) == 0
-        journal = tmp_path / "store" / "journal.jsonl"
-        assert journal.exists()
-        before = journal.read_text()
-        assert main(args) == 0  # no --resume: journal restarts from zero
-        after = journal.read_text()
-        assert len(after.splitlines()) == len(before.splitlines())
-
+        # Seed stale failures under the sweep's own run keys (chaos is
+        # not part of a key): every cell exhausts its attempts.
+        assert main(args + ["--chaos", "oom=1.0"]) == 0
+        journal = SuiteJournal(tmp_path / "store" / "journal.jsonl")
+        assert journal.load()
+        capsys.readouterr()
+        assert main(args) == 0  # no --resume: the stale failures...
+        assert "FAILED" not in capsys.readouterr().err  # ...do not replay
+        assert not journal.path.exists()  # ...nor stay: nothing failed
 
 class TestSamplingFlag:
     def test_run_sampled_prints_ci(self, capsys):

@@ -5,13 +5,12 @@ import pytest
 from repro.common import SchemeKind, SystemParams
 from repro.sim import RunConfig, TraceCache, run_suite
 from repro.sim.backends import TaskFailedError
-from repro.sim.chaos import ChaosConfig
 from repro.sim.engine import (
     RunSpec,
     SuiteResult,
-    execute_specs,
     resolve_jobs,
     run_grid,
+    run_specs,
 )
 from repro.sim.store import ResultStore
 from repro.workloads import get_benchmark
@@ -111,6 +110,8 @@ class TestRunSpec:
 
 
 class TestExecuteSpecs:
+    """:func:`run_specs` results and records come back in spec order."""
+
     def test_results_in_spec_order(self):
         config = RunConfig()
         specs = [
@@ -118,7 +119,8 @@ class TestExecuteSpecs:
             for profile in _profiles()
             for scheme in SCHEMES
         ]
-        results, records = execute_specs(specs, config=config, jobs=1)
+        results, suite = run_specs(specs, jobs=1)
+        records = suite.records
         assert [r.profile.name for r in results] == ["gcc", "gcc", "lbm", "lbm"]
         assert [r.scheme for r in results] == [
             SchemeKind.UNSAFE,
@@ -134,9 +136,9 @@ class TestExecuteSpecs:
         config = RunConfig()
         specs = [RunSpec.build(_profiles()[0], SchemeKind.UNSAFE, 700, config)]
         store = ResultStore(tmp_path)
-        first, _ = execute_specs(specs, config=config, store=store)
-        again, records = execute_specs(specs, config=config, store=store)
-        assert records[0].from_store
+        first, _ = run_specs(specs, store=store)
+        again, suite = run_specs(specs, store=store)
+        assert suite.records[0].from_store
         assert first[0].cycles == again[0].cycles
 
 
@@ -166,11 +168,21 @@ class TestRunSuiteIntegration:
             assert len(suite) == len(schemes)
         assert cache.misses == 1
 
-    def test_fail_fast_error_at_one_job_carries_worker_traceback(self):
-        config = RunConfig(chaos=ChaosConfig(seed=1, oom=1.0))
-        specs = [RunSpec.build(_profiles()[0], SchemeKind.UNSAFE, 400, config)]
+    def test_fail_fast_error_at_one_job_carries_worker_traceback(
+        self, monkeypatch
+    ):
+        import repro.sim.backends.base as base_mod
+
+        def oom(spec, cache=None):
+            raise MemoryError("injected")
+
+        # Not chaos: a chaos spec would make run_specs supervise.
+        monkeypatch.setattr(base_mod, "execute_run", oom)
+        specs = [
+            RunSpec.build(_profiles()[0], SchemeKind.UNSAFE, 400, RunConfig())
+        ]
         with pytest.raises(TaskFailedError) as info:
-            execute_specs(specs, config=config, jobs=1)
+            run_specs(specs, jobs=1)
         assert info.value.error_type == "MemoryError"
         assert "Traceback" in info.value.traceback_text
 

@@ -13,6 +13,7 @@ from repro.common import SchemeKind
 from repro.sim import RunConfig, run_grid
 from repro.sim.chaos import ChaosConfig
 from repro.sim.engine import RunRecord, RunSpec
+from repro.sim.ledger import append_jsonl
 from repro.sim.store import ResultStore
 from repro.sim.supervisor import (
     FaultPolicy,
@@ -44,14 +45,14 @@ def _record():
     )
 
 
-def _failure():
+def _failure(message="boom"):
     return RunFailure(
         bench="gcc",
         scheme=SchemeKind.UNSAFE,
         seed=3,
         key="cd" * 32,
         error_type="MemoryError",
-        message="boom",
+        message=message,
         traceback="",
         attempts=3,
         worker_pid=None,
@@ -62,12 +63,16 @@ def _failure():
 
 class TestSuiteJournal:
     def test_round_trip_done_and_failed(self, tmp_path):
+        # Failures round-trip; the ``done`` lines an older journal holds
+        # stay readable but are skipped (the store records finished runs).
         journal = SuiteJournal(tmp_path / "journal.jsonl")
-        journal.record_done("ab" * 32, _record())
+        append_jsonl(
+            journal.path,
+            {"key": "ab" * 32, "status": "done", "record": _record().as_dict()},
+        )
         journal.record_failed("cd" * 32, _failure())
         entries = journal.load()
-        assert entries["ab" * 32]["status"] == "done"
-        assert RunRecord.from_dict(entries["ab" * 32]["record"]) == _record()
+        assert set(entries) == {"cd" * 32}
         assert entries["cd" * 32]["status"] == "failed"
         assert (
             RunFailure.from_dict(entries["cd" * 32]["failure"]) == _failure()
@@ -78,32 +83,33 @@ class TestSuiteJournal:
 
     def test_last_write_wins(self, tmp_path):
         journal = SuiteJournal(tmp_path / "journal.jsonl")
-        journal.record_failed("ab" * 32, _failure())
-        journal.record_done("ab" * 32, _record())
-        assert journal.load()["ab" * 32]["status"] == "done"
+        journal.record_failed("ab" * 32, _failure("first"))
+        journal.record_failed("ab" * 32, _failure("second"))
+        entry = journal.load()["ab" * 32]
+        assert RunFailure.from_dict(entry["failure"]).message == "second"
 
     def test_torn_tail_is_skipped(self, tmp_path):
         journal = SuiteJournal(tmp_path / "journal.jsonl")
-        journal.record_done("ab" * 32, _record())
+        journal.record_failed("ab" * 32, _failure())
         with open(journal.path, "a") as handle:
-            handle.write('{"key": "cd", "status": "do')  # killed mid-write
+            handle.write('{"key": "cd", "status": "fa')  # killed mid-write
         entries = journal.load()
         assert set(entries) == {"ab" * 32}
 
     def test_garbage_lines_are_skipped(self, tmp_path):
         journal = SuiteJournal(tmp_path / "journal.jsonl")
         journal.path.write_text('not json\n[1,2,3]\n{"no": "key"}\n')
-        journal.record_done("ab" * 32, _record())
+        journal.record_failed("ab" * 32, _failure())
         assert set(journal.load()) == {"ab" * 32}
 
     def test_binary_garbage_bytes_are_tolerated(self, tmp_path):
         # A disk-level tear can leave non-UTF8 bytes, not just cut JSON;
         # load() must still harvest every intact line around them.
         journal = SuiteJournal(tmp_path / "journal.jsonl")
-        journal.record_done("ab" * 32, _record())
+        journal.record_failed("ab" * 32, _failure())
         with open(journal.path, "ab") as handle:
             handle.write(b'\x80\xfe\x00garbage\xff\n')
-        journal.record_done("cd" * 32, _record())
+        journal.record_failed("cd" * 32, _failure())
         entries = journal.load()
         assert set(entries) == {"ab" * 32, "cd" * 32}
 
@@ -125,6 +131,7 @@ class TestSuiteJournal:
         )
         results, records, failures = first.execute(specs)
         assert not failures
+        assert not journal.path.exists()  # a clean sweep journals nothing
         with open(journal.path, "ab") as handle:
             handle.write(b'{"key": "ef", "status"')  # torn final line
             handle.write(b'\xde\xad\xbe\xef\n')  # binary garbage
@@ -141,7 +148,7 @@ class TestSuiteJournal:
 
     def test_clear_removes_file(self, tmp_path):
         journal = SuiteJournal(tmp_path / "journal.jsonl")
-        journal.record_done("ab" * 32, _record())
+        journal.record_failed("ab" * 32, _failure())
         journal.clear()
         assert not journal.path.exists()
         journal.clear()  # idempotent
@@ -193,6 +200,22 @@ class TestResume:
             assert first[key].stats.as_dict() == resumed[key].stats.as_dict()
             assert first[key].cycles == resumed[key].cycles
 
+    def test_store_wins_over_a_stale_journaled_failure(self, tmp_path):
+        # A cell that failed in one sweep and finished in a later one
+        # (same journal, no resume) comes back from the store.
+        store = ResultStore(tmp_path / "store")
+        journal = SuiteJournal(default_journal_path(store))
+        profiles, schemes = _profiles()[:1], SCHEMES[:1]
+        spec = RunSpec.build(profiles[0], schemes[0], LENGTH, RunConfig())
+        journal.record_failed(spec.key(), _failure())
+        run_grid(profiles, schemes, LENGTH, store=store, jobs=1)
+        resumed = run_grid(
+            profiles, schemes, LENGTH,
+            policy=FaultPolicy(), store=store, journal=journal, resume=True,
+            jobs=1,
+        )
+        assert resumed.ok and resumed.store_hits == 1
+
 
 _SWEEP_SCRIPT = """
 import sys
@@ -230,21 +253,15 @@ class TestSigkillResume:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        journal_path = tmp_path / "store" / "journal.jsonl"
+        store = ResultStore(tmp_path / "store")
         deadline = time.monotonic() + 120
         try:
-            # Wait until some (but not all 6) cells are checkpointed.
+            # Wait until some (but not all 6) cells are in the store.
             while time.monotonic() < deadline:
                 if proc.poll() is not None:
                     break  # finished before we could kill: still a valid run
-                if journal_path.exists():
-                    lines = [
-                        line
-                        for line in journal_path.read_text().splitlines()
-                        if line.strip()
-                    ]
-                    if len(lines) >= 2:
-                        break
+                if len(store) >= 2:
+                    break
                 time.sleep(0.02)
             else:
                 pytest.fail("sweep never checkpointed a cell")
@@ -253,13 +270,8 @@ class TestSigkillResume:
                 proc.send_signal(signal.SIGKILL)
                 proc.wait(timeout=30)
 
-        store = ResultStore(tmp_path / "store")
-        journal = SuiteJournal(journal_path)
-        done_before = {
-            key
-            for key, entry in journal.load().items()
-            if entry["status"] == "done"
-        }
+        done_before = len(store)
+        journal = SuiteJournal(default_journal_path(store))
         profiles = [
             get_benchmark("spec2017", n) for n in ("mcf", "gcc", "lbm")
         ]
@@ -276,7 +288,7 @@ class TestSigkillResume:
         assert resumed.ok
         assert len(resumed.records) == 6
         # Every checkpointed cell was served from the store, not re-run.
-        assert resumed.store_hits >= len(done_before)
+        assert resumed.store_hits >= done_before
         # And the merged result is bit-identical to a clean full sweep.
         reference = run_grid(profiles, SCHEMES, length, jobs=1)
         for key in reference:

@@ -7,9 +7,11 @@ without losing live jobs, and sidecar writes are atomic.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.sim.ledger import (
     JobLedger,
     JobSnapshot,
@@ -33,6 +35,18 @@ class TestDurableWrite:
 
     def test_directory_fsync_tolerates_missing_dir(self, tmp_path):
         fsync_directory(tmp_path / "does-not-exist")  # must not raise
+
+    def test_every_whole_file_write_goes_through_durable_write(self):
+        # Only durable_write makes temp files by hand; the queue
+        # backend's spool files are temporary by design.
+        src = Path(repro.__file__).parent
+        allowed = {src / "sim" / "ledger.py", *src.glob("sim/backends/queue*.py")}
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if path not in allowed and "mkstemp" in path.read_text()
+        ]
+        assert offenders == []
 
 
 def _submit(ledger, job_id, key=None, at=1.0):
@@ -175,3 +189,14 @@ class TestSnapshotRecords:
         assert submit["kind"] == "submit" and submit["job"] == "job-0001"
         assert state["kind"] == "state" and state["error"] == "boom"
         assert "result_path" not in state
+
+    def test_appended_records_are_the_snapshot_records(self, tmp_path):
+        ledger = JobLedger(tmp_path / "l.jsonl")
+        _submit(ledger, "job-0001", key="k", at=1.0)
+        ledger.record_state("job-0001", "failed", error="boom", at=2.0)
+        submit, state = [
+            json.loads(line) for line in ledger.path.read_text().splitlines()
+        ]
+        snap = ledger.replay()["job-0001"]
+        assert submit == snap.submit_record()
+        assert state == snap.state_record()

@@ -335,7 +335,7 @@ def _record_worker_pids(monkeypatch):
     return pids
 
 
-def _serve_cells(service, suites):
+def _serve_cells(service, suites, options=None):
     """Submit one job per suite of cells, wait for all, close."""
     try:
         jobs = [
@@ -344,7 +344,7 @@ def _serve_cells(service, suites):
                     {"benchmark": bench, "scheme": scheme, "length": n}
                     for bench, scheme, n in cells
                 ],
-                {},
+                dict(options or {}),
             )
             for cells in suites
         ]
@@ -413,3 +413,56 @@ class TestHeldProcessBackend:
         assert len(pids) == 3
         assert len(set(pids)) == 1
         assert not process_alive(pids[0])
+
+
+class TestFinishedJobs:
+    def test_finished_job_keeps_no_parts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "off")
+        service = SweepService(jobs=1, backend="inline", store=False)
+        with _running(service) as url:
+            job = submit_suite(_requests(), url=url)
+            suite = result(job, url=url, timeout_s=120)
+            assert service.get(job).parts == []
+            # /result serves the merged grid from the job's JSON alone.
+            again = result(job, url=url, timeout_s=30)
+        assert len(suite) == len(again) == 3
+        assert len(suite.records) == 3
+
+
+class TestDurableOutcome:
+    """A job gets the same outcome with or without a state directory."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "state_dir"])
+    @pytest.mark.parametrize(
+        "supervise, status, failures",
+        [(False, "failed", None), (True, "done", 1)],
+        ids=["unsupervised", "supervised"],
+    )
+    def test_failing_cell(
+        self, monkeypatch, tmp_path, durable, supervise, status, failures
+    ):
+        import repro.sim.backends.base as base_mod
+
+        def oom(spec, cache=None):
+            raise MemoryError("injected")
+
+        monkeypatch.setenv("REPRO_STORE", "off")
+        monkeypatch.setattr(base_mod, "execute_run", oom)
+        service = SweepService(
+            jobs=1,
+            backend="inline",
+            store=False,
+            state_dir=tmp_path / "state" if durable else None,
+        )
+        (job,) = _serve_cells(
+            service,
+            [[("spec2017/mcf", "unsafe", 300)]],
+            {"supervise": True} if supervise else {},
+        )
+        assert job.status == status
+        if failures is None:
+            assert "MemoryError" in job.error
+        else:
+            served = json.loads(job.result_json)
+            assert len(served["failures"]) == failures
+            assert served["failures"][0]["error_type"] == "MemoryError"

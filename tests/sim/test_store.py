@@ -11,7 +11,6 @@ from repro.sim import RunConfig, run_suite
 from repro.sim.runner import run_benchmark
 from repro.sim.store import (
     ResultStore,
-    default_shard_depth,
     default_store_root,
     result_from_dict,
     result_to_dict,
@@ -143,59 +142,18 @@ class TestResultStore:
         assert default_store_root() is not None
 
 
-class TestSharding:
-    def test_default_depth_is_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_SHARDS", raising=False)
-        assert default_shard_depth() == 1
-        store = ResultStore("unused")
-        assert store.shard_depth == 1
-
-    def test_env_sets_default_depth(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "2")
-        assert ResultStore("unused").shard_depth == 2
-
-    def test_env_clamped_and_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "99")
-        assert default_shard_depth() == 4
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "cheese")
-        with pytest.raises(ValueError):
-            default_shard_depth()
-
-    def test_invalid_explicit_depth_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="shard_depth"):
-            ResultStore(tmp_path, shard_depth=0)
-        with pytest.raises(ValueError, match="shard_depth"):
-            ResultStore(tmp_path, shard_depth=5)
-
-    def test_deeper_layout_nests_prefix_dirs(self, tmp_path):
-        store = ResultStore(tmp_path, shard_depth=3)
+class TestLayout:
+    def test_entry_sits_under_one_prefix_dir(self, tmp_path):
+        store = ResultStore(tmp_path)
         key = "abcdef" + "00" * 29
         store.put(key, _result())
-        expected = tmp_path / "ab" / "cd" / "ef" / f"{key}.json"
-        assert expected.is_file()
+        # One layout: a lookup is a single open, and the durable write
+        # leaves no temp file beside the entry.
+        assert sorted(tmp_path.rglob("*")) == [
+            tmp_path / "ab",
+            tmp_path / "ab" / f"{key}.json",
+        ]
         assert store.get(key) is not None
-
-    def test_reads_fall_back_across_depths(self, tmp_path):
-        # A store written at depth 1 stays readable at depth 2 and vice
-        # versa -- re-sharding must never orphan existing entries.
-        shallow = ResultStore(tmp_path, shard_depth=1)
-        deep = ResultStore(tmp_path, shard_depth=2)
-        shallow.put("ab" * 32, _result())
-        deep.put("cd" * 32, _result())
-        assert deep.get("ab" * 32) is not None
-        assert shallow.get("cd" * 32) is not None
-        assert deep.hits == 1 and shallow.hits == 1
-
-    def test_len_and_clear_span_all_depths(self, tmp_path):
-        shallow = ResultStore(tmp_path, shard_depth=1)
-        deep = ResultStore(tmp_path, shard_depth=2)
-        shallow.put("ab" * 32, _result())
-        deep.put("cd" * 32, _result())
-        assert len(shallow) == 2
-        assert len(deep) == 2
-        shallow.clear()
-        assert len(shallow) == 0
-        assert deep.get("cd" * 32) is None
 
 
 class TestSuiteMemoization:

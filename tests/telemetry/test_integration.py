@@ -13,7 +13,7 @@ import pytest
 
 from repro.common import SchemeKind, StatSet, SystemParams
 from repro.sim import RunConfig, System, run_benchmark
-from repro.sim.engine import RunSpec, execute_specs
+from repro.sim.engine import RunSpec, run_specs
 from repro.sim.store import ResultStore, result_from_dict, result_to_dict
 from repro.telemetry import (
     TelemetryConfig,
@@ -132,13 +132,13 @@ class TestStoreInteraction:
         profile = get_benchmark("spec2017", "gcc")
         spec = RunSpec.build(profile, SchemeKind.UNSAFE, 700, config)
         store = ResultStore(tmp_path)
-        results, records = execute_specs([spec], config=config, store=store)
+        results, suite = run_specs([spec], store=store)
         assert results[0].telemetry is not None
-        assert not records[0].from_store
+        assert not suite.records[0].from_store
         assert len(store) == 0  # nothing persisted
         # Running again still simulates (and still carries telemetry).
-        again, records = execute_specs([spec], config=config, store=store)
-        assert not records[0].from_store
+        again, suite = run_specs([spec], store=store)
+        assert not suite.records[0].from_store
         assert again[0].telemetry is not None
 
     def test_serialization_keeps_metrics_drops_events(self):
