@@ -27,40 +27,53 @@ Package map:
 * :mod:`repro.telemetry` — event tracing, metrics, trace exporters.
 """
 
-from repro.analysis import Clueless, LeakageReport
-from repro.common import (
-    CacheLevel,
-    CacheParams,
-    CoreParams,
-    MemoryParams,
-    SchemeKind,
-    StatSet,
-    SystemParams,
-)
-from repro.core import Core
-from repro.isa import MicroOp, Program
-from repro.memory import MemoryHierarchy
-from repro.security import LoadPairTable, make_policy
-from repro.sim import (
-    ResultStore,
-    RunConfig,
-    RunResult,
-    SuiteResult,
-    System,
-    default_trace_length,
-    run_benchmark,
-    run_benchmark_seeds,
-    run_suite,
-)
-from repro.telemetry import TelemetryCollector, TelemetryConfig, TelemetryResult
-from repro.workloads import (
-    BenchmarkProfile,
-    build_parallel_traces,
-    build_trace,
-    get_benchmark,
-    parsec_suite,
-    spec2006_suite,
-    spec2017_suite,
+from repro._lazy import lazy_exports
+
+# Names resolve on first access, so ``import repro`` (or any submodule)
+# loads no simulator code until a name that needs it is used.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.clueless": ("Clueless", "LeakageReport"),
+        "repro.common.params": (
+            "CacheParams",
+            "CoreParams",
+            "MemoryParams",
+            "SystemParams",
+        ),
+        "repro.common.stats": ("StatSet",),
+        "repro.common.types": ("CacheLevel", "SchemeKind"),
+        "repro.core.pipeline": ("Core",),
+        "repro.isa.microop": ("MicroOp",),
+        "repro.isa.program": ("Program",),
+        "repro.memory.hierarchy": ("MemoryHierarchy",),
+        "repro.security": ("make_policy",),
+        "repro.security.lpt": ("LoadPairTable",),
+        "repro.sim.config": ("RunConfig",),
+        "repro.sim.engine": ("SuiteResult",),
+        "repro.sim.runner": (
+            "RunResult",
+            "default_trace_length",
+            "run_benchmark",
+            "run_benchmark_seeds",
+            "run_suite",
+        ),
+        "repro.sim.store": ("ResultStore",),
+        "repro.sim.system": ("System",),
+        "repro.telemetry.events": (
+            "TelemetryCollector",
+            "TelemetryConfig",
+            "TelemetryResult",
+        ),
+        "repro.workloads.kernels": ("build_parallel_traces", "build_trace"),
+        "repro.workloads.profile": ("BenchmarkProfile",),
+        "repro.workloads.suites": (
+            "get_benchmark",
+            "parsec_suite",
+            "spec2006_suite",
+            "spec2017_suite",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

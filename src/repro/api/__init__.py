@@ -44,7 +44,7 @@ import json
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.analysis.clueless import Clueless, LeakageReport
+from repro._lazy import lazy_exports
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.sampling import SampledEstimate, SamplingConfig, parse_sampling
@@ -55,11 +55,21 @@ from repro.sim.store import ResultStore, default_store_root
 from repro.sim.supervisor import FaultPolicy, RunFailure
 from repro.sim.reporting import format_table
 from repro.telemetry.events import TelemetryConfig, TelemetryResult
-from repro.redteam.harness import MatrixResult
-from repro.workloads.gadgets import Verdict, gadget_catalog
 from repro.workloads.kernels import build_trace
 from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.suites import get_benchmark
+
+# The leakage and red-team re-exports load on first access (and inside
+# the functions that use them), so importing the API loads no analysis,
+# gadget or red-team code.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.clueless": ("Clueless", "LeakageReport"),
+        "repro.redteam.harness": ("MatrixResult",),
+        "repro.workloads.gadgets": ("Verdict", "gadget_catalog"),
+    },
+)
 
 __all__ = [
     "Clueless",
@@ -349,6 +359,8 @@ def leakage_report(
     :class:`~repro.analysis.clueless.LeakageReport` the ``run leakage``
     CLI command prints.
     """
+    from repro.analysis.clueless import Clueless
+
     if length <= 0:
         raise ValueError("length must be positive")
     profile = _resolve_benchmark(benchmark)
@@ -369,7 +381,7 @@ def run_redteam(
     accepted.  Returns the :class:`~repro.redteam.harness.MatrixResult`
     whose ``ok`` property asserts every cell's expected verdict.
     """
-    from repro.redteam import run_matrix
+    from repro.redteam.harness import run_matrix
 
     resolved_schemes = (
         [_resolve_scheme(scheme) for scheme in schemes]

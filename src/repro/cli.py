@@ -65,42 +65,21 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import json
 
-from repro.analysis import Clueless
-from repro.common import SchemeKind
-from repro.sampling import parse_sampling
-from repro.sim import (
-    BACKEND_NAMES,
-    FaultPolicy,
-    RunConfig,
-    SuiteJournal,
-    default_journal_path,
-    failure_rows,
-    format_ipc,
-    format_table,
-    parse_chaos,
-    resolve_jobs,
-    run_suite,
-)
-from repro.sim.engine import supervision_policy
-from repro.sim.runner import TraceCache, default_trace_length, run_benchmark
-from repro.sim.store import ResultStore, default_store_root
-from repro.sim.sweep import lpt_size_variants, recon_level_variants
-from repro.telemetry import (
-    TelemetryConfig,
-    leakage_csv,
-    metrics_summary_rows,
-    metrics_to_json,
-    parse_filter,
-    to_chrome_trace,
-    to_konata,
-    trace_summary_rows,
-    validate_chrome_trace,
-)
+from repro.common.types import SchemeKind
+from repro.sim.backends.base import BACKEND_NAMES
+from repro.sim.engine import resolve_jobs
+from repro.sim.reporting import failure_rows, format_ipc, format_table
+from repro.sim.runner import TraceCache, default_trace_length, run_benchmark, run_suite
 from repro.workloads import all_benchmarks, build_trace, get_benchmark
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by the commands that use them
+    from repro.sim.config import RunConfig
+    from repro.sim.store import ResultStore
+    from repro.telemetry.events import TelemetryConfig
 
 __all__ = ["main"]
 
@@ -144,6 +123,8 @@ def _apply_seed(profile, seed):
 
 def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
     """The persistent result store, honouring --no-store and REPRO_STORE."""
+    from repro.sim.store import ResultStore, default_store_root
+
     if getattr(args, "no_store", False):
         return None
     root = default_store_root()
@@ -156,6 +137,8 @@ def _telemetry_from_args(args: argparse.Namespace) -> Optional[TelemetryConfig]:
     """Build the run's TelemetryConfig from --trace/--trace-filter/--metrics-out."""
     if not (getattr(args, "trace", None) or getattr(args, "metrics_out", None)):
         return None
+    from repro.telemetry.events import TelemetryConfig, parse_filter
+
     try:
         categories = parse_filter(getattr(args, "trace_filter", None))
     except ValueError as exc:
@@ -165,6 +148,8 @@ def _telemetry_from_args(args: argparse.Namespace) -> Optional[TelemetryConfig]:
 
 def _chaos_from_args(args: argparse.Namespace):
     """Parse --chaos into a ChaosConfig (None when chaos is off)."""
+    from repro.sim.chaos import parse_chaos
+
     try:
         return parse_chaos(getattr(args, "chaos", None))
     except ValueError as exc:
@@ -173,6 +158,8 @@ def _chaos_from_args(args: argparse.Namespace):
 
 def _sampling_from_args(args: argparse.Namespace):
     """Parse --sampling into a SamplingConfig (None = exact mode)."""
+    from repro.sampling.config import parse_sampling
+
     try:
         return parse_sampling(getattr(args, "sampling", None))
     except ValueError as exc:
@@ -181,6 +168,8 @@ def _sampling_from_args(args: argparse.Namespace):
 
 def _run_config(**kwargs) -> RunConfig:
     """Build a RunConfig, mapping invalid knob combinations to exit 2."""
+    from repro.sim.config import RunConfig
+
     try:
         return RunConfig(**kwargs)
     except ValueError as exc:
@@ -195,6 +184,9 @@ def _supervision_from_args(args: argparse.Namespace, store, chaos):
     (:func:`~repro.sim.engine.supervision_policy`) supervises the sweep;
     otherwise all three are ``None``/``False`` and it runs fail-fast.
     """
+    from repro.sim.engine import supervision_policy
+    from repro.sim.supervisor import FaultPolicy, SuiteJournal, default_journal_path
+
     timeout = getattr(args, "timeout", None)
     retries = getattr(args, "retries", None)
     resume = bool(getattr(args, "resume", False))
@@ -256,6 +248,14 @@ def _export_telemetry(args: argparse.Namespace, cells) -> None:
     ]
     if not cells:
         return
+    from repro.telemetry.export import (
+        leakage_csv,
+        metrics_to_json,
+        to_chrome_trace,
+        to_konata,
+        validate_chrome_trace,
+    )
+
     written = []
     trace_path = getattr(args, "trace", None)
     if trace_path:
@@ -428,6 +428,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_leakage(args: argparse.Namespace) -> int:
+    from repro.analysis.clueless import Clueless
+
     profile = _apply_seed(_resolve(args.benchmark), args.seed)
     report = Clueless().run(build_trace(profile, args.length).trace())
     rows = [
@@ -482,7 +484,7 @@ def _run_sweep(args, variants) -> int:
 
 
 def cmd_save_trace(args: argparse.Namespace) -> int:
-    from repro.isa import save_trace
+    from repro.isa.encoding import save_trace
 
     profile = _apply_seed(_resolve(args.benchmark), args.seed)
     trace = build_trace(profile, args.length).trace()
@@ -492,9 +494,9 @@ def cmd_save_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from repro.common import StatSet, SystemParams
-    from repro.isa import load_trace
-    from repro.sim import System
+    from repro.common.params import SystemParams
+    from repro.isa.encoding import load_trace
+    from repro.sim.system import System
 
     try:
         trace = load_trace(args.path)
@@ -530,6 +532,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
     """Summarize a Chrome trace-event JSON written by ``--trace``."""
+    from repro.telemetry.export import (
+        metrics_summary_rows,
+        trace_summary_rows,
+        validate_chrome_trace,
+    )
+
     try:
         payload = json.loads(Path(args.path).read_text())
     except (OSError, ValueError) as exc:
@@ -684,10 +692,14 @@ def cmd_redteam_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_lpt(args: argparse.Namespace) -> int:
+    from repro.sim.sweep import lpt_size_variants
+
     return _run_sweep(args, lpt_size_variants())
 
 
 def cmd_sweep_levels(args: argparse.Namespace) -> int:
+    from repro.sim.sweep import recon_level_variants
+
     return _run_sweep(args, recon_level_variants())
 
 

@@ -64,15 +64,18 @@ the full telemetry event stream of 4 traced cells):
   port grant, transaction clock and queue deltas that are no-ops there;
   the rest they submit.
 * **Sorted-ready maintenance.**  The ready queue is kept sorted by
-  sequence number and re-sorted (via :func:`repro.core.hotpath.sort_ready`,
-  numpy argsort above its threshold) only after out-of-order wakeups
-  append to it.  Sequence numbers are unique, so sorting has a single
-  fixed result — resort timing cannot change the order issued.
+  sequence number and re-sorted in place (``list.sort``) only after
+  out-of-order wakeups append to it.  Sequence numbers are unique, so
+  sorting has a single fixed result — resort timing cannot change the
+  order issued.  The queue holds a few dozen entries at most (50 in a
+  probe over SPEC2017 and PARSEC cells; see ``docs/performance.md``),
+  a size at which a numpy argsort round trip costs more than the sort.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.common.errors import SimulationHangError
@@ -80,7 +83,6 @@ from repro.common.events import EventQueue
 from repro.common.params import SystemParams
 from repro.common.stats import StatSet
 from repro.common.types import MemPrediction, OpClass, SpeculationModel
-from repro.core.hotpath import count_unready, sort_ready
 from repro.core.lsq import LoadStoreUnit
 from repro.core.mdp import MemoryDependencePredictor
 from repro.core.rename import RegisterFile
@@ -109,6 +111,9 @@ _STORE = OpClass.STORE
 _BRANCH = OpClass.BRANCH
 
 _STF = MemPrediction.STF
+
+#: Sort key of the ready queue: oldest (lowest sequence number) first.
+_seq_of = attrgetter("seq")
 
 
 class Observation:
@@ -732,8 +737,7 @@ class Core:
         if not ready:
             return 0
         if self._ready_dirty:
-            ready = sort_ready(ready)
-            self._ready = ready
+            ready.sort(key=_seq_of)
             self._ready_dirty = False
         issued = 0
         kept: List[_Inst] = []
@@ -1053,13 +1057,10 @@ class Core:
                     self.telemetry.emit(
                         CAT_SHADOW, "enter", core=self.core_id, seq=seq
                     )
-            if len(src_phys) > 3:  # wide uop: vectorized scoreboard scan
-                pending = count_unready(ready, src_phys)
-            else:
-                pending = 0
-                for phys in src_phys:
-                    if not ready[phys]:
-                        pending += 1
+            pending = 0
+            for phys in src_phys:
+                if not ready[phys]:
+                    pending += 1
             inst.pending = pending
             if pending == 0:
                 ready_q.append(inst)

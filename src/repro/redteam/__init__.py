@@ -8,20 +8,29 @@ secret-dependence with a Mann-Whitney AUC classifier (which must stay
 ≈ 0.5).  See ``docs/security.md`` for the methodology.
 """
 
-from repro.redteam.audit import (
-    AUDIT_STAT_FEATURES,
-    AuditResult,
-    PROTECTED_SCHEMES,
-    audit_all,
-    audit_scheme,
-    control_audit,
-    mann_whitney_auc,
-)
-from repro.redteam.harness import (
-    CellOutcome,
-    MatrixResult,
-    arch_leaked_words,
-    run_matrix,
+from repro._lazy import lazy_exports
+
+# The audit drives the simulator directly; the harness reaches it only
+# through the engine, so neither loads it before a cell runs.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.redteam.audit": (
+            "AUDIT_STAT_FEATURES",
+            "AuditResult",
+            "PROTECTED_SCHEMES",
+            "audit_all",
+            "audit_scheme",
+            "control_audit",
+            "mann_whitney_auc",
+        ),
+        "repro.redteam.harness": (
+            "CellOutcome",
+            "MatrixResult",
+            "arch_leaked_words",
+            "run_matrix",
+        ),
+    },
 )
 
 __all__ = [

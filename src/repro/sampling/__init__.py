@@ -17,22 +17,30 @@ Public surface:
   counterpart of :func:`repro.sim.runner.run_benchmark` (reached
   automatically when ``RunConfig.sampling`` is set).
 
-The executor pulls in the simulator stack, so it is loaded lazily —
-importing :mod:`repro.sampling` (as :mod:`repro.sim.config` does for
-the config type) stays cheap and cycle-free.
+Names resolve on first access.  The executor pulls in the simulator
+stack, so importing :mod:`repro.sampling` (as :mod:`repro.sim.config`
+does for the config type) stays cheap and cycle-free.
 """
 
-from repro.sampling.config import (
-    DEFAULT_SAMPLING_SPEC,
-    SamplingConfig,
-    parse_sampling,
-)
-from repro.sampling.estimator import (
-    MeanEstimator,
-    SampledEstimate,
-    escalation_schedule,
-    student_t_sf,
-    t_critical,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sampling.config": (
+            "DEFAULT_SAMPLING_SPEC",
+            "SamplingConfig",
+            "parse_sampling",
+        ),
+        "repro.sampling.estimator": (
+            "MeanEstimator",
+            "SampledEstimate",
+            "escalation_schedule",
+            "student_t_sf",
+            "t_critical",
+        ),
+        "repro.sampling.executor": ("run_sampled",),
+    },
 )
 
 __all__ = [
@@ -46,11 +54,3 @@ __all__ = [
     "student_t_sf",
     "t_critical",
 ]
-
-
-def __getattr__(name):
-    if name == "run_sampled":
-        from repro.sampling.executor import run_sampled
-
-        return run_sampled
-    raise AttributeError(name)

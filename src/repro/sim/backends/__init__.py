@@ -14,25 +14,34 @@ Select with ``--backend``, the ``REPRO_BACKEND`` environment variable,
 or :func:`resolve_backend`.
 """
 
-from repro.sim.backends.base import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    BackendHealth,
-    CorruptResultError,
-    ExecutionBackend,
-    TaskFailedError,
-    TaskHandle,
-    TaskTimeout,
-    WorkerDeath,
-    backend_name,
-    default_backend_name,
-    parse_envelope,
-    resolve_backend,
-    run_task,
+from repro._lazy import lazy_exports
+
+# Only the backend a run picks is imported (the process pool's
+# ``multiprocessing`` and ``concurrent.futures`` stay out of inline runs).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.backends.base": (
+            "BACKEND_ENV",
+            "BACKEND_NAMES",
+            "BackendHealth",
+            "CorruptResultError",
+            "ExecutionBackend",
+            "TaskFailedError",
+            "TaskHandle",
+            "TaskTimeout",
+            "WorkerDeath",
+            "backend_name",
+            "default_backend_name",
+            "parse_envelope",
+            "resolve_backend",
+            "run_task",
+        ),
+        "repro.sim.backends.local": ("InlineBackend", "ThreadBackend"),
+        "repro.sim.backends.process": ("ProcessBackend",),
+        "repro.sim.backends.queue": ("QueueBackend",),
+    },
 )
-from repro.sim.backends.local import InlineBackend, ThreadBackend
-from repro.sim.backends.process import ProcessBackend
-from repro.sim.backends.queue import QueueBackend
 
 __all__ = [
     "BACKEND_ENV",

@@ -27,6 +27,10 @@ The pool initializer (:func:`_init_worker`) makes each worker:
 * a chaos target — :func:`repro.sim.chaos.mark_worker_process`, so
   process-level faults (``crash``) take the worker down for real.
 
+The pool forks after :meth:`ProcessBackend.start` has imported the
+simulator, so workers inherit it rather than each importing it on its
+first task.
+
 A worker outlives its tasks (the sweep service holds one pool for its
 lifetime), so it keeps one grid cell's traces at a time
 (:class:`~repro.sim.backends.base.CellTraces`), as the inline backend
@@ -126,6 +130,11 @@ class ProcessBackend(ExecutionBackend):
 
     def start(self) -> None:
         if self._pool is None:
+            # Load the simulator before the first fork: every worker, and
+            # every respawn, then inherits it instead of importing it on
+            # its first task.
+            import repro.sim.system  # noqa: F401
+
             self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:

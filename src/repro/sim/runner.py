@@ -32,7 +32,6 @@ from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.isa.microop import MicroOp
 from repro.sim.config import RunConfig
-from repro.sim.system import System, SystemResult
 from repro.telemetry.events import TelemetryResult
 from repro.workloads.kernels import build_parallel_traces, build_trace
 from repro.workloads.profile import BenchmarkProfile
@@ -201,7 +200,11 @@ def run_benchmark(
         return run_sampled(
             profile, scheme, length, config=config, traces=traces
         )
-    result: SystemResult = System(
+    # The simulator loads with the first run, not with this module:
+    # configs, trace caches and store hits never need it.
+    from repro.sim.system import System
+
+    result = System(
         config.resolved_params(),
         traces,
         scheme,

@@ -14,7 +14,7 @@ from repro.core.pipeline import Core
 from repro.isa.microop import MicroOp
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.security import make_policy
-from repro.sim.events import EventQueue
+from repro.common.events import EventQueue
 from repro.telemetry.events import (
     NULL_TELEMETRY,
     TelemetryCollector,

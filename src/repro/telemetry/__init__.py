@@ -24,38 +24,46 @@ Enable collection through :class:`TelemetryConfig` on
 ``--trace-filter`` / ``--metrics-out`` flags.
 """
 
-from repro.telemetry.events import (
-    ALL_CATEGORIES,
-    CAT_CACHE,
-    CAT_COHERENCE,
-    CAT_FAULT,
-    CAT_MEM_TXN,
-    CAT_PIPELINE,
-    CAT_RECON,
-    CAT_REDTEAM,
-    CAT_SECURITY,
-    CAT_SHADOW,
-    Event,
-    NULL_TELEMETRY,
-    TelemetryCollector,
-    TelemetryConfig,
-    TelemetryResult,
-    parse_filter,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.export import (
-    leakage_csv,
-    metrics_summary_rows,
-    metrics_to_json,
-    to_chrome_trace,
-    to_konata,
-    trace_summary_rows,
-    validate_chrome_trace,
+from repro._lazy import lazy_exports
+
+# The exporters load only for the commands that write or read a trace.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.events": (
+            "ALL_CATEGORIES",
+            "CAT_CACHE",
+            "CAT_COHERENCE",
+            "CAT_FAULT",
+            "CAT_MEM_TXN",
+            "CAT_PIPELINE",
+            "CAT_RECON",
+            "CAT_REDTEAM",
+            "CAT_SECURITY",
+            "CAT_SHADOW",
+            "Event",
+            "NULL_TELEMETRY",
+            "TelemetryCollector",
+            "TelemetryConfig",
+            "TelemetryResult",
+            "parse_filter",
+        ),
+        "repro.telemetry.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+        ),
+        "repro.telemetry.export": (
+            "leakage_csv",
+            "metrics_summary_rows",
+            "metrics_to_json",
+            "to_chrome_trace",
+            "to_konata",
+            "trace_summary_rows",
+            "validate_chrome_trace",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,17 +6,14 @@ That reference is kept as data: goldens captured from it pin the cycle
 count and every :class:`~repro.common.stats.StatSet` field of each cell
 in ``tests/core/hotpath_driver.py`` (the 17-cell golden; the former
 live A/B cells, bounded-timing cells and bench x scheme sweep), and the
-full telemetry event stream of four traced cells by digest.  The
-vectorized kernels get unit coverage here too.
+full telemetry event stream of four traced cells by digest.
 """
 
 import json
-import random
 
 import pytest
 
 from repro.common import SchemeKind, SystemParams
-from repro.core.hotpath import count_unready, sort_ready
 from repro.core.pipeline import Core
 from repro.sim import System, TraceCache
 from repro.telemetry.events import TelemetryConfig
@@ -153,31 +150,3 @@ class TestTelemetryGuard:
         system = System(SystemParams(), traces, SchemeKind.UNSAFE)
         assert all(type(core) is Core for core in system.cores)
         assert not any(core.telemetry.enabled for core in system.cores)
-
-
-class _FakeInst:
-    __slots__ = ("seq",)
-
-    def __init__(self, seq):
-        self.seq = seq
-
-
-class TestVectorKernels:
-    """The numpy kernels match their naive counterparts at every size."""
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 300])
-    def test_sort_ready_matches_sorted(self, n):
-        rng = random.Random(n)
-        seqs = list(range(n))
-        rng.shuffle(seqs)
-        insts = [_FakeInst(seq) for seq in seqs]
-        result = sort_ready(list(insts))
-        assert [inst.seq for inst in result] == sorted(seqs)
-
-    @pytest.mark.parametrize("n_phys", [0, 1, 3, 15, 16, 40])
-    def test_count_unready_matches_naive(self, n_phys):
-        rng = random.Random(n_phys)
-        ready = [rng.random() < 0.5 for _ in range(64)]
-        phys = [rng.randrange(64) for _ in range(n_phys)]
-        naive = sum(1 for reg in phys if not ready[reg])
-        assert count_unready(ready, phys) == naive
