@@ -481,6 +481,10 @@ def _request_once(
         )
 
 
+#: Longest hold :func:`result` asks of the server per request; the
+#: server caps it at ``repro.sim.service.RESULT_WAIT_CAP_S``.
+_RESULT_HOLD_S = 10.0
+
 #: Backpressure statuses the client waits out (admission 429, degraded 503).
 _BUSY_STATUSES = (429, 503)
 _RETRY_BACKOFF_S = 0.1
@@ -685,18 +689,30 @@ def result(
     """Fetch a service job's :class:`SuiteResult`, waiting for completion.
 
     With ``wait=False`` a still-running job raises immediately
-    (mirroring the server's 409); otherwise polls every ``interval_s``
-    until the job finishes or ``timeout_s`` elapses.  A server-side job
-    failure raises ``RuntimeError`` with the job's error string.  Each
-    poll uses a ``request_timeout_s`` socket timeout and bounded
-    transport retries, so a hung service surfaces as
-    :class:`ServiceUnavailableError` instead of blocking forever.
+    (mirroring the server's 409).  Otherwise each request asks the
+    server to hold it until the job finishes (``?wait=``, for at most
+    half of ``request_timeout_s`` and never past ``timeout_s``); a
+    server that answers without holding (one that predates long-poll)
+    is polled every ``interval_s`` instead, until the job finishes or
+    ``timeout_s`` elapses.  A server-side job failure raises
+    ``RuntimeError`` with the job's error string.  Each request uses a
+    ``request_timeout_s`` socket timeout and bounded transport retries,
+    so a hung service surfaces as :class:`ServiceUnavailableError`
+    instead of blocking forever.
     """
     resolved_token = _service_token(token)
     deadline = time.monotonic() + timeout_s
+    path = _service_url(url, f"/v1/jobs/{job_id}/result")
     while True:
+        hold = 0.0
+        if wait:
+            hold = min(
+                _RESULT_HOLD_S,
+                request_timeout_s / 2,
+                deadline - time.monotonic(),
+            )
         status, body = _request_json(
-            _service_url(url, f"/v1/jobs/{job_id}/result"),
+            f"{path}?wait={hold:.3f}" if hold > 0 else path,
             timeout_s=request_timeout_s,
             token=resolved_token,
         )
@@ -717,4 +733,5 @@ def result(
                 f"job {job_id} still {decoded.get('status', 'running')} "
                 f"after {timeout_s:.0f}s"
             )
-        time.sleep(interval_s)
+        if not decoded.get("waited"):
+            time.sleep(interval_s)

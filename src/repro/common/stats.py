@@ -85,7 +85,7 @@ class StatSet:
 
     def as_dict(self) -> Dict[str, int]:
         """All counters as a plain dict (floats excluded)."""
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def snapshot(self) -> "StatSet":
         """A copy of the current counter values."""
@@ -121,3 +121,7 @@ class StatSet:
                     field.name,
                     getattr(self, field.name) + getattr(other, field.name),
                 )
+
+
+#: Counter names in declaration order (the order ``as_dict`` keeps).
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(StatSet))

@@ -51,7 +51,6 @@ __all__ = [
     "BACKEND_ENV",
     "BACKEND_NAMES",
     "BackendHealth",
-    "CellTraces",
     "CorruptResultError",
     "ExecutionBackend",
     "TaskFailedError",
@@ -62,6 +61,7 @@ __all__ = [
     "default_backend_name",
     "error_envelope",
     "execute_run",
+    "executor_cache",
     "parse_envelope",
     "resolve_backend",
     "run_task",
@@ -170,39 +170,17 @@ def execute_run(spec: Any, cache: Any = None) -> Any:
     )
 
 
-class CellTraces:
-    """A trace cache that holds one grid cell's traces at a time.
+def executor_cache() -> Any:
+    """A trace cache for an executor that outlives its cells.
 
-    Specs that share a ``trace_key`` run on the same traces, so
-    consecutive specs of one cell reuse them; the first spec of another
-    cell drops them.  The inline backend and every process-pool worker
-    apply this rule, so however many cells a long-lived executor runs it
-    keeps at most one cell's traces (grids are benchmark-major, so a
-    cell's schemes still share one trace).
+    The inline and thread backends and every pool or queue worker keep
+    one such cache for as long as they run: several profiles' traces,
+    each serving every shorter length, under one byte budget
+    (:data:`~repro.sim.runner.EXECUTOR_TRACE_BYTES`).
     """
+    from repro.sim.runner import EXECUTOR_TRACE_BYTES, TraceCache
 
-    def __init__(self) -> None:
-        self.cache: Any = None
-        self._cell: Optional[Tuple[Any, ...]] = None
-
-    def cache_for(self, spec: Any) -> Any:
-        """The cache to run ``spec`` with, cleared on a cell change."""
-        if self.cache is None:
-            from repro.sim.runner import TraceCache
-
-            self.cache = TraceCache()
-        cell = spec.trace_key
-        if self._cell not in (None, cell):
-            self.cache.clear()
-        self._cell = cell
-        return self.cache
-
-    def clear(self) -> None:
-        """Drop the cache and forget the current cell."""
-        if self.cache is not None:
-            self.cache.clear()
-        self.cache = None
-        self._cell = None
+    return TraceCache(max_bytes=EXECUTOR_TRACE_BYTES)
 
 
 def error_envelope(

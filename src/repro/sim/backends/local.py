@@ -22,9 +22,9 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.backends.base import (
     BackendHealth,
-    CellTraces,
     ExecutionBackend,
     TaskHandle,
+    executor_cache,
     run_task,
 )
 
@@ -37,18 +37,19 @@ class InlineBackend(ExecutionBackend):
     ``submit`` only queues the task; ``poll`` runs every queued task to
     completion and returns them settled.  As on the pool backends, a
     handle settles after its ``submit`` returns, so the time between the
-    two is dispatch and the task's own wall is the run.  Keeps one grid
-    cell's traces at a time (:class:`CellTraces`) so long sweeps stay
-    within memory budget, unless a caller-provided cache is passed in:
-    that one is shared across cells and calls, and never cleared.
+    two is dispatch and the task's own wall is the run.  Keeps its
+    traces in an :func:`~repro.sim.backends.base.executor_cache`, so
+    long sweeps stay within its byte budget, unless a caller-provided
+    cache is passed in: that one is shared across cells and calls, and
+    never cleared.
     """
 
     name = "inline"
     preemptible = False
 
     def __init__(self, cache: Any = None) -> None:
-        self._cache = cache
-        self._traces = CellTraces()
+        self._owns_cache = cache is None
+        self._cache = executor_cache() if cache is None else cache
         self._queued: Deque[TaskHandle] = collections.deque()
         self._completed = 0
 
@@ -69,14 +70,11 @@ class InlineBackend(ExecutionBackend):
         settled: List[TaskHandle] = []
         while self._queued:
             handle = self._queued.popleft()
-            cache = self._cache
-            if cache is None:
-                cache = self._traces.cache_for(handle.spec)
             handle.settle_payload(
                 run_task(
                     handle.spec,
                     handle.attempt,
-                    cache=cache,
+                    cache=self._cache,
                     # A Ctrl-C must stop the sweep, not become a failure.
                     reraise=(KeyboardInterrupt, SystemExit),
                 )
@@ -101,15 +99,17 @@ class InlineBackend(ExecutionBackend):
         )
 
     def shutdown(self, wait: bool = True) -> None:
-        self._traces.clear()
+        if self._owns_cache:
+            self._cache.clear()
         self._queued.clear()
 
 
 class ThreadBackend(ExecutionBackend):
     """A ``ThreadPoolExecutor`` substrate (shared memory, no pickling).
 
-    Each worker thread keeps its own :class:`TraceCache` (thread-local)
-    so concurrent cells do not thrash one shared LRU.
+    Each worker thread keeps its own
+    :func:`~repro.sim.backends.base.executor_cache` (thread-local) so
+    concurrent cells do not thrash one shared LRU.
     """
 
     name = "threads"
@@ -132,9 +132,7 @@ class ThreadBackend(ExecutionBackend):
     def _task(self, spec: Any, attempt: int) -> Any:
         cache = getattr(self._local, "cache", None)
         if cache is None:
-            from repro.sim.runner import TraceCache
-
-            cache = self._local.cache = TraceCache()
+            cache = self._local.cache = executor_cache()
         return run_task(spec, attempt, cache=cache)
 
     def submit(

@@ -32,9 +32,10 @@ simulator, so workers inherit it rather than each importing it on its
 first task.
 
 A worker outlives its tasks (the sweep service holds one pool for its
-lifetime), so it keeps one grid cell's traces at a time
-(:class:`~repro.sim.backends.base.CellTraces`), as the inline backend
-does.
+lifetime), so it keeps its traces in one
+:func:`~repro.sim.backends.base.executor_cache`, as the inline backend
+does: several profiles under one byte budget, each serving every
+shorter cell length as a prefix.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.sim import chaos as chaos_mod
 from repro.sim.backends.base import (
     BackendHealth,
-    CellTraces,
     ExecutionBackend,
     TaskHandle,
     TaskTimeout,
     WorkerDeath,
+    executor_cache,
     run_task,
 )
 
@@ -66,8 +67,9 @@ __all__ = ["ProcessBackend"]
 #: ``prctl`` option: the signal a child gets when its parent dies.
 _PR_SET_PDEATHSIG = 1
 
-#: The trace retention of this process when it is a pool worker.
-_WORKER_TRACES = CellTraces()
+#: This process's trace cache when it is a pool worker (made by its
+#: first task).
+_WORKER_TRACES: Any = None
 
 #: The pool's start method: ``fork`` on Linux, where the parent-death
 #: guard is armed (a ``forkserver`` or ``spawn`` worker is not a child
@@ -105,8 +107,11 @@ def _init_worker(parent_pid: int) -> None:
 
 
 def _worker_task(spec: Any, attempt: int) -> Any:
-    """One task in a pool worker, on this worker's cell-scoped traces."""
-    return run_task(spec, attempt, cache=_WORKER_TRACES.cache_for(spec))
+    """One task in a pool worker, on this worker's trace cache."""
+    global _WORKER_TRACES
+    if _WORKER_TRACES is None:
+        _WORKER_TRACES = executor_cache()
+    return run_task(spec, attempt, cache=_WORKER_TRACES)
 
 
 class ProcessBackend(ExecutionBackend):

@@ -85,9 +85,8 @@ def main(argv: Any = None) -> int:
         return 2
     spool, wid = Path(argv[0]), argv[1]
 
-    from repro.sim.backends.base import run_task
+    from repro.sim.backends.base import executor_cache, run_task
     from repro.sim.chaos import mark_worker_process
-    from repro.sim.runner import TraceCache
 
     mark_worker_process()
     store = None
@@ -100,8 +99,7 @@ def main(argv: Any = None) -> int:
 
         store = ResultStore(Path(config["store_root"]))
 
-    cache = TraceCache()
-    current_cell = None
+    cache = executor_cache()
     last_beat = 0.0
     while True:
         now = time.time()
@@ -125,9 +123,6 @@ def main(argv: Any = None) -> int:
             # payload failure with the task still attributed.
             spec = None
         if spec is not None:
-            if current_cell not in (None, spec.trace_key):
-                cache.clear()
-            current_cell = spec.trace_key
             payload = run_task(spec, attempt, cache=cache)
             if (
                 store is not None

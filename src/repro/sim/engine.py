@@ -158,11 +158,6 @@ class RunSpec:
             sampling=config.sampling,
         )
 
-    @property
-    def trace_key(self) -> Tuple[str, int, int, int]:
-        """Grid-cell identity: specs sharing it run on identical traces."""
-        return (self.profile.label, self.profile.seed, self.threads, self.length)
-
     def key(self) -> str:
         """Result-store content hash of this spec."""
         return run_key(

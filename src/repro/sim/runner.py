@@ -2,9 +2,9 @@
 
 This is the layer the figure benches and examples drive.  Trace
 generation is deterministic and independent of the scheme, so traces are
-built once per (profile, length) and reused across every scheme — both
-for speed and so that scheme comparisons are literally run on identical
-micro-op streams.
+built once per profile (a build serves every shorter length as a
+prefix) and reused across every scheme — both for speed and so that
+scheme comparisons are literally run on identical micro-op streams.
 
 ``run_benchmark`` is the single-run primitive; ``run_benchmark_seeds``
 and ``run_suite`` fan their grids out through the parallel experiment
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
@@ -33,7 +34,11 @@ from repro.common.types import SchemeKind
 from repro.isa.microop import MicroOp
 from repro.sim.config import RunConfig
 from repro.telemetry.events import TelemetryResult
-from repro.workloads.kernels import build_parallel_traces, build_trace
+from repro.workloads.kernels import (
+    WorkloadBuilder,
+    build_parallel_traces,
+    build_trace,
+)
 from repro.workloads.profile import BenchmarkProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (engine imports runner)
@@ -94,14 +99,88 @@ class RunResult:
 #: of measured CPython footprints and errs toward evicting early.
 _UOP_EST_BYTES = 200
 
+#: Byte budget of the trace cache an executor keeps across cells (the
+#: inline and thread backends, pool and queue workers): every SPEC2017
+#: profile at a few thousand uops, or two or three 30k-uop cells.
+EXECUTOR_TRACE_BYTES = 16 * 1024 * 1024
+
+
+class _Entry:
+    """One cached build: every thread's micro-op list.
+
+    ``ends`` holds each thread's chunk ends (``None`` when the traces
+    are not prefix-stable), ``built`` the length the build was asked
+    for, and ``view`` the last prefix handed out, so a repeated length
+    gets the same list object back.
+    """
+
+    __slots__ = ("traces", "ends", "built", "view")
+
+    def __init__(
+        self,
+        traces: List[List[MicroOp]],
+        ends: Optional[List[List[int]]],
+        built: int,
+    ) -> None:
+        self.traces = traces
+        self.ends = ends
+        self.built = built
+        self.view: Tuple[int, List[List[MicroOp]]] = (built, traces)
+
+    def prefix(self, length: int) -> List[List[MicroOp]]:
+        """The traces a fresh build of ``length`` would produce."""
+        if self.view[0] == length or self.ends is None:
+            return self.view[1]
+        cuts = [ends[bisect_left(ends, length)] for ends in self.ends]
+        traces = self.traces
+        if cuts != [len(trace) for trace in traces]:
+            traces = [trace[:cut] for trace, cut in zip(traces, cuts)]
+        self.view = (length, traces)
+        return traces
+
+    @property
+    def approx_bytes(self) -> int:
+        return sum(len(trace) for trace in self.traces) * _UOP_EST_BYTES
+
+
+def _build(profile: BenchmarkProfile, threads: int, length: int) -> _Entry:
+    """Build every thread's trace; keep only the uop lists and chunk ends."""
+    if profile.suite == "gadgets":
+        if threads == 1:
+            programs = [build_trace(profile, length)]
+        else:
+            programs = build_parallel_traces(profile, threads, length)
+        return _Entry([prog.trace() for prog in programs], None, length)
+    # The builders (and their memory images) die here: only the lists
+    # the simulator reads stay cached.
+    builders = [WorkloadBuilder(profile, t, threads) for t in range(threads)]
+    for builder in builders:
+        builder.build(length)
+    return _Entry(
+        [builder.prog.trace() for builder in builders],
+        [builder.chunk_ends for builder in builders],
+        length,
+    )
+
 
 class TraceCache:
-    """Builds and memoizes workload traces per (profile, seed, threads, length).
+    """Builds and memoizes workload traces.
 
-    The cache is bounded: at most ``max_entries`` traces and roughly
+    The synthetic generator emits whole kernel chunks, and no chunk
+    depends on the requested length, so a trace of ``length`` uops is
+    the prefix of any longer build of the same profile, cut at the first
+    chunk end at or past ``length`` -- exactly where a fresh build
+    stops.  Synthetic-suite traces are therefore keyed by (label, seed,
+    threads), and one entry serves every length up to the one it was
+    built for.  A longer request rebuilds at the larger of ``length``
+    and twice the built length, so a sweep over growing lengths
+    rebuilds a logarithmic number of times.  Gadget scenarios are not prefix-stable
+    and stay keyed by (label, seed, threads, length).
+
+    The cache is bounded: at most ``max_entries`` entries and roughly
     ``max_bytes`` of retained micro-ops, with least-recently-used
-    eviction.  The experiment engine calls :meth:`clear` between grid
-    cells so a long sweep never accumulates every profile's traces.
+    eviction.  It keeps only micro-op lists and their chunk ends, never
+    a builder's memory image.
     """
 
     def __init__(
@@ -117,36 +196,32 @@ class TraceCache:
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        self._cache: "OrderedDict[Tuple[str, int, int, int], List[List[MicroOp]]]" = (
-            OrderedDict()
-        )
+        self._cache: "OrderedDict[Tuple[Any, ...], _Entry]" = OrderedDict()
         self._bytes = 0
-
-    @staticmethod
-    def _entry_bytes(traces: List[List[MicroOp]]) -> int:
-        return sum(len(trace) for trace in traces) * _UOP_EST_BYTES
 
     def get(
         self, profile: BenchmarkProfile, threads: int, length: int
     ) -> List[List[MicroOp]]:
         """Return (building if needed) the trace list for this request."""
-        key = (profile.label, profile.seed, threads, length)
-        if key in self._cache:
+        key: Tuple[Any, ...] = (profile.label, profile.seed, threads)
+        if profile.suite == "gadgets":
+            key += (length,)
+        entry = self._cache.get(key)
+        if entry is not None and entry.built >= length:
             self.hits += 1
             self._cache.move_to_end(key)
-            return self._cache[key]
+            return entry.prefix(length)
         self.misses += 1
-        if threads == 1:
-            traces = [build_trace(profile, length).trace()]
-        else:
-            traces = [
-                prog.trace()
-                for prog in build_parallel_traces(profile, threads, length)
-            ]
-        self._cache[key] = traces
-        self._bytes += self._entry_bytes(traces)
+        build_length = length
+        if entry is not None:
+            del self._cache[key]
+            self._bytes -= entry.approx_bytes
+            build_length = max(length, 2 * entry.built)
+        entry = _build(profile, threads, build_length)
+        self._cache[key] = entry
+        self._bytes += entry.approx_bytes
         self._evict()
-        return traces
+        return entry.prefix(length)
 
     def _evict(self) -> None:
         """Drop least-recently-used entries until within budget.
@@ -157,8 +232,8 @@ class TraceCache:
         while len(self._cache) > 1 and (
             len(self._cache) > self.max_entries or self._bytes > self.max_bytes
         ):
-            _, traces = self._cache.popitem(last=False)
-            self._bytes -= self._entry_bytes(traces)
+            _, entry = self._cache.popitem(last=False)
+            self._bytes -= entry.approx_bytes
 
     def clear(self) -> None:
         """Drop every cached trace (hit/miss counters survive)."""

@@ -19,7 +19,10 @@ POST      ``/v1/suites``                submit a suite; returns a job id
 GET       ``/v1/jobs``                  list all jobs with status
 GET       ``/v1/jobs/{id}``             one job's status + progress counts
 GET       ``/v1/jobs/{id}/result``      the ``SuiteResult`` JSON (409 until
-                                        the job is done)
+                                        the job is done); ``?wait=S`` holds
+                                        an unfinished job's request up to
+                                        ``S`` (at most
+                                        :data:`RESULT_WAIT_CAP_S`) seconds
 GET       ``/v1/jobs/{id}/events``      NDJSON progress stream (one record
                                         or failure event per line, then a
                                         terminal ``status`` event);
@@ -74,9 +77,10 @@ that thread's held process pool when the cell's backend is
 ``process``; see :class:`SweepService`); the
 engine/supervisor ``observer`` callback appends progress events to the
 job under a lock, and the ``/events`` streamer polls that ring from the
-event loop.  Cross-thread signalling is therefore lock + poll, never
-``call_soon_threadsafe`` from simulation code — the simulator stays
-ignorant of asyncio.
+event loop.  Cross-thread signalling from simulation code is
+therefore lock + poll — the simulator stays ignorant of asyncio.  Only
+the service's own job finalization reaches into the loop: it releases
+held ``/result?wait=`` requests with ``call_soon_threadsafe``.
 
 The matching client helpers live in :mod:`repro.api`:
 ``submit_suite`` / ``poll`` / ``result``.
@@ -118,6 +122,9 @@ DEFAULT_MAX_QUEUED = 8
 
 #: Default per-job progress-event ring size.
 DEFAULT_EVENT_BUFFER = 1024
+
+#: Longest a ``/result?wait=S`` request is held, whatever ``S`` asks.
+RESULT_WAIT_CAP_S = 20.0
 
 #: Paths that never require auth and are never chaos-faulted: a drill
 #: (or an orchestrator) must always be able to tell the service is up.
@@ -228,6 +235,8 @@ class Job:
     next_seq: int = 0
     dropped_events: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: Held ``/result?wait=`` requests: (event loop, future) pairs.
+    waiters: List[Tuple[Any, Any]] = field(default_factory=list, repr=False)
 
     @property
     def done(self) -> bool:
@@ -252,6 +261,16 @@ class Job:
                 self.records_count += 1
             elif kind == "failure":
                 self.failures_count += 1
+
+    def release_waiters(self) -> None:
+        """Wake every held ``/result`` request (callable from any thread)."""
+        with self.lock:
+            waiters, self.waiters = self.waiters, []
+        for loop, future in waiters:
+            try:
+                loop.call_soon_threadsafe(_release, future)
+            except RuntimeError:  # that loop has closed
+                pass
 
     def events_from(self, cursor: int) -> Tuple[List[Dict[str, Any]], int]:
         """Events with ``seq`` >= ``cursor`` plus the oldest held seq.
@@ -287,6 +306,11 @@ class Job:
             "error": self.error,
             "recovered": self.recovered,
         }
+
+
+def _release(future: Any) -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 def _observer_event(item: Any) -> Dict[str, Any]:
@@ -831,6 +855,7 @@ class SweepService:
         if result_path is not None:
             self._ledger_state(job, "done", result_path=str(result_path))
         job.add_event({"type": "status", "status": "done", "error": None})
+        job.release_waiters()
 
     def _finalize_failed(self, job: Job, exc: BaseException) -> None:
         job.error = f"{type(exc).__name__}: {exc}"
@@ -841,6 +866,7 @@ class SweepService:
         job.finished_at = time.time()
         self._ledger_state(job, "failed", error=job.error)
         job.add_event({"type": "status", "status": "failed", "error": job.error})
+        job.release_waiters()
 
     def get(self, job_id: str) -> Optional[Job]:
         """The job with this id, or ``None``."""
@@ -892,11 +918,16 @@ class SweepService:
     def close(self) -> None:
         """Stop the worker pool (running cells finish; queue drains not).
 
-        Each worker thread shuts down its held backend as it exits.
+        Held ``/result`` requests are answered at once, and each worker
+        thread shuts down its held backend as it exits.
         """
         with self._cond:
             self._stop = True
             self._cond.notify_all()
+        with self._jobs_lock:
+            jobs = list(self._jobs.values())
+        for job in jobs:
+            job.release_waiters()
         for thread in self._workers:
             thread.join(timeout=2.0)
 
@@ -1034,7 +1065,7 @@ class SweepService:
             if not action:
                 await _send_json(writer, 200, job.summary())
             elif action == "result":
-                await self._handle_result(writer, job)
+                await self._handle_result(writer, job, _wait_param(query))
             elif action == "events":
                 await self._handle_events(writer, job, _since_param(query))
             else:
@@ -1085,24 +1116,49 @@ class SweepService:
         )
 
     async def _handle_result(
-        self, writer: asyncio.StreamWriter, job: Job
+        self, writer: asyncio.StreamWriter, job: Job, wait_s: float
     ) -> None:
+        waited = wait_s > 0 and await self._hold(job, wait_s)
         if job.status == "failed":
             await _send_json(
                 writer, 500, {"job": job.job_id, "error": job.error}
             )
         elif job.status != "done" or job.result_json is None:
-            await _send_json(
-                writer,
-                409,
-                {"job": job.job_id, "status": job.status,
-                 "error": "job not finished"},
-            )
+            payload: Dict[str, Any] = {
+                "job": job.job_id, "status": job.status,
+                "error": "job not finished",
+            }
+            if waited:
+                payload["waited"] = True
+            await _send_json(writer, 409, payload)
         else:
             await _send_raw(
                 writer, 200, job.result_json.encode("utf-8"),
                 "application/json",
             )
+
+    async def _hold(self, job: Job, wait_s: float) -> bool:
+        """Wait until ``job`` finishes or ``wait_s`` (capped) passes.
+
+        The worker thread that finalizes the job, or :meth:`close`,
+        releases the wait; returns whether the request was held.
+        """
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        waiter = (loop, future)
+        with job.lock:
+            # Checked under the lock that release_waiters takes, after
+            # the status (or the stop flag) it follows has been set.
+            if job.done or self._stop:
+                return False
+            job.waiters.append(waiter)
+        try:
+            await asyncio.wait((future,), timeout=min(wait_s, RESULT_WAIT_CAP_S))
+        finally:
+            with job.lock:
+                if waiter in job.waiters:
+                    job.waiters.remove(waiter)
+        return True
 
     async def _handle_events(
         self, writer: asyncio.StreamWriter, job: Job, since: int
@@ -1159,6 +1215,15 @@ def _wire_options(options: Dict[str, Any]) -> Dict[str, Any]:
         for key in ("jobs", "supervise", "backend", "telemetry", "sampling")
         if key in options and options[key] is not None
     }
+
+
+def _wait_param(query: str) -> float:
+    """The ``wait`` seconds from a ``/result`` query string (default 0)."""
+    try:
+        values = urllib.parse.parse_qs(query).get("wait")
+        return max(0.0, float(values[0])) if values else 0.0
+    except (ValueError, TypeError):
+        return 0.0
 
 
 def _since_param(query: str) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -90,6 +91,15 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=64)
+def _canonical_params(params: SystemParams) -> Dict[str, Any]:
+    """``_jsonable(params)``, computed once per distinct frozen params.
+
+    Read-only: :func:`run_key` only serializes it.
+    """
+    return _jsonable(params)
+
+
 def run_key(
     profile: BenchmarkProfile,
     scheme: SchemeKind,
@@ -112,7 +122,7 @@ def run_key(
         "length": length,
         "threads": threads,
         "seed": profile.seed,
-        "params": _jsonable(params),
+        "params": _canonical_params(params),
         "warmup_uops": warmup_uops,
     }
     if sampling is not None:

@@ -105,6 +105,8 @@ class WorkloadBuilder:
         }
         self._kernel_names = list(profile.kernel_weights.keys())
         self._kernel_cum = self._cumulative_weights()
+        #: Trace length at the start and after every emitted chunk.
+        self.chunk_ends: List[int] = [0]
 
     # ------------------------------------------------------------------
     # layout
@@ -158,7 +160,7 @@ class WorkloadBuilder:
             self.prog.poke(base + _INDEX_BASE + i * 8, rng.randrange(words) * 8)
         buckets = max(16, words // 4)
         for i in range(buckets):
-            self.prog.poke(base + _HASH_BASE + i * 8, rng.choice(list(nodes)))
+            self.prog.poke(base + _HASH_BASE + i * 8, rng.choice(nodes))
         # Array descriptors: words holding the target array's base address,
         # used by the `desc->array[idx]` multi-source pattern (§5.1.1).
         for i in range(8):
@@ -176,13 +178,19 @@ class WorkloadBuilder:
     # main loop
     # ------------------------------------------------------------------
     def build(self, length: int) -> Program:
-        """Emit kernel chunks until the trace reaches ``length`` micro-ops."""
+        """Emit kernel chunks until the trace reaches ``length`` micro-ops.
+
+        No chunk depends on ``length``, so the trace built for a shorter
+        length is the prefix of this one that ends at the first entry of
+        :attr:`chunk_ends` at or past that length.
+        """
         while len(self.prog) < length:
             pick = self._rng.random() * self._kernel_cum[-1]
             for name, bound in zip(self._kernel_names, self._kernel_cum):
                 if pick <= bound:
                     self._kernels[name]()
                     break
+            self.chunk_ends.append(len(self.prog))
         return self.prog
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.sim.backends import (
 from repro.sim.backends.base import (
     TaskHandle,
     default_backend_name,
+    execute_run,
     parse_envelope,
 )
 from repro.sim.chaos import CORRUPT_PAYLOAD, ChaosConfig
@@ -319,24 +320,46 @@ class TestKeyboardInterrupt:
 class TestProcessWorkerLifetime:
     """Long-lived pool workers: bounded traces, no orphans."""
 
-    def test_worker_keeps_one_cells_traces(self):
+    def test_worker_keeps_profiles_under_one_byte_budget(self, monkeypatch):
+        from repro.sim import runner
         from repro.sim.backends import process
 
-        mcf, gcc = _specs(names=("mcf", "gcc"))[::2]
-        assert mcf.trace_key != gcc.trace_key
-        try:
-            for spec in (mcf, gcc):
-                assert process._worker_task(spec, 0)[0] == "ok"
-            cache = process._WORKER_TRACES.cache
-            assert len(cache) == 1
-            misses = cache.misses
-            same_cell = RunSpec.build(
-                gcc.profile, SchemeKind.STT, LENGTH, RunConfig()
+        monkeypatch.setattr(process, "_WORKER_TRACES", None)
+
+        def run(name, length, scheme=SchemeKind.UNSAFE):
+            spec = RunSpec.build(
+                get_benchmark("spec2017", name), scheme, length, RunConfig()
             )
-            assert process._worker_task(same_cell, 0)[0] == "ok"
-            assert len(cache) == 1 and cache.misses == misses
-        finally:
-            process._WORKER_TRACES.clear()
+            envelope = process._worker_task(spec, 0)
+            assert envelope[0] == "ok"
+            return spec, envelope[1]
+
+        # Several profiles stay cached side by side.
+        run("mcf", LENGTH)
+        run("gcc", LENGTH)
+        cache = process._WORKER_TRACES
+        assert cache.max_bytes == runner.EXECUTOR_TRACE_BYTES
+        assert len(cache) == 2 and cache.misses == 2
+        # A shorter cell of a cached profile reuses its trace as a
+        # prefix, with the result a fresh build gives.
+        spec, result = run("mcf", LENGTH - 150, SchemeKind.STT)
+        assert cache.misses == 2
+        fresh = execute_run(spec, runner.TraceCache())
+        assert result.cycles == fresh.cycles
+        assert result.stats.as_dict() == fresh.stats.as_dict()
+        # A longer one rebuilds once, at twice the built length.
+        run("gcc", LENGTH + 1)
+        run("gcc", 2 * LENGTH)
+        assert cache.misses == 3
+        # Past the byte budget the least recently used profile goes.
+        cache.max_bytes = cache.approx_bytes
+        run("lbm", LENGTH)
+        assert len(cache) == 2 and cache.approx_bytes <= cache.max_bytes
+        misses = cache.misses
+        run("gcc", LENGTH)
+        assert cache.misses == misses
+        run("mcf", LENGTH)
+        assert cache.misses == misses + 1
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="the guard is Linux-only"

@@ -1,10 +1,16 @@
-"""Tests for RunConfig, the retired legacy kwargs, and the bounded TraceCache."""
+"""Tests for RunConfig, the retired legacy kwargs, the bounded TraceCache
+and its length prefixes, and the result-store key."""
+
+import random
 
 import pytest
 
 from repro.common import SchemeKind, SystemParams
+from repro.sampling import parse_sampling
 from repro.sim import RunConfig, TraceCache, run_benchmark, run_suite
-from repro.workloads import get_benchmark
+from repro.sim.store import run_key
+from repro.workloads import all_benchmarks, get_benchmark
+from repro.workloads.kernels import build_parallel_traces, build_trace
 
 
 class TestRunConfig:
@@ -115,3 +121,88 @@ class TestTraceCacheBudget:
             TraceCache(max_entries=0)
         with pytest.raises(ValueError):
             TraceCache(max_bytes=0)
+
+
+#: The MicroOp fields a prefix must match a fresh build in.
+_UOP_FIELDS = (
+    "opclass", "srcs", "data_srcs", "dest", "addr", "pc", "seq",
+    "mispredict", "value", "forced_prediction",
+)
+
+
+def _uops(traces):
+    return [
+        [tuple(getattr(uop, name) for name in _UOP_FIELDS) for uop in trace]
+        for trace in traces
+    ]
+
+
+def _fresh(profile, threads, length):
+    if threads == 1:
+        return [build_trace(profile, length).trace()]
+    return [prog.trace() for prog in build_parallel_traces(profile, threads, length)]
+
+
+class TestTracePrefixes:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_prefix_equals_fresh_build(self, threads):
+        """Every answer, rising or falling, is what a fresh build makes."""
+        for profile in all_benchmarks():
+            rng = random.Random(f"{profile.label}:{threads}")
+            lengths = sorted(rng.sample(range(20, 400), 3))
+            fresh = {n: _uops(_fresh(profile, threads, n)) for n in lengths}
+            cache = TraceCache()
+            for length in lengths + lengths[::-1]:
+                got = cache.get(profile, threads, length)
+                assert _uops(got) == fresh[length], (profile.label, threads, length)
+                # A repeated ask returns the very same lists.
+                assert cache.get(profile, threads, length) is got
+            # Only rising lengths can rebuild; falling ones are prefixes.
+            assert cache.misses <= len(lengths)
+            assert len(cache) == 1
+
+    def test_longer_request_rebuilds_at_twice_the_length(self):
+        cache = TraceCache()
+        gcc = get_benchmark("spec2017", "gcc")
+        cache.get(gcc, 1, 300)
+        cache.get(gcc, 1, 301)
+        assert cache.misses == 2
+        cache.get(gcc, 1, 600)  # served by the 600-uop rebuild
+        assert cache.misses == 2 and cache.hits == 1
+        cache.get(gcc, 1, 5000)  # past twice: built at the asked length
+        cache.get(gcc, 1, 5000)
+        assert cache.misses == 3 and cache.hits == 2
+        assert len(cache) == 1
+
+    def test_gadget_traces_keep_per_length_keys(self):
+        cache = TraceCache()
+        gadget = get_benchmark("gadgets", "v1_bounds_bypass")
+        short = cache.get(gadget, 1, 200)
+        long = cache.get(gadget, 1, 400)
+        assert len(cache) == 2 and cache.misses == 2
+        assert cache.get(gadget, 1, 200) is short
+        assert _uops(long) == _uops(_fresh(gadget, 1, 400))
+
+
+class TestRunKey:
+    def test_keys_match_existing_stores(self):
+        """Store keys are the hex digests earlier versions wrote."""
+        mcf = get_benchmark("spec2017", "mcf")
+        params = SystemParams(num_cores=1)
+        assert run_key(mcf, SchemeKind.STT, 1500, 1, params, 600) == (
+            "9b45097b40e74955060f41c1c2e90ae49d6e14a08a43b420e28b8bb9e9215a9f"
+        )
+        # Twice, through the canonical-params memo.
+        assert run_key(mcf, SchemeKind.STT, 1500, 1, params, 600) == (
+            "9b45097b40e74955060f41c1c2e90ae49d6e14a08a43b420e28b8bb9e9215a9f"
+        )
+        canneal = get_benchmark("parsec", "canneal")
+        four = SystemParams(num_cores=4, lpt_entries=16)
+        assert run_key(canneal, SchemeKind("nda+recon"), 6000, 4, four, 2400) == (
+            "f7d9ed8e765a902ce49454d9bcac80fb9790cf61da78b5ef0e62f8e6a51cb4e7"
+        )
+        sampled = parse_sampling("ci=0.02,conf=0.95")
+        assert run_key(
+            mcf, SchemeKind.UNSAFE, 30000, 1, SystemParams(), 12000,
+            sampling=sampled,
+        ) == "823ab27eaa8c0e1a171a5e35134b8d0bb1d0c92f00c1cfdaa4b455c46fd6db78"

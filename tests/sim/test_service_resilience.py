@@ -81,7 +81,7 @@ def _cell(scheme="stt"):
     return {"benchmark": "spec2017/mcf", "scheme": scheme, "length": 300}
 
 
-def _raw(url, *, method="GET", payload=None, headers=None):
+def _raw(url, *, method="GET", payload=None, headers=None, timeout=10):
     """One raw HTTP exchange: (status, lower-cased headers, decoded body)."""
     data = json.dumps(payload).encode("utf-8") if payload is not None else None
     request = urllib.request.Request(
@@ -91,7 +91,7 @@ def _raw(url, *, method="GET", payload=None, headers=None):
         method=method,
     )
     try:
-        with urllib.request.urlopen(request, timeout=10) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             status, raw_headers, body = (
                 response.status,
                 response.headers,
@@ -472,6 +472,8 @@ class CannedServer:
         self._listener.listen(8)
         self.port = self._listener.getsockname()[1]
         self.url = f"http://127.0.0.1:{self.port}"
+        #: (monotonic arrival time, request line) of every request.
+        self.requests = []
         self._thread = threading.Thread(
             target=self._serve, args=(list(scripts),), daemon=True
         )
@@ -484,7 +486,9 @@ class CannedServer:
             except OSError:
                 return
             try:
-                _drain_request(conn)
+                head = _drain_request(conn)
+                line = head.split(b"\r\n", 1)[0].decode("latin-1")
+                self.requests.append((time.monotonic(), line))
                 script(conn)
             except OSError:
                 pass
@@ -502,14 +506,15 @@ def _drain_request(conn):
     while b"\r\n\r\n" not in data:
         chunk = conn.recv(4096)
         if not chunk:
-            return
+            return data
         data += chunk
+    return data
 
 
-def _http_response(payload, *, truncate=False):
+def _http_response(payload, *, truncate=False, status="200 OK"):
     body = json.dumps(payload).encode("utf-8")
     head = (
-        "HTTP/1.1 200 OK\r\n"
+        f"HTTP/1.1 {status}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
         "Connection: close\r\n\r\n"
@@ -527,6 +532,13 @@ def _send_ok(payload):
 def _send_truncated(payload):
     def script(conn):
         conn.sendall(_http_response(payload, truncate=True))
+
+    return script
+
+
+def _send_status(status, payload):
+    def script(conn):
+        conn.sendall(_http_response(payload, status=status))
 
     return script
 
@@ -647,3 +659,158 @@ class TestServiceChaos:
             suite = result(job, url=url, timeout_s=120)
             assert len(suite.records) == 1
             assert service.metrics.counters["service_chaos_slow"].value >= 1
+
+
+def _gate_cells(monkeypatch, *, fail=False):
+    """Hold every service cell until the returned event is set."""
+    gate = threading.Event()
+    real = api_mod.run_suite
+
+    def gated(*args, **kwargs):
+        assert gate.wait(30), "gate never opened"
+        if fail:
+            raise RuntimeError("cell failed on purpose")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(api_mod, "run_suite", gated)
+    return gate
+
+
+def _timed_result(url, job_id, query):
+    t0 = time.monotonic()
+    status, _, body = _raw(f"{url}/v1/jobs/{job_id}/result{query}", timeout=30)
+    return status, body, time.monotonic() - t0
+
+
+class TestLongPollResult:
+    """``/result?wait=S`` holds the request instead of the client polling."""
+
+    @pytest.fixture
+    def inline(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "off")
+
+        def make(**kwargs):
+            return SweepService(jobs=1, backend="inline", store=False, **kwargs)
+
+        return make
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_held_request_returns_when_the_job_ends(
+        self, inline, monkeypatch, fail
+    ):
+        gate = _gate_cells(monkeypatch, fail=fail)
+        service = inline()
+        with serve(service) as url:
+            job, _ = service.submit_job([_cell()], {})
+            opener = threading.Timer(0.3, gate.set)
+            opener.start()
+            status, body, elapsed = _timed_result(url, job.job_id, "?wait=15")
+            opener.join()
+        # Held until the cell ran, answered long before the hold ran out.
+        assert 0.2 <= elapsed < 10
+        if fail:
+            assert status == 500 and "on purpose" in body["error"]
+        else:
+            assert status == 200 and len(body["records"]) == 1
+
+    def test_expired_hold_answers_409_waited(self, inline):
+        service = inline(start_workers=False)
+        with serve(service) as url:
+            job, _ = service.submit_job([_cell()], {})
+            status, body, elapsed = _timed_result(url, job.job_id, "?wait=0.3")
+        assert status == 409 and body["waited"] is True
+        assert body["status"] == "queued"
+        assert 0.25 <= elapsed < 5
+
+    def test_hold_is_capped(self, inline, monkeypatch):
+        import repro.sim.service as service_mod
+
+        monkeypatch.setattr(service_mod, "RESULT_WAIT_CAP_S", 0.2)
+        service = inline(start_workers=False)
+        with serve(service) as url:
+            job, _ = service.submit_job([_cell()], {})
+            status, body, elapsed = _timed_result(url, job.job_id, "?wait=1000")
+        assert status == 409 and body["waited"] is True
+        assert elapsed < 5
+
+    def test_no_wait_answers_409_at_once(self, inline):
+        service = inline(start_workers=False)
+        with serve(service) as url:
+            job, _ = service.submit_job([_cell()], {})
+            for query in ("", "?wait=0", "?wait=junk"):
+                status, body, elapsed = _timed_result(url, job.job_id, query)
+                assert status == 409 and "waited" not in body
+                assert elapsed < 2
+
+    def test_client_does_not_sleep_after_a_hold(self, inline, monkeypatch):
+        monkeypatch.setattr(api_mod, "_RESULT_HOLD_S", 0.1)
+        gate = _gate_cells(monkeypatch)
+        service = inline()
+        with serve(service) as url:
+            job = submit_suite([RunRequest("spec2017/mcf", "stt", 300)], url=url)
+            opener = threading.Timer(0.5, gate.set)
+            opener.start()
+            t0 = time.monotonic()
+            # Several expired holds, and none followed by a 60 s sleep.
+            suite = result(job, url=url, interval_s=60, timeout_s=120)
+            opener.join()
+        assert len(suite.records) == 1
+        assert time.monotonic() - t0 < 30
+
+    def test_client_polls_a_server_that_ignores_wait(self, fast_retries):
+        running = {"job": "job-0001", "status": "running",
+                   "error": "job not finished"}
+        failed = {"job": "job-0001", "error": "boom"}
+        server = CannedServer([
+            _send_status("409 Conflict", running),
+            _send_status("409 Conflict", running),
+            _send_status("500 Internal Server Error", failed),
+        ])
+        with pytest.raises(RuntimeError, match="boom"):
+            result("job-0001", url=server.url, interval_s=0.3, timeout_s=60)
+        times = [at for at, _ in server.requests]
+        lines = [line for _, line in server.requests]
+        assert len(lines) == 3
+        assert all("/v1/jobs/job-0001/result?wait=" in line for line in lines)
+        # No hold, so the client slept interval_s between polls.
+        assert all(b - a >= 0.3 for a, b in zip(times, times[1:]))
+
+    def test_chaos_truncated_held_response_is_retried(
+        self, inline, monkeypatch, fast_retries
+    ):
+        gate = _gate_cells(monkeypatch)
+        service = inline()
+        original = service._apply_response_chaos
+        seen = []
+
+        def truncate_first_result(writer, method, route):
+            if route.endswith("/result"):
+                seen.append(route)
+                if len(seen) == 1:
+                    writer._repro_chaos = ("truncate", 0.0)
+                    return True
+            return original(writer, method, route)
+
+        service._apply_response_chaos = truncate_first_result
+        with serve(service) as url:
+            job = submit_suite([RunRequest("spec2017/mcf", "stt", 300)], url=url)
+            opener = threading.Timer(0.3, gate.set)
+            opener.start()
+            suite = result(job, url=url, interval_s=60, timeout_s=120)
+            opener.join()
+        assert len(suite.records) == 1
+        assert len(seen) >= 2  # the held, truncated answer was retried
+
+    def test_close_releases_held_requests(self, inline):
+        service = inline(start_workers=False)
+        with serve(service) as url:
+            job, _ = service.submit_job([_cell()], {})
+            closer = threading.Timer(0.3, service.close)
+            closer.start()
+            status, body, elapsed = _timed_result(url, job.job_id, "?wait=15")
+            closer.join()
+            # A stopping service holds nothing new.
+            again = _timed_result(url, job.job_id, "?wait=15")
+        assert status == 409 and body["waited"] is True
+        assert 0.2 <= elapsed < 10
+        assert again[0] == 409 and "waited" not in again[1] and again[2] < 2
