@@ -1,4 +1,4 @@
-"""Hot-path throughput trajectory — untraced vs traced cycle loop.
+"""Hot-path throughput gate — untraced vs traced cycle loop.
 
 Times the same grid cells untraced and traced (a live telemetry
 collector on the same cycle loop), on pre-built traces so only
@@ -12,9 +12,9 @@ uops/s, which tracks the host machine — against the committed baseline
 (``benchmarks/data/bench_hotpath_baseline.json``) and fails on a >10%
 regression.  Both modes run the same loop on the same host, so the
 ratio falls when the untraced path picks up work it should skip (a
-telemetry hook that is not guarded, a submit-free path lost).  CI runs
-this bench on every push and uploads the JSON artifact, so the
-trajectory of the hot path is visible per commit.
+telemetry hook that is not guarded, a submit-free path lost).  CI's
+``bench-hotpath`` job runs this ratio gate on every push and uploads
+the JSON as the ``bench-hotpath`` artifact.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _MISS_HEAVY = BenchmarkProfile(
     chase_steps=8,
 )
 
-#: (label, profile, scheme) cells of the trajectory.
+#: (label, profile, scheme) cells the gate times.
 CELLS = (
     ("spec2017/mcf/unsafe", get_benchmark("spec2017", "mcf"), SchemeKind.UNSAFE),
     ("spec2017/mcf/stt+recon", get_benchmark("spec2017", "mcf"), SchemeKind.STT_RECON),

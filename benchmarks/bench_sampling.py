@@ -12,8 +12,9 @@ the resulting cut, then asserts the two acceptance criteria:
 * sampled mode detail-simulates at least 5x fewer micro-ops than exact
   mode on every cell.
 
-CI's ``sampling-smoke`` job runs this bench and uploads the JSON, which
-``scripts/aggregate_bench.py`` folds into ``BENCH_trajectory.json``.
+CI's ``sampling-smoke`` job runs this bench, asserts both criteria again
+on the JSON summary, and uploads the JSON as the ``bench-sampling``
+artifact.
 """
 
 from __future__ import annotations

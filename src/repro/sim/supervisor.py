@@ -27,8 +27,8 @@ guarantees a long sweep needs:
   re-verified solo (one spec in flight at a time), so the actual
   crasher is identified and innocents are never charged;
 * **graceful degradation** — after ``max_pool_restarts`` crash-driven
-  backend restarts the remaining work runs inline in the parent,
-  where a process-level chaos fault degrades to an exception;
+  backend restarts the remaining work always runs inline in the
+  parent, where a process-level chaos fault degrades to an exception;
 * **checkpoint/resume** — finished runs live in the result store, and a
   :class:`SuiteJournal` (JSON-lines file next to it) records the runs
   that exhausted their attempts, so an interrupted sweep restarts where
@@ -129,9 +129,6 @@ class FaultPolicy:
         max_pool_restarts: crash-driven backend respawns tolerated
             before degrading to inline execution (timeout-driven
             restarts are bounded by per-run retries and do not count).
-        degrade_inline: whether to fall back to inline execution after
-            ``max_pool_restarts`` is exceeded; when ``False`` the
-            remaining runs fail with ``PoolExhaustedError`` records.
     """
 
     timeout_s: Optional[float] = None
@@ -141,7 +138,6 @@ class FaultPolicy:
     jitter: float = 0.25
     seed: int = 0
     max_pool_restarts: int = 5
-    degrade_inline: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -775,32 +771,13 @@ class Supervisor:
         records: List[Optional[RunRecord]],
         failures: Dict[int, RunFailure],
     ) -> None:
-        """Workers keep dying: finish the sweep inline (or fail it)."""
+        """Workers keep dying: finish the sweep inline in the parent."""
+        from repro.sim.backends.local import InlineBackend
+
         self.metrics.counter("fault_degraded").inc()
         self.collector.emit(CAT_FAULT, "degrade", value=len(remaining))
-        if self.policy.degrade_inline:
-            from repro.sim.backends.local import InlineBackend
-
-            for item in remaining:
-                item.solo = False  # inline cannot crash: no solo verify
-            self._run_backend(
-                InlineBackend(), True, remaining, results, records, failures
-            )
-            return
-        for item in sorted(remaining, key=lambda it: it.index):
-            item.attempts = max(item.attempts, self.policy.retries + 1)
-            item.last_error = (
-                "error",
-                "PoolExhaustedError",
-                "worker pool kept dying and inline degradation is disabled",
-                "",
-                None,
-                0.0,
-                None,
-            )
-            failure = self._failure_from(item)
-            failures[item.index] = failure
-            if self.journal is not None and item.key is not None:
-                self.journal.record_failed(item.key, failure)
-            self._done += 1
-            self._emit_failure(failure)
+        for item in remaining:
+            item.solo = False  # inline cannot crash: no solo verify
+        self._run_backend(
+            InlineBackend(), True, remaining, results, records, failures
+        )
