@@ -23,6 +23,8 @@ from repro.core import Core
 from repro.memory import MemoryHierarchy
 from repro.security import make_policy
 from repro.sim import format_table
+from repro.telemetry import TelemetryCollector, TelemetryConfig
+from repro.telemetry.events import CAT_SECURITY
 
 from benchmarks.common import emit
 
@@ -72,10 +74,14 @@ def _observed(scheme, pc3_pred, pc4_pred):
         MemoryHierarchy(params),
         make_policy(scheme, stats),
         stats,
+        telemetry=TelemetryCollector(TelemetryConfig(categories={CAT_SECURITY})),
     )
     core.run()
+    # bit 1 of an observe event: issued under a speculation shadow.
     speculative = {
-        obs.seq for obs in core.observations if obs.speculative
+        ev.seq
+        for ev in core.telemetry.events
+        if ev.kind == "observe" and ev.value & 2
     }
     return pc3_seq in speculative, pc4_seq in speculative
 

@@ -2,11 +2,12 @@
 
 One :class:`EventQueue` is shared by every core of a :class:`System`
 (and by the completions of memory accesses), replacing the per-core
-``{cycle: [events]}`` dicts of the lockstep era.  Events are
-``(cycle, seq, callback, arg)`` entries; insertion order breaks ties, so
-two events scheduled for the same cycle fire in the order they were
-scheduled — which preserves the legacy per-core processing order
-exactly.
+``{cycle: [events]}`` dicts of the lockstep era.  Events wait in one
+FIFO bucket per cycle, and a min-heap holds the cycles that have a
+bucket; so two events scheduled for the same cycle fire in the order
+they were scheduled — which preserves the legacy per-core processing
+order exactly — and scheduling an event costs one dict lookup and one
+append unless it opens a new cycle.
 
 ``service(cycle)`` fires *every* event due at or before ``cycle`` and is
 idempotent, so any core's step may drain the queue on behalf of all of
@@ -14,28 +15,28 @@ them: callbacks are bound methods that only touch their own core's
 state.
 
 Events are scheduled with :meth:`push` as ``fn(arg, due)``: no lambda
-is allocated per event, the payload rides the heap entry itself, and the
-callee receives the cycle the event was scheduled for.  The run loops
-never tick past a due event, so the due cycle is also the cycle the
-event is serviced at.
+is allocated per event, and the callee receives the cycle the event was
+scheduled for.  The run loops never tick past a due event, so the due
+cycle is also the cycle the event is serviced at.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["EventQueue"]
 
 
 class EventQueue:
-    """Min-heap of ``(cycle, seq, callback, arg)`` events."""
+    """Per-cycle FIFO buckets of ``(callback, arg)`` events."""
 
-    __slots__ = ("_heap", "_seq", "epoch")
+    __slots__ = ("_buckets", "_cycles", "epoch")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Callable, Any]] = []
-        self._seq = 0
+        self._buckets: Dict[int, List[Tuple[Callable, Any]]] = {}
+        #: Min-heap of the cycles that have a bucket (each once).
+        self._cycles: List[int] = []
         #: Simulation-state generation counter.  Bumped whenever state
         #: that could unblock a stalled instruction changes (events
         #: firing here; commits, drains, frontier moves, and cache
@@ -46,30 +47,32 @@ class EventQueue:
         self.epoch = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def push(self, cycle: int, fn: Callable, arg: Any) -> None:
-        """Fire ``fn(arg, cycle)`` when the clock reaches ``cycle``.
-
-        The payload rides the heap entry, so scheduling allocates nothing
-        beyond the tuple itself.
-        """
-        self._seq += 1
-        heappush(self._heap, (cycle, self._seq, fn, arg))
+        """Fire ``fn(arg, cycle)`` when the clock reaches ``cycle``."""
+        bucket = self._buckets.get(cycle)
+        if bucket is None:
+            self._buckets[cycle] = [(fn, arg)]
+            heappush(self._cycles, cycle)
+        else:
+            bucket.append((fn, arg))
 
     def service(self, cycle: int) -> bool:
         """Fire every event due at or before ``cycle``; True if any fired."""
-        heap = self._heap
-        if not heap or heap[0][0] > cycle:
+        cycles = self._cycles
+        if not cycles or cycles[0] > cycle:
             return False
         self.epoch += 1
-        while heap and heap[0][0] <= cycle:
-            due, _, callback, arg = heappop(heap)
-            callback(arg, due)
+        buckets = self._buckets
+        while cycles and cycles[0] <= cycle:
+            due = heappop(cycles)
+            for callback, arg in buckets.pop(due):
+                callback(arg, due)
         return True
 
     def next_cycle(self) -> Optional[int]:
         """Cycle of the earliest pending event (None when empty)."""
-        if not self._heap:
+        if not self._cycles:
             return None
-        return self._heap[0][0]
+        return self._cycles[0]

@@ -19,6 +19,8 @@ __all__ = [
     "WORD_BYTES",
     "LINE_BYTES",
     "WORDS_PER_LINE",
+    "LINE_MASK",
+    "WORD_MASK",
     "line_addr",
     "word_index",
     "word_addr",
@@ -33,6 +35,12 @@ LINE_BYTES = 64
 
 #: Number of reveal/conceal bits per cache line.
 WORDS_PER_LINE = LINE_BYTES // WORD_BYTES
+
+#: ``addr & LINE_MASK`` is :func:`line_addr` and ``addr & WORD_MASK`` is
+#: :func:`word_addr`; per-access hot paths inline these masks (and
+#: ``(addr >> 3) & 7`` for :func:`word_index`) instead of calling.
+LINE_MASK = ~(LINE_BYTES - 1)
+WORD_MASK = ~(WORD_BYTES - 1)
 
 
 class OpClass(enum.Enum):
@@ -139,7 +147,7 @@ class MemPrediction(enum.Enum):
 
 def line_addr(addr: int) -> int:
     """Return the cache-line base address containing ``addr``."""
-    return addr & ~(LINE_BYTES - 1)
+    return addr & LINE_MASK
 
 
 def word_index(addr: int) -> int:
@@ -149,4 +157,4 @@ def word_index(addr: int) -> int:
 
 def word_addr(addr: int) -> int:
     """Return the aligned 8-byte word address containing ``addr``."""
-    return addr & ~(WORD_BYTES - 1)
+    return addr & WORD_MASK

@@ -2,19 +2,19 @@
 
 from repro.core.lsq import LoadEntry, LoadStoreUnit, StoreEntry
 from repro.core.mdp import MemoryDependencePredictor
-from repro.core.pipeline import Core, Observation
-from repro.core.rename import RegisterFile, RenameResult
+from repro.core.pipeline import Core
+from repro.core.rename import DecodedTrace, RegisterFile, decode_trace
 from repro.core.shadows import NO_SHADOW, ShadowTracker
 
 __all__ = [
     "Core",
+    "DecodedTrace",
     "LoadEntry",
     "LoadStoreUnit",
     "MemoryDependencePredictor",
     "NO_SHADOW",
-    "Observation",
     "RegisterFile",
-    "RenameResult",
     "ShadowTracker",
     "StoreEntry",
+    "decode_trace",
 ]

@@ -11,14 +11,19 @@ SQ and SB lists, and a sorted list of unresolved store sequence
 numbers) instead of linear scans; the indexes are pure accelerations —
 every query returns exactly what the scan-based implementation
 returned, in the same order.
+
+The LQ holds the load itself: any object with ``seq``, ``word`` and a
+writable ``went_to_memory`` flag.  The pipeline inserts its in-flight
+instruction records, so dispatch allocates no second object per load;
+:class:`LoadEntry` is the plain record for driving the LSQ on its own.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Deque, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set
 
-from repro.common.types import word_addr
+from repro.common.types import WORD_MASK
 from repro.telemetry.events import CAT_PIPELINE, NULL_TELEMETRY
 
 __all__ = ["StoreEntry", "LoadEntry", "LoadStoreUnit"]
@@ -42,7 +47,7 @@ class StoreEntry:
         self.seq = seq
         self.pc = pc
         self.addr = addr
-        self.word = word_addr(addr)
+        self.word = addr & WORD_MASK
         self.resolved = False  # address generated (agen done)
         self.data_ready = False  # data register value available
         self.committed = False
@@ -57,7 +62,9 @@ class LoadEntry:
     def __init__(self, seq: int, pc: int, addr: int) -> None:
         self.seq = seq
         self.pc = pc
-        self.word = word_addr(addr)
+        self.word = addr & WORD_MASK
+        #: The load read memory (visibly or not), so an older store
+        #: resolving to its word later is a memory-order violation.
         self.went_to_memory = False
 
 
@@ -86,12 +93,12 @@ class LoadStoreUnit:
         self.sq_entries = sq_entries
         self._sq: Deque[StoreEntry] = collections.deque()
         self._sb: Deque[StoreEntry] = collections.deque()
-        self._lq: Dict[int, LoadEntry] = {}
+        self._lq: Dict[int, Any] = {}
         #: SQ entries by sequence number (dispatch adds, commit removes).
         self._sq_map: Dict[int, StoreEntry] = {}
         #: LQ entries grouped by word, each list in dispatch order — the
         #: same relative order a full LQ scan would visit them in.
-        self._lq_words: Dict[int, List[LoadEntry]] = {}
+        self._lq_words: Dict[int, List[Any]] = {}
         #: SQ and SB entries grouped by word, each list oldest first.
         self._sq_words: Dict[int, List[StoreEntry]] = {}
         self._sb_words: Dict[int, List[StoreEntry]] = {}
@@ -130,10 +137,9 @@ class LoadStoreUnit:
         self._unresolved.append(seq)  # seqs arrive ascending
         return entry
 
-    def add_load(self, seq: int, pc: int, addr: int) -> LoadEntry:
-        """Allocate an LQ entry at dispatch."""
-        entry = LoadEntry(seq, pc, addr)
-        self._lq[seq] = entry
+    def add_load(self, entry: Any) -> Any:
+        """Allocate ``entry``'s LQ slot at dispatch (see the module doc)."""
+        self._lq[entry.seq] = entry
         word_list = self._lq_words.get(entry.word)
         if word_list is None:
             self._lq_words[entry.word] = [entry]
@@ -141,7 +147,7 @@ class LoadStoreUnit:
             word_list.append(entry)
         return entry
 
-    def resolve_store(self, seq: int) -> List[LoadEntry]:
+    def resolve_store(self, seq: int) -> List[Any]:
         """Mark a store's address resolved; return violated younger loads.
 
         A violation is a younger load to the same word that already issued
@@ -229,7 +235,7 @@ class LoadStoreUnit:
         Searches the SQ (in-flight) and SB (committed, not yet performed);
         the youngest match supplies the data.
         """
-        word = word_addr(addr)
+        word = addr & WORD_MASK
         in_sq = self._sq_words.get(word)
         if in_sq is not None:
             for entry in reversed(in_sq):
@@ -243,7 +249,7 @@ class LoadStoreUnit:
     def _find_sq(self, seq: int) -> Optional[StoreEntry]:
         return self._sq_map.get(seq)
 
-    def load_entry(self, seq: int) -> Optional[LoadEntry]:
+    def load_entry(self, seq: int) -> Optional[Any]:
         """The LQ entry for ``seq``, if still allocated."""
         return self._lq.get(seq)
 

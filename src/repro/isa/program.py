@@ -11,7 +11,7 @@ the Clueless analyzer sees the same dataflow the pipeline does.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.types import MemPrediction, OpClass, word_addr
 from repro.isa.microop import MicroOp
@@ -52,6 +52,10 @@ class Program:
         self.regs: Dict[int, int] = {r: 0 for r in range(arch_regs)}
         self.memory: Dict[int, int] = {}
         self._next_pc = base_pc
+        #: One tuple object per distinct register tuple: a trace holds
+        #: tens of thousands of ``srcs``/``data_srcs`` over a few dozen
+        #: values, and a tuple costs 48+ bytes.
+        self._regs: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # memory image
@@ -79,6 +83,10 @@ class Program:
         op.seq = len(self.ops)
         self.ops.append(op)
         return op
+
+    def _shared(self, regs: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The program's one tuple equal to ``regs``."""
+        return self._regs.setdefault(regs, regs)
 
     def _check_reg(self, reg: int) -> None:
         if not 0 <= reg < self.arch_regs:
@@ -114,7 +122,8 @@ class Program:
             result = (result * 31 + self.regs[src]) & 0xFFFFFFFFFFFFFFFF
         self.regs[dest] = result
         return self._append(
-            MicroOp(opclass, dest=dest, srcs=tuple(srcs), value=result), pc
+            MicroOp(opclass, dest=dest, srcs=self._shared(srcs), value=result),
+            pc,
         )
 
     def add_imm(
@@ -126,7 +135,7 @@ class Program:
         result = (self.regs[src] + imm) & 0xFFFFFFFFFFFFFFFF
         self.regs[dest] = result
         return self._append(
-            MicroOp(_ALU, dest=dest, srcs=(src,), value=result), pc
+            MicroOp(_ALU, dest=dest, srcs=self._shared((src,)), value=result), pc
         )
 
     def load(
@@ -147,7 +156,7 @@ class Program:
             MicroOp(
                 _LOAD,
                 dest=dest,
-                srcs=(base,),
+                srcs=self._shared((base,)),
                 addr=addr,
                 value=value,
                 forced_prediction=forced_prediction,
@@ -180,7 +189,7 @@ class Program:
             MicroOp(
                 _LOAD,
                 dest=dest,
-                srcs=(base, index),
+                srcs=self._shared((base, index)),
                 addr=addr,
                 value=value,
                 forced_prediction=forced_prediction,
@@ -228,8 +237,8 @@ class Program:
         return self._append(
             MicroOp(
                 _STORE,
-                srcs=(base,),
-                data_srcs=(src,),
+                srcs=self._shared((base,)),
+                data_srcs=self._shared((src,)),
                 addr=addr,
                 value=value,
             ),
@@ -243,7 +252,11 @@ class Program:
         self.memory[word_addr(addr)] = value
         return self._append(
             MicroOp(
-                _STORE, srcs=(), data_srcs=(src,), addr=addr, value=value
+                _STORE,
+                srcs=(),
+                data_srcs=self._shared((src,)),
+                addr=addr,
+                value=value,
             ),
             pc,
         )
@@ -255,7 +268,7 @@ class Program:
         for src in srcs:
             self._check_reg(src)
         return self._append(
-            MicroOp(_BRANCH, srcs=tuple(srcs), mispredict=mispredict), pc
+            MicroOp(_BRANCH, srcs=self._shared(srcs), mispredict=mispredict), pc
         )
 
     def nop(self, pc: Optional[int] = None) -> MicroOp:

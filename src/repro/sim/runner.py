@@ -42,6 +42,7 @@ from repro.workloads.kernels import (
 from repro.workloads.profile import BenchmarkProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (engine imports runner)
+    from repro.core.rename import DecodedTrace
     from repro.sim.engine import SuiteResult
     from repro.sim.store import ResultStore
 
@@ -94,10 +95,14 @@ class RunResult:
         return self.sampling is not None
 
 
-#: Rough per-uop retained size used for the cache's byte budget.  A
-#: MicroOp is a small dataclass plus list slots; ~200 bytes is within 2x
-#: of measured CPython footprints and errs toward evicting early.
-_UOP_EST_BYTES = 200
+#: Per-uop retained size of a built trace, for the cache's byte budget:
+#: tracemalloc measured 208-212 bytes on SPEC2017 gcc and mcf (30k uops)
+#: and PARSEC canneal (4 x 10k), with the register tuples shared.
+_UOP_EST_BYTES = 212
+
+#: Per-uop size of one decode (three lists of pointers, with the lists'
+#: growth slack; the register tuples are shared): 25-27 bytes measured.
+_DECODED_EST_BYTES = 26
 
 #: Byte budget of the trace cache an executor keeps across cells (the
 #: inline and thread backends, pool and queue workers): every SPEC2017
@@ -106,15 +111,17 @@ EXECUTOR_TRACE_BYTES = 16 * 1024 * 1024
 
 
 class _Entry:
-    """One cached build: every thread's micro-op list.
+    """One cached build: every thread's micro-op list and their decodes.
 
     ``ends`` holds each thread's chunk ends (``None`` when the traces
     are not prefix-stable), ``built`` the length the build was asked
     for, and ``view`` the last prefix handed out, so a repeated length
-    gets the same list object back.
+    gets the same list object back.  ``decoded`` maps ``(arch_regs,
+    phys_regs)`` to every thread's :class:`~repro.core.rename.DecodedTrace`
+    of the whole build, which serves every prefix as well.
     """
 
-    __slots__ = ("traces", "ends", "built", "view")
+    __slots__ = ("traces", "ends", "built", "view", "decoded")
 
     def __init__(
         self,
@@ -126,6 +133,7 @@ class _Entry:
         self.ends = ends
         self.built = built
         self.view: Tuple[int, List[List[MicroOp]]] = (built, traces)
+        self.decoded: Dict[Tuple[int, int], List["DecodedTrace"]] = {}
 
     def prefix(self, length: int) -> List[List[MicroOp]]:
         """The traces a fresh build of ``length`` would produce."""
@@ -140,7 +148,8 @@ class _Entry:
 
     @property
     def approx_bytes(self) -> int:
-        return sum(len(trace) for trace in self.traces) * _UOP_EST_BYTES
+        uops = sum(len(trace) for trace in self.traces)
+        return uops * (_UOP_EST_BYTES + len(self.decoded) * _DECODED_EST_BYTES)
 
 
 def _build(profile: BenchmarkProfile, threads: int, length: int) -> _Entry:
@@ -199,13 +208,20 @@ class TraceCache:
         self._cache: "OrderedDict[Tuple[Any, ...], _Entry]" = OrderedDict()
         self._bytes = 0
 
+    @staticmethod
+    def _key(
+        profile: BenchmarkProfile, threads: int, length: int
+    ) -> Tuple[Any, ...]:
+        key: Tuple[Any, ...] = (profile.label, profile.seed, threads)
+        if profile.suite == "gadgets":
+            key += (length,)
+        return key
+
     def get(
         self, profile: BenchmarkProfile, threads: int, length: int
     ) -> List[List[MicroOp]]:
         """Return (building if needed) the trace list for this request."""
-        key: Tuple[Any, ...] = (profile.label, profile.seed, threads)
-        if profile.suite == "gadgets":
-            key += (length,)
+        key = self._key(profile, threads, length)
         entry = self._cache.get(key)
         if entry is not None and entry.built >= length:
             self.hits += 1
@@ -222,6 +238,37 @@ class TraceCache:
         self._bytes += entry.approx_bytes
         self._evict()
         return entry.prefix(length)
+
+    def get_decoded(
+        self,
+        profile: BenchmarkProfile,
+        threads: int,
+        length: int,
+        arch_regs: int,
+        phys_regs: int,
+    ) -> Tuple[List[List[MicroOp]], List["DecodedTrace"]]:
+        """The traces of :meth:`get` and their register decodes.
+
+        The entry decodes its whole build once per register
+        configuration and keeps the columns, counted in its bytes, for
+        as long as it holds the traces.
+        """
+        from repro.core.rename import decode_trace
+
+        traces = self.get(profile, threads, length)
+        # get() left the entry newest, so it survived its own eviction.
+        entry = self._cache[self._key(profile, threads, length)]
+        regs = (arch_regs, phys_regs)
+        decoded = entry.decoded.get(regs)
+        if decoded is None:
+            decoded = [
+                decode_trace(trace, arch_regs, phys_regs)
+                for trace in entry.traces
+            ]
+            entry.decoded[regs] = decoded
+            self._bytes += _DECODED_EST_BYTES * sum(map(len, entry.traces))
+            self._evict()
+        return traces, decoded
 
     def _evict(self) -> None:
         """Drop least-recently-used entries until within budget.
@@ -268,10 +315,10 @@ def run_benchmark(
     """
     config = config if config is not None else RunConfig()
     trace_cache = config.cache if config.cache is not None else _GLOBAL_CACHE
-    traces = trace_cache.get(profile, config.threads, length)
     if config.sampling is not None:
         from repro.sampling.executor import run_sampled
 
+        traces = trace_cache.get(profile, config.threads, length)
         return run_sampled(
             profile, scheme, length, config=config, traces=traces
         )
@@ -279,12 +326,21 @@ def run_benchmark(
     # configs, trace caches and store hits never need it.
     from repro.sim.system import System
 
+    params = config.resolved_params()
+    traces, decoded = trace_cache.get_decoded(
+        profile,
+        config.threads,
+        length,
+        params.core.arch_regs,
+        params.core.phys_regs,
+    )
     result = System(
-        config.resolved_params(),
+        params,
         traces,
         scheme,
         warmup_uops=config.resolved_warmup(length),
         telemetry=config.telemetry,
+        decoded=decoded,
     ).run()
     return RunResult(
         profile=profile,

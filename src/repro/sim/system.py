@@ -11,6 +11,7 @@ from repro.common.params import SystemParams
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.core.pipeline import Core
+from repro.core.rename import DecodedTrace
 from repro.isa.microop import MicroOp
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.security import make_policy
@@ -63,6 +64,7 @@ class System:
         telemetry: Optional[TelemetryConfig] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
         measure_uops: Optional[int] = None,
+        decoded: Optional[Sequence[DecodedTrace]] = None,
     ) -> None:
         if len(traces) > params.num_cores:
             params = dataclasses.replace(params, num_cores=len(traces))
@@ -91,6 +93,8 @@ class System:
                     TimelineSink(interval=telemetry.timeline_interval)
                 )
         collector = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
+        if decoded is not None and len(decoded) != len(traces):
+            raise ValueError("need one decoded trace per trace")
         self.cores: List[Core] = []
         for core_id, trace in enumerate(traces):
             stats = StatSet()
@@ -107,6 +111,7 @@ class System:
                     telemetry=collector,
                     events=self.events,
                     measure_uops=measure_uops,
+                    decoded=decoded[core_id] if decoded is not None else None,
                 )
             )
 
@@ -134,10 +139,8 @@ class System:
             measured = core.measured
             return self._result(measured.cycles, [measured])
         cycle = 0
-        while True:
-            pending = [core for core in self.cores if not core.done]
-            if not pending:
-                break
+        pending = [core for core in self.cores if not core.done]
+        while pending:
             if cycle >= max_cycles:
                 raise SimulationHangError(
                     max_cycles,
@@ -148,13 +151,19 @@ class System:
                     ],
                     event_queue_depth=len(self.events),
                 )
-            active = False
+            active = finished = False
             for core in pending:
-                active |= core.step(cycle)
+                if core.step(cycle):
+                    active = True
+                if core.done:
+                    finished = True
             if active:
                 cycle += 1
             else:
+                # A core that finished this cycle still bounds the wake-up.
                 cycle = min(core.next_wake(cycle) for core in pending)
+            if finished:
+                pending = [core for core in pending if not core.done]
         measured = [core.measured for core in self.cores]
         end = max(stats.cycles for stats in measured)
         return self._result(end, measured)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.types import word_addr
-from repro.core import LoadStoreUnit
+from repro.core import LoadEntry, LoadStoreUnit
 
 
 def make_lsq(lq=8, sq=4):
@@ -21,7 +21,7 @@ class TestCapacity:
 
     def test_lq_full(self):
         lsq = make_lsq(lq=1)
-        lsq.add_load(1, 0x100, 0x1000)
+        lsq.add_load(LoadEntry(1, 0x100, 0x1000))
         assert lsq.lq_full
 
 
@@ -101,7 +101,7 @@ class TestOrdering:
     def test_violation_detection(self):
         lsq = make_lsq()
         lsq.add_store(2, 0x100, 0x1000)
-        load = lsq.add_load(5, 0x200, 0x1000)
+        load = lsq.add_load(LoadEntry(5, 0x200, 0x1000))
         load.went_to_memory = True
         violated = lsq.resolve_store(2)
         lsq.set_store_data(2, frozenset())
@@ -109,7 +109,7 @@ class TestOrdering:
 
     def test_no_violation_for_older_load(self):
         lsq = make_lsq()
-        load = lsq.add_load(1, 0x200, 0x1000)
+        load = lsq.add_load(LoadEntry(1, 0x200, 0x1000))
         load.went_to_memory = True
         lsq.add_store(2, 0x100, 0x1000)
         assert lsq.resolve_store(2) == []
@@ -117,14 +117,14 @@ class TestOrdering:
     def test_no_violation_for_different_word(self):
         lsq = make_lsq()
         lsq.add_store(2, 0x100, 0x1000)
-        load = lsq.add_load(5, 0x200, 0x1008)
+        load = lsq.add_load(LoadEntry(5, 0x200, 0x1008))
         load.went_to_memory = True
         assert lsq.resolve_store(2) == []
 
     def test_no_violation_for_waiting_load(self):
         lsq = make_lsq()
         lsq.add_store(2, 0x100, 0x1000)
-        lsq.add_load(5, 0x200, 0x1000)  # never went to memory
+        lsq.add_load(LoadEntry(5, 0x200, 0x1000))  # never went to memory
         assert lsq.resolve_store(2) == []
 
     def test_data_readiness_tracked_separately(self):
@@ -160,7 +160,7 @@ class TestCommitDiscipline:
 
     def test_commit_load_removes_entry(self):
         lsq = make_lsq()
-        lsq.add_load(1, 0x100, 0x1000)
+        lsq.add_load(LoadEntry(1, 0x100, 0x1000))
         lsq.commit_load(1)
         assert lsq.load_entry(1) is None
 

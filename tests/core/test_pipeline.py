@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import OpClass, SchemeKind
 from repro.isa import Program
-from tests.helpers import make_core, run_program, small_system_params
+from tests.helpers import make_core, observations, run_program, small_system_params
 
 
 class TestBasicExecution:
@@ -148,8 +148,8 @@ class TestMemoryBehaviour:
         prog.li(1, 0x1000)
         prog.load(2, base=1)
         core = run_program(prog)
-        assert len(core.observations) == 1
-        assert core.observations[0].addr == 0x1000
+        assert len(observations(core)) == 1
+        assert observations(core)[0].addr == 0x1000
 
     def test_forwarded_load_not_observed(self):
         from repro.common import MemPrediction
@@ -161,7 +161,7 @@ class TestMemoryBehaviour:
         prog.load(3, base=1, forced_prediction=MemPrediction.STF)
         core = run_program(prog)
         # The load forwarded from the SQ/SB: no cache access observable.
-        loads_observed = [o for o in core.observations if o.addr == 0x1000]
+        loads_observed = [o for o in observations(core) if o.addr == 0x1000]
         assert loads_observed == []
 
     def test_stf_trained_load_waits_and_forwards(self):

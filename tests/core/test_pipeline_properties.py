@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.common import OpClass, SchemeKind
 from repro.isa import Program
-from tests.helpers import make_core
+from tests.helpers import make_core, observations
 
 ARENA = 0x8000
 
@@ -118,7 +118,7 @@ class TestPipelineProperties:
             )
             # Observations are a subset of loads; forwarded loads are not
             # observed.
-            assert len(core.observations) <= stats.committed_loads
+            assert len(observations(core)) <= stats.committed_loads
             assert stats.reveal_hits + stats.reveal_misses <= stats.committed_loads
 
     @given(ops=op_strategy)
@@ -128,12 +128,12 @@ class TestPipelineProperties:
         baseline would not (they only ever delay)."""
         cores = run_all(ops)
         unsafe_addrs = {
-            obs.addr for obs in cores[SchemeKind.UNSAFE].observations
+            obs.addr for obs in observations(cores[SchemeKind.UNSAFE])
         }
         for scheme in (SchemeKind.NDA, SchemeKind.STT):
             spec = {
                 obs.addr
-                for obs in cores[scheme].observations
+                for obs in observations(cores[scheme])
                 if obs.speculative
             }
             assert spec <= unsafe_addrs

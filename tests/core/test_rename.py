@@ -1,74 +1,146 @@
-"""Unit tests for register renaming."""
+"""Unit tests for register renaming: the decode pass and the register file."""
+
+import collections
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import RegisterFile
+from repro.core import RegisterFile, decode_trace
+from repro.isa import Program
+from tests.helpers import make_core
+
+
+def _program(arch_regs, ops):
+    """A program of ``(dest or None, srcs, data_src or None)`` uops."""
+    prog = Program(arch_regs=arch_regs)
+    for dest, srcs, data in ops:
+        if data is not None:
+            if srcs:
+                prog.store(data, base=srcs[0])
+            else:
+                prog.store_abs(data, 0x1000)
+        elif dest is None:
+            prog.branch(*srcs)
+        else:
+            prog.alu(dest, *srcs)
+    return prog.trace()
 
 
 class TestRegisterFile:
     def test_initial_identity_map_ready(self):
+        trace = _program(4, [(None, (0, 3), None)])
+        decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
+        assert decoded.srcs[0] == (0, 3)
         rf = RegisterFile(arch_regs=4, phys_regs=8)
-        result = rf.rename(srcs=(0, 3), dest=None)
-        assert result.src_phys == (0, 3)
-        assert all(rf.ready[p] for p in result.src_phys)
+        assert all(rf.ready[p] for p in decoded.srcs[0])
+        assert not any(rf.ready[4:])
 
     def test_rename_allocates_fresh_dest(self):
-        rf = RegisterFile(arch_regs=4, phys_regs=8)
-        result = rf.rename(srcs=(), dest=1)
-        assert result.dest_phys == 4  # first free
-        assert result.freed_on_commit == 1  # the old mapping
-        assert not rf.ready[4]
+        trace = _program(4, [(1, (), None)])
+        decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
+        assert decoded.dests == [4]  # the head of the free list
 
     def test_consumer_sees_latest_mapping(self):
-        rf = RegisterFile(arch_regs=4, phys_regs=8)
-        first = rf.rename(srcs=(), dest=1)
-        second = rf.rename(srcs=(1,), dest=2)
-        assert second.src_phys == (first.dest_phys,)
+        trace = _program(4, [(1, (), None), (2, (1,), None), (None, (), 2)])
+        decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
+        first, second, _ = decoded.dests
+        assert decoded.srcs[1] == (first,)
+        assert decoded.data[2] == (second,)  # a store's data register
 
     def test_free_list_exhaustion_and_release(self):
-        rf = RegisterFile(arch_regs=2, phys_regs=4)
-        assert rf.can_rename(True)
-        rf.rename(srcs=(), dest=0)
-        rf.rename(srcs=(), dest=1)
-        assert not rf.can_rename(True)
-        assert rf.can_rename(False)  # dest-less ops never stall on regs
-        rf.release(0)
-        assert rf.can_rename(True)
-
-    def test_broadcast_marks_ready_and_returns_waiters(self):
-        rf = RegisterFile(arch_regs=2, phys_regs=4)
-        result = rf.rename(srcs=(), dest=0)
-        sentinel = object()
-        rf.waiters.setdefault(result.dest_phys, []).append(sentinel)
-        waiters = rf.broadcast(result.dest_phys, frozenset({7}))
-        assert waiters == [sentinel]
-        assert rf.ready[result.dest_phys]
-        assert rf.taint[result.dest_phys] == frozenset({7})
-        # Waiter list is consumed.
-        assert rf.broadcast(result.dest_phys) == []
-
-    def test_union_taint(self):
-        rf = RegisterFile(arch_regs=2, phys_regs=4)
-        a = rf.rename(srcs=(), dest=0).dest_phys
-        b = rf.rename(srcs=(), dest=1).dest_phys
-        rf.broadcast(a, frozenset({1}))
-        rf.broadcast(b, frozenset({2}))
-        assert rf.union_taint((a, b)) == frozenset({1, 2})
-        assert rf.union_taint(()) == frozenset()
+        # Two free registers: the third allocation reuses the register the
+        # first uop freed (r0's initial mapping), the fourth the second's.
+        ops = [(0, (), None), (1, (), None), (0, (), None), (1, (), None)]
+        trace = _program(2, ops)
+        decoded = decode_trace(trace, arch_regs=2, phys_regs=4)
+        assert decoded.dests == [2, 3, 0, 1]
+        assert decode_trace(trace[:2], 2, 4).dests == decoded.dests[:2]
+        assert RegisterFile(arch_regs=2, phys_regs=4).free == 2
 
     def test_rejects_too_few_phys(self):
         with pytest.raises(ValueError):
             RegisterFile(arch_regs=8, phys_regs=8)
+        with pytest.raises(ValueError):
+            decode_trace([], arch_regs=8, phys_regs=8)
 
     def test_rename_clears_stale_taint(self):
-        rf = RegisterFile(arch_regs=2, phys_regs=4)
-        a = rf.rename(srcs=(), dest=0).dest_phys
-        rf.broadcast(a, frozenset({9}))
-        rf.release(a)
-        # Reallocate the same physical register: taint must not leak over.
-        rf.rename(srcs=(), dest=1)
-        b = rf.rename(srcs=(), dest=0).dest_phys
-        while b != a:  # drain until `a` comes back around
-            rf.release(b)
-            b = rf.rename(srcs=(), dest=0).dest_phys
-        assert rf.taint[b] == frozenset()
+        prog = Program()
+        prog.li(1, 5)
+        core = make_core(prog)
+        dest = core.decoded.dests[0]
+        # Leftovers of the register's previous life must not leak over.
+        core.regfile.taint[dest] = frozenset({9})
+        core.regfile.ready[dest] = True
+        core.step(0)  # dispatches the li
+        assert core.regfile.taint[dest] == frozenset()
+        assert not core.regfile.ready[dest]
+        assert core.regfile.free == core.params.core.phys_regs - 32 - 1
+
+    def test_equal_register_tuples_are_shared(self):
+        trace = _program(4, [(None, (1, 2), None), (None, (1, 2), None)])
+        decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
+        assert decoded.srcs[0] is decoded.srcs[1]
+
+
+_uop = st.tuples(
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.lists(st.integers(0, 3), max_size=2).map(tuple),
+    st.one_of(st.none(), st.integers(0, 3)),
+).map(lambda op: (None, op[1], op[2]) if op[2] is not None else op)
+
+
+class TestDecodeMatchesDynamicRename:
+    """The decode equals renaming through a live FIFO free list.
+
+    The model dispatches and commits in program order, interleaved at
+    random; dispatch stalls while the free list is empty.  Every uop must
+    see the same physical registers as in the decode, whatever the
+    interleaving, and the free count the pipeline keeps must equal the
+    list's length.
+    """
+
+    @given(
+        ops=st.lists(_uop, min_size=1, max_size=40),
+        spare=st.integers(1, 6),
+        moves=st.lists(st.booleans(), max_size=200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_interleaving(self, ops, spare, moves):
+        arch = 4
+        phys = arch + spare
+        trace = _program(arch, ops)
+        decoded = decode_trace(trace, arch, phys)
+
+        rmap = list(range(arch))
+        free_list = collections.deque(range(arch, phys))
+        free_count = phys - arch
+        in_flight = collections.deque()  # the register each uop frees
+        dispatched = 0
+        moves = iter(moves)
+        while dispatched < len(trace) or in_flight:
+            want_dispatch = next(moves, True)
+            uop = trace[dispatched] if dispatched < len(trace) else None
+            stalled = uop is None or (uop.dest is not None and not free_list)
+            counted = uop is None or (uop.dest is not None and not free_count)
+            assert stalled == counted
+            if want_dispatch and not stalled or not in_flight:
+                assert not stalled  # nothing in flight: dispatch can always go
+                srcs = tuple(rmap[a] for a in uop.srcs)
+                data = tuple(rmap[a] for a in uop.data_srcs)
+                dest = freed = None
+                if uop.dest is not None:
+                    freed = rmap[uop.dest]
+                    dest = free_list.popleft()
+                    free_count -= 1
+                    rmap[uop.dest] = dest
+                assert decoded.srcs[dispatched] == srcs
+                assert decoded.data[dispatched] == data
+                assert decoded.dests[dispatched] == dest
+                in_flight.append(freed)
+                dispatched += 1
+            else:
+                freed = in_flight.popleft()
+                if freed is not None:
+                    free_list.append(freed)
+                    free_count += 1
+            assert free_count == len(free_list)

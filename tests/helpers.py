@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, NamedTuple, Optional
 
 from repro.common import (
     CacheParams,
@@ -16,8 +16,18 @@ from repro.core import Core
 from repro.isa import Program
 from repro.memory import MemoryHierarchy
 from repro.security import make_policy
+from repro.telemetry import TelemetryCollector, TelemetryConfig
+from repro.telemetry.events import CAT_SECURITY
 
-__all__ = ["small_system_params", "make_core", "process_alive", "run_program"]
+__all__ = [
+    "Observed",
+    "make_core",
+    "observations",
+    "observer",
+    "process_alive",
+    "run_program",
+    "small_system_params",
+]
 
 
 def small_system_params(num_cores: int = 1, **overrides) -> SystemParams:
@@ -37,6 +47,28 @@ def small_system_params(num_cores: int = 1, **overrides) -> SystemParams:
     )
 
 
+def observer() -> TelemetryCollector:
+    """A collector keeping the core's security events (the observe probe)."""
+    return TelemetryCollector(TelemetryConfig(categories=frozenset({CAT_SECURITY})))
+
+
+class Observed(NamedTuple):
+    """One load's cache access as a side channel sees it."""
+
+    seq: int
+    addr: int
+    speculative: bool
+
+
+def observations(core: Core) -> List[Observed]:
+    """The ``observe`` events of a core built with :func:`observer`."""
+    return [
+        Observed(ev.seq, ev.addr, bool(ev.value & 2))
+        for ev in core.telemetry.events
+        if ev.category == CAT_SECURITY and ev.kind == "observe"
+    ]
+
+
 def make_core(
     program: Program,
     scheme: SchemeKind = SchemeKind.UNSAFE,
@@ -44,13 +76,22 @@ def make_core(
     hierarchy: Optional[MemoryHierarchy] = None,
     core_id: int = 0,
 ) -> Core:
+    """A core on ``program`` that records its loads' ``observe`` events."""
     if params is None:
         params = small_system_params()
     if hierarchy is None:
         hierarchy = MemoryHierarchy(params)
     stats = StatSet()
     policy = make_policy(scheme, stats)
-    return Core(core_id, params, program.trace(), hierarchy, policy, stats)
+    return Core(
+        core_id,
+        params,
+        program.trace(),
+        hierarchy,
+        policy,
+        stats,
+        telemetry=observer(),
+    )
 
 
 def run_program(program: Program, scheme: SchemeKind = SchemeKind.UNSAFE, **kw):

@@ -10,7 +10,7 @@ in both forms and checks what each reveals.
 from repro.analysis import Clueless
 from repro.common import SchemeKind
 from repro.isa import Program
-from tests.helpers import run_program
+from tests.helpers import observations, run_program
 
 KEYS_BASE = 0x2000        # AES_KEYS[0..7]
 SELECTOR_ADDR = 0x1000    # key_selector[iteration]
@@ -92,5 +92,5 @@ class TestConstantTimeSelection:
         prog.load(12, base=3)         # speculative selector read
         transmit = prog.load(13, base=12, offset=KEYS_BASE)
         core = run_program(prog, SchemeKind.STT_RECON)
-        obs = [o for o in core.observations if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit.seq]
         assert not obs or not obs[0].speculative

@@ -6,7 +6,7 @@ from repro.core import Core
 from repro.isa import Program
 from repro.memory import MemoryHierarchy
 from repro.security.oracle import OracleNdaPolicy, OracleSttPolicy
-from tests.helpers import run_program
+from tests.helpers import observations, observer, run_program
 
 PTR = 0x1000
 SLOW = 0x40000
@@ -68,6 +68,7 @@ class TestOraclePolicies:
             MemoryHierarchy(params),
             policy_cls(stats, oracle),
             stats,
+            telemetry=observer(),
         )
         core.run()
         return core, transmit.seq
@@ -80,9 +81,9 @@ class TestOraclePolicies:
         core2, transmit_seq2 = self._run(
             OracleSttPolicy, {pointer_load_seq}
         )
-        spec2 = [o for o in core2.observations if o.seq == transmit_seq2]
+        spec2 = [o for o in observations(core2) if o.seq == transmit_seq2]
         assert spec2 and spec2[0].speculative  # lifted
-        spec1 = [o for o in core.observations if o.seq == transmit_seq]
+        spec1 = [o for o in observations(core) if o.seq == transmit_seq]
         assert not spec1 or not spec1[0].speculative  # protected
 
     def test_oracle_nda_policy_defers_without_knowledge(self):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.common import SchemeKind
 from repro.isa import Program
-from tests.helpers import run_program
+from tests.helpers import observations, run_program
 
 #: A cold line whose load miss keeps a branch unresolved for a long time.
 SLOW_ADDR = 0x40000
@@ -52,7 +52,7 @@ def reveal_warmup(prog: Program) -> None:
 
 
 def observation_of(core, op):
-    matches = [o for o in core.observations if o.seq == op.seq]
+    matches = [o for o in observations(core) if o.seq == op.seq]
     return matches[0] if matches else None
 
 

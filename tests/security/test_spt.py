@@ -5,6 +5,7 @@ from repro.core import Core
 from repro.isa import Program
 from repro.memory import MemoryHierarchy
 from repro.security import SptNdaPolicy, SptSttPolicy, make_policy
+from tests.helpers import observations, observer
 
 PTR = 0x1000
 SLOW = 0x40000
@@ -20,6 +21,7 @@ def run_with(policy_cls, prog):
         MemoryHierarchy(params),
         policy_cls(stats),
         stats,
+        telemetry=observer(),
     )
     core.run()
     return core
@@ -69,7 +71,7 @@ class TestSptTracking:
     def test_spt_lifts_indirect_leakage_recon_cannot(self):
         prog, transmit = indirect_reveal_then_speculative_pair()
         spt_core = run_with(SptSttPolicy, prog)
-        obs = [o for o in spt_core.observations if o.seq == transmit.seq]
+        obs = [o for o in observations(spt_core) if o.seq == transmit.seq]
         assert obs and obs[0].speculative  # SPT lifted the defense
 
         prog2, transmit2 = indirect_reveal_then_speculative_pair()
@@ -82,9 +84,10 @@ class TestSptTracking:
             MemoryHierarchy(params),
             make_policy(SchemeKind.STT_RECON, stats),
             stats,
+            telemetry=observer(),
         )
         recon_core.run()
-        obs2 = [o for o in recon_core.observations if o.seq == transmit2.seq]
+        obs2 = [o for o in observations(recon_core) if o.seq == transmit2.seq]
         assert not obs2 or not obs2[0].speculative  # ReCon could not
 
     def test_spt_protects_never_leaked_secrets(self):
@@ -97,13 +100,13 @@ class TestSptTracking:
         prog.load(2, base=1)          # speculative, never leaked before
         transmit = prog.load(3, base=2)
         core = run_with(SptSttPolicy, prog)
-        obs = [o for o in core.observations if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit.seq]
         assert not obs or not obs[0].speculative
 
     def test_spt_nda_variant_broadcasts_public_values(self):
         prog, transmit = indirect_reveal_then_speculative_pair()
         core = run_with(SptNdaPolicy, prog)
-        obs = [o for o in core.observations if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit.seq]
         assert obs and obs[0].speculative
 
     def test_spt_uses_no_lpt(self):
