@@ -8,12 +8,15 @@ invariants (capacity, associativity, LRU order).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.common.params import CacheParams
 from repro.common.types import MESIState
 
 __all__ = ["CacheLine", "CacheArray"]
+
+_lru_of = attrgetter("lru")
 
 
 class CacheLine:
@@ -99,8 +102,7 @@ class CacheArray:
             return existing, None
         victim = None
         if len(target) >= self.ways:
-            victim_addr = min(target, key=lambda a: target[a].lru)
-            victim = target.pop(victim_addr)
+            victim = target.pop(min(target.values(), key=_lru_of).addr)
             self.evictions += 1
         line = CacheLine(line_addr, state, reveal)
         line.lru = self._tick
