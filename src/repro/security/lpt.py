@@ -78,8 +78,10 @@ class LoadPairTable:
         """
         reveals: List[int] = []
         telemetry = self.telemetry
+        table = self._table
+        entries = self.entries
         for phys in src_phys:
-            entry = self._table[self._index(phys)]
+            entry = table[phys % entries]  # _index, inlined
             if entry.active:
                 if entry.tag == phys:
                     reveals.append(entry.addr)
@@ -100,7 +102,7 @@ class LoadPairTable:
                             core=self.telemetry_core,
                             value=phys,
                         )
-        dest = self._table[self._index(dest_phys)]
+        dest = table[dest_phys % entries]
         if not dest.active:
             self.occupancy += 1
         dest.active = True
@@ -114,7 +116,7 @@ class LoadPairTable:
         """A non-load instruction committed: deactivate its dest entry."""
         if dest_phys is None:
             return
-        entry = self._table[self._index(dest_phys)]
+        entry = self._table[dest_phys % self.entries]
         if entry.tag == dest_phys:
             if entry.active:
                 self.occupancy -= 1
