@@ -49,12 +49,17 @@ _MISS_HEAVY = BenchmarkProfile(
     chase_steps=8,
 )
 
-#: (label, profile, scheme) cells the gate times.
+#: (label, profile, scheme, threads) cells the gate times.  The 4-thread
+#: PARSEC cell runs the multicore loop (``System.run``'s lockstep over
+#: cores on one shared event queue, MESI directory traffic) at
+#: ``HOTPATH_LENGTH // 4`` uops per thread, so every cell simulates
+#: about the same number of uops.
 CELLS = (
-    ("spec2017/mcf/unsafe", get_benchmark("spec2017", "mcf"), SchemeKind.UNSAFE),
-    ("spec2017/mcf/stt+recon", get_benchmark("spec2017", "mcf"), SchemeKind.STT_RECON),
-    ("spec2017/mcf/dom+recon", get_benchmark("spec2017", "mcf"), SchemeKind.DOM_RECON),
-    ("micro/chase64/stt+recon", _MISS_HEAVY, SchemeKind.STT_RECON),
+    ("spec2017/mcf/unsafe", get_benchmark("spec2017", "mcf"), SchemeKind.UNSAFE, 1),
+    ("spec2017/mcf/stt+recon", get_benchmark("spec2017", "mcf"), SchemeKind.STT_RECON, 1),
+    ("spec2017/mcf/dom+recon", get_benchmark("spec2017", "mcf"), SchemeKind.DOM_RECON, 1),
+    ("micro/chase64/stt+recon", _MISS_HEAVY, SchemeKind.STT_RECON, 1),
+    ("parsec/canneal/stt+recon@4", get_benchmark("parsec", "canneal"), SchemeKind.STT_RECON, 4),
 )
 
 ROUNDS = 3
@@ -64,7 +69,7 @@ TOLERANCE = 0.9  # fail when the ratio drops below 90% of the baseline
 _PHASES = ("dispatch", "issue", "commit", "events", "memory")
 
 
-def _time_cell(profile, scheme, cache, telemetry):
+def _time_cell(profile, scheme, threads, cache, telemetry):
     """Best-of-ROUNDS uops/s for one cell, untraced or traced."""
     best = 0.0
     for _ in range(ROUNDS):
@@ -72,8 +77,8 @@ def _time_cell(profile, scheme, cache, telemetry):
         result = run_benchmark(
             profile,
             scheme,
-            HOTPATH_LENGTH,
-            config=RunConfig(cache=cache, telemetry=telemetry),
+            HOTPATH_LENGTH // threads,
+            config=RunConfig(threads=threads, cache=cache, telemetry=telemetry),
         )
         elapsed = time.perf_counter() - start
         if elapsed > 0:
@@ -93,11 +98,16 @@ def _phase_of(filename, funcname):
     return "other"
 
 
-def _phase_breakdown(profile, scheme, cache):
+def _phase_breakdown(profile, scheme, threads, cache):
     """Fraction of untraced self-time spent in each pipeline phase."""
     profiler = cProfile.Profile()
     profiler.enable()
-    run_benchmark(profile, scheme, HOTPATH_LENGTH, config=RunConfig(cache=cache))
+    run_benchmark(
+        profile,
+        scheme,
+        HOTPATH_LENGTH // threads,
+        config=RunConfig(threads=threads, cache=cache),
+    )
     profiler.disable()
     stats = pstats.Stats(profiler)
     buckets = {phase: 0.0 for phase in (*_PHASES, "other")}
@@ -114,18 +124,18 @@ def _phase_breakdown(profile, scheme, cache):
 def _run():
     cache = TraceCache()
     cells = {}
-    for label, profile, scheme in CELLS:
+    for label, profile, scheme, threads in CELLS:
         # Build the trace once, outside every timed region.
-        cache.get(profile, 1, HOTPATH_LENGTH)
-        untraced = _time_cell(profile, scheme, cache, None)
-        traced = _time_cell(profile, scheme, cache, TelemetryConfig())
+        cache.get(profile, threads, HOTPATH_LENGTH // threads)
+        untraced = _time_cell(profile, scheme, threads, cache, None)
+        traced = _time_cell(profile, scheme, threads, cache, TelemetryConfig())
         cells[label] = {
             "untraced_uops_per_sec": round(untraced),
             "traced_uops_per_sec": round(traced),
             "ratio": round(untraced / traced, 3) if traced else 0.0,
             "phases": {
                 k: round(v, 4)
-                for k, v in _phase_breakdown(profile, scheme, cache).items()
+                for k, v in _phase_breakdown(profile, scheme, threads, cache).items()
             },
         }
     return {"length": HOTPATH_LENGTH, "rounds": ROUNDS, "cells": cells}
@@ -139,7 +149,7 @@ def test_hotpath_throughput_trajectory(benchmark):
     rows = []
     for label, cell in payload["cells"].items():
         rows.append(
-            f"{label:28s} untraced {cell['untraced_uops_per_sec'] / 1000:7.1f}k"
+            f"{label:30s} untraced {cell['untraced_uops_per_sec'] / 1000:7.1f}k"
             f"  traced {cell['traced_uops_per_sec'] / 1000:7.1f}k"
             f"  ratio {cell['ratio']:.2f}x"
         )
