@@ -1092,7 +1092,10 @@ class Core:
             for phys in src_phys:
                 if not ready[phys]:
                     pending += 1
-            seq = uop.seq
+            # The sequence number is the uop's position in this core's
+            # trace, so a sampled unit runs on a plain slice of a shared
+            # trace (whose ``uop.seq`` stays absolute).
+            seq = idx
             inst = _Inst(seq, uop, src_phys, data_col[idx], dest_phys, pending)
             rob_append(inst)
             if traced:

@@ -46,11 +46,7 @@ from repro.sampling.estimator import (
     SampledEstimate,
     escalation_schedule,
 )
-from repro.sampling.warmup import (
-    FunctionalWarmer,
-    clone_slice,
-    restore_hierarchy,
-)
+from repro.sampling.warmup import FunctionalWarmer, restore_hierarchy
 from repro.sim.config import RunConfig
 from repro.sim.system import System
 from repro.workloads.profile import BenchmarkProfile
@@ -207,8 +203,7 @@ def _measure_unit(
     warm_len = start - snap
     cooldown = params.core.rob_entries
     unit_traces = [
-        clone_slice(trace, snap, min(start + unit_uops + cooldown, len(trace)))
-        for trace in traces
+        trace[snap : start + unit_uops + cooldown] for trace in traces
     ]
     hierarchy = None
     if image is not None:

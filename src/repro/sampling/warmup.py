@@ -33,7 +33,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 
 __all__ = [
     "FunctionalWarmer",
-    "clone_slice",
     "restore_hierarchy",
     "snapshot_hierarchy",
 ]
@@ -43,34 +42,6 @@ IMAGE_VERSION = 1
 
 _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
-
-
-def clone_slice(
-    trace: Sequence[MicroOp], start: int, stop: int
-) -> List[MicroOp]:
-    """Copy ``trace[start:stop]`` with sequence numbers rebased to 0.
-
-    The trace cache shares MicroOp objects across runs, so slices must
-    never mutate them; each cloned op is a fresh instance.  Program
-    counters are kept (predictors key on pc), only ``seq`` is rebased so
-    the pipeline's in-order bookkeeping sees a self-consistent window.
-    """
-    out: List[MicroOp] = []
-    for idx, op in enumerate(trace[start:stop]):
-        copy = MicroOp(
-            op.opclass,
-            dest=op.dest,
-            srcs=op.srcs,
-            addr=op.addr,
-            value=op.value,
-            pc=op.pc,
-            mispredict=op.mispredict,
-            forced_prediction=op.forced_prediction,
-            data_srcs=op.data_srcs,
-        )
-        copy.seq = idx
-        out.append(copy)
-    return out
 
 
 def _snapshot_array(array: CacheArray, directory: bool) -> List[List[Any]]:

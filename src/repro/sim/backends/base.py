@@ -77,16 +77,11 @@ BACKEND_NAMES = ("inline", "threads", "process", "queue")
 class WorkerDeath(RuntimeError):
     """The worker executing a task died before settling it.
 
+    Every backend that can lose a worker knows which task the worker
+    held (a process slot runs one task at a time, a queue lease names
+    its task), so the death settles exactly that task.
+
     Attributes:
-        certain: ``True`` when the backend *knows* this task crashed its
-            worker (it ran alone, or the backend has per-task worker
-            attribution).  ``False`` marks a suspect that shared a dying
-            substrate with other tasks and deserves solo re-verification
-            before being charged an attempt.
-        collateral: ``True`` when the backend itself killed the worker
-            deliberately (e.g. to cancel a *different*, expired task) —
-            the task is innocent and should be requeued uncharged.
-        worker_id: backend-specific worker identity, when known.
         pid: OS pid of the dead worker, when known.
     """
 
@@ -94,15 +89,9 @@ class WorkerDeath(RuntimeError):
         self,
         message: str = "worker process died mid-run",
         *,
-        certain: bool = False,
-        collateral: bool = False,
-        worker_id: Optional[str] = None,
         pid: Optional[int] = None,
     ) -> None:
         super().__init__(message)
-        self.certain = certain
-        self.collateral = collateral
-        self.worker_id = worker_id
         self.pid = pid
 
 
@@ -313,7 +302,11 @@ class TaskHandle:
 
 @dataclasses.dataclass
 class BackendHealth:
-    """Introspectable backend state (served by ``/v1/health`` too)."""
+    """Introspectable backend state, read by the supervisor.
+
+    ``/v1/health`` does not serve it: that route returns
+    :meth:`repro.sim.service.SweepService.health`.
+    """
 
     name: str
     #: Configured worker slots.

@@ -1,38 +1,38 @@
-"""The process-pool backend: the historical execution substrate.
+"""The process backend: one single-worker process pool per slot.
 
-Wraps a ``ProcessPoolExecutor`` behind the
-:class:`~repro.sim.backends.base.ExecutionBackend` contract and owns
-everything that used to live inside the supervisor's pool loop:
+``ProcessBackend(workers=N)`` holds N **slots**, each a
+``ProcessPoolExecutor(max_workers=1)``, behind the
+:class:`~repro.sim.backends.base.ExecutionBackend` contract.  Each
+in-flight task owns one slot, so every failure names its own task:
 
-* ``BrokenProcessPool`` translation — a future that dies with a broken
-  pool settles as :class:`WorkerDeath`; it is *certain* only when the
-  task was alone in flight (that is how the supervisor's solo
-  verification attributes crashes), otherwise every in-flight task is a
-  suspect and settles ``WorkerDeath(certain=False)``;
-* per-task deadlines — the pool offers no per-task kill, so an expired
-  budget tears the whole pool down: expired tasks settle
-  :class:`TaskTimeout` and innocent victims are resubmitted on the
-  fresh pool internally, never surfaced to the caller;
+* a worker crash breaks only its slot's pool: the task on that slot
+  settles :class:`WorkerDeath`, and only that slot respawns;
+* an expired per-task deadline kills and respawns only the task's
+  slot: the task settles :class:`TaskTimeout`, and every other slot
+  keeps running;
 * respawn accounting — ``crash_restarts`` counts crash-driven respawns
   (the supervisor's degrade budget), ``restarts`` counts all of them.
+
+Submitting more than :meth:`~ProcessBackend.capacity` tasks at once
+raises: there is no queue behind the slots.
 
 The pool initializer (:func:`_init_worker`) makes each worker:
 
 * die with the process that started it — on Linux the kernel sends it
   ``SIGKILL`` when the forking thread exits (``PR_SET_PDEATHSIG``), so
-  a kill -9 of a long-lived parent leaks no idle workers.  The pool is
-  pinned to the ``fork`` start method there (:data:`_POOL_CONTEXT`):
+  a kill -9 of a long-lived parent leaks no idle workers.  The pools
+  are pinned to the ``fork`` start method there (:data:`_POOL_CONTEXT`):
   only a forked worker is the child of the submitting thread, which
   the guard's parent check relies on;
 * a chaos target — :func:`repro.sim.chaos.mark_worker_process`, so
   process-level faults (``crash``) take the worker down for real.
 
-The pool forks after :meth:`ProcessBackend.start` has imported the
+A slot forks after :meth:`ProcessBackend.start` has imported the
 simulator, so workers inherit it rather than each importing it on its
 first task.
 
-A worker outlives its tasks (the sweep service holds one pool for its
-lifetime), so it keeps its traces in one
+A worker outlives its tasks (the sweep service holds one backend for
+its lifetime), so it keeps its traces in one
 :func:`~repro.sim.backends.base.executor_cache`, as the inline backend
 does: several profiles under one byte budget, each serving every
 shorter cell length as a prefix.
@@ -115,36 +115,38 @@ def _worker_task(spec: Any, attempt: int) -> Any:
 
 
 class ProcessBackend(ExecutionBackend):
-    """``ProcessPoolExecutor`` behind the backend seam."""
+    """Single-worker ``ProcessPoolExecutor`` slots behind the backend seam."""
 
     name = "process"
     preemptible = True
 
     def __init__(self, workers: int = 2) -> None:
         self.workers = max(1, int(workers))
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: future -> (handle, timeout_s) for every unsettled submission.
-        self._inflight: Dict[Any, Tuple[TaskHandle, Optional[float]]] = {}
+        #: One single-worker pool per slot (empty until started).
+        self._slots: List[ProcessPoolExecutor] = []
+        #: future -> (slot, handle, timeout_s) for every unsettled task.
+        self._inflight: Dict[Any, Tuple[int, TaskHandle, Optional[float]]] = {}
         self.restarts = 0
         self.crash_restarts = 0
         self._completed = 0
         self._worker_deaths = 0
         self._timeouts = 0
 
-    # -- pool lifecycle ------------------------------------------------
+    # -- slot lifecycle ------------------------------------------------
 
     def start(self) -> None:
-        if self._pool is None:
+        if not self._slots:
             # Load the simulator before the first fork: every worker, and
             # every respawn, then inherits it instead of importing it on
             # its first task.
             import repro.sim.system  # noqa: F401
 
-            self._pool = self._new_pool()
+            self._slots = [self._new_pool() for _ in range(self.workers)]
 
-    def _new_pool(self) -> ProcessPoolExecutor:
+    @staticmethod
+    def _new_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self.workers,
+            max_workers=1,
             mp_context=_POOL_CONTEXT,
             initializer=_init_worker,
             initargs=(os.getpid(),),
@@ -152,8 +154,8 @@ class ProcessBackend(ExecutionBackend):
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate every worker and tear the pool down without joining
-        hung processes indefinitely."""
+        """Terminate the pool's worker and tear the pool down without
+        joining a hung process indefinitely."""
         procs = list((getattr(pool, "_processes", None) or {}).values())
         for proc in procs:
             try:
@@ -172,33 +174,15 @@ class ProcessBackend(ExecutionBackend):
                 except Exception:
                     pass
 
-    def _respawn(self) -> None:
-        if self._pool is not None:
-            self._kill_pool(self._pool)
-        self._pool = self._new_pool()
+    def _respawn(self, slot: int, crash: bool) -> None:
+        """Replace one slot's pool; the other slots keep running."""
+        self.restarts += 1
+        if crash:
+            self.crash_restarts += 1
+        self._kill_pool(self._slots[slot])
+        self._slots[slot] = self._new_pool()
 
     # -- submission ----------------------------------------------------
-
-    def _submit_handle(
-        self, handle: TaskHandle, timeout_s: Optional[float]
-    ) -> None:
-        assert self._pool is not None
-        if timeout_s is not None:
-            handle.deadline = time.monotonic() + timeout_s
-        try:
-            future = self._pool.submit(
-                _worker_task, handle.spec, handle.attempt
-            )
-        except (BrokenProcessPool, RuntimeError):
-            # The pool died between polls: respawn (a crash restart, the
-            # caller sees it in health()) and retry once on fresh workers.
-            self.crash_restarts += 1
-            self.restarts += 1
-            self._respawn()
-            future = self._pool.submit(
-                _worker_task, handle.spec, handle.attempt
-            )
-        self._inflight[future] = (handle, timeout_s)
 
     def submit(
         self,
@@ -207,8 +191,25 @@ class ProcessBackend(ExecutionBackend):
         timeout_s: Optional[float] = None,
     ) -> TaskHandle:
         self.start()
+        busy = {slot for slot, _, _ in self._inflight.values()}
+        free = [slot for slot in range(self.workers) if slot not in busy]
+        if not free:
+            raise RuntimeError(
+                f"all {self.workers} process slots are busy; "
+                "poll before submitting more"
+            )
+        slot = free[0]
         handle = TaskHandle(spec, attempt)
-        self._submit_handle(handle, timeout_s)
+        if timeout_s is not None:
+            handle.deadline = time.monotonic() + timeout_s
+        try:
+            future = self._slots[slot].submit(_worker_task, spec, attempt)
+        except (BrokenProcessPool, RuntimeError):
+            # The idle worker died between polls: respawn the slot and
+            # retry once on a fresh worker.
+            self._respawn(slot, crash=True)
+            future = self._slots[slot].submit(_worker_task, spec, attempt)
+        self._inflight[future] = (slot, handle, timeout_s)
         return handle
 
     # -- settlement ----------------------------------------------------
@@ -216,82 +217,43 @@ class ProcessBackend(ExecutionBackend):
     def poll(self, timeout: Optional[float] = None) -> List[TaskHandle]:
         if not self._inflight:
             return []
-        now = time.monotonic()
         marks = [
             handle.deadline
-            for handle, _ in self._inflight.values()
+            for _, handle, _ in self._inflight.values()
             if handle.deadline is not None
         ]
         wait_s = timeout
         if marks:
-            to_deadline = max(0.0, min(marks) - now)
+            to_deadline = max(0.0, min(marks) - time.monotonic())
             wait_s = to_deadline if wait_s is None else min(wait_s, to_deadline)
-        alone = len(self._inflight) == 1
         done, _ = futures_wait(
             set(self._inflight), timeout=wait_s, return_when=FIRST_COMPLETED
         )
 
         settled: List[TaskHandle] = []
-        broken = False
         for future in done:
-            handle, _timeout_s = self._inflight.pop(future)
+            slot, handle, _ = self._inflight.pop(future)
             try:
                 payload = future.result()
             except (BrokenProcessPool, OSError):
-                broken = True
                 self._worker_deaths += 1
-                handle.settle_error(
-                    WorkerDeath(
-                        "worker process died mid-run",
-                        # Alone in the pool -> this task provably
-                        # crashed its worker.
-                        certain=alone,
-                    )
-                )
-                settled.append(handle)
-                continue
-            handle.settle_payload(payload)
-            self._completed += 1
+                self._respawn(slot, crash=True)
+                handle.settle_error(WorkerDeath("worker process died mid-run"))
+            else:
+                self._completed += 1
+                handle.settle_payload(payload)
             settled.append(handle)
 
-        if broken:
-            # Everything else rode the broken pool down: suspects, to be
-            # re-verified solo by the caller.
-            for future, (handle, _timeout_s) in list(self._inflight.items()):
-                handle.settle_error(
-                    WorkerDeath("worker pool broke mid-run", certain=False)
-                )
-                settled.append(handle)
-            self._inflight.clear()
-            self.crash_restarts += 1
-            self.restarts += 1
-            self._respawn()
-            return settled
-
-        # Expired deadlines: no per-task kill exists, so cancel by
-        # restarting the pool; innocent victims resubmit internally.
+        # Expired deadlines: a pool offers no per-task kill, so cancel by
+        # respawning the expired task's slot.
         now = time.monotonic()
-        expired = [
-            (future, handle, timeout_s)
-            for future, (handle, timeout_s) in self._inflight.items()
-            if handle.deadline is not None and handle.deadline <= now
-        ]
-        if expired:
-            expired_futures = {future for future, _, _ in expired}
-            victims = [
-                (handle, timeout_s)
-                for future, (handle, timeout_s) in self._inflight.items()
-                if future not in expired_futures
-            ]
-            self._inflight.clear()
-            self.restarts += 1
-            self._respawn()
-            for _future, handle, timeout_s in expired:
+        for future, (slot, handle, timeout_s) in list(self._inflight.items()):
+            if handle.deadline is not None and handle.deadline <= now:
+                del self._inflight[future]
                 self._timeouts += 1
+                self._respawn(slot, crash=False)
                 handle.settle_error(TaskTimeout(timeout_s or 0.0))
                 settled.append(handle)
-            for handle, timeout_s in victims:
-                self._submit_handle(handle, timeout_s)
         return settled
 
     # -- introspection -------------------------------------------------
@@ -303,7 +265,7 @@ class ProcessBackend(ExecutionBackend):
         return BackendHealth(
             name=self.name,
             workers=self.workers,
-            alive_workers=self.workers if self._pool is not None else 0,
+            alive_workers=len(self._slots),
             inflight=len(self._inflight),
             queue_depth=0,
             restarts=self.restarts,
@@ -317,10 +279,11 @@ class ProcessBackend(ExecutionBackend):
         )
 
     def shutdown(self, wait: bool = True) -> None:
-        if self._pool is not None:
-            if wait and not self._inflight:
-                self._pool.shutdown(wait=True)
+        graceful = wait and not self._inflight
+        for pool in self._slots:
+            if graceful:
+                pool.shutdown(wait=True)
             else:
-                self._kill_pool(self._pool)
-            self._pool = None
+                self._kill_pool(pool)
+        self._slots = []
         self._inflight.clear()

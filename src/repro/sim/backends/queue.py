@@ -23,9 +23,9 @@ never tears a file in half)::
 Tasks are dealt round-robin into per-worker sub-queues; an idle worker
 drains its own queue first and then **steals** from any other queue
 (including those of dead workers, which is how orphaned work is
-rescued).  Death attribution is *certain* and per-task: a lease names
-its worker in the filename, so when ``Popen.poll`` reports a worker
-dead, exactly the tasks it was leasing settle
+rescued).  Death attribution is per-task: a lease names its worker
+in the filename, so when ``Popen.poll`` reports a worker dead,
+exactly the tasks it was leasing settle
 :class:`~repro.sim.backends.base.WorkerDeath` — results already spooled
 are honored first, which is what makes a chaos run lose zero records.
 """
@@ -196,9 +196,7 @@ class QueueBackend(ExecutionBackend):
                 continue  # duplicate/orphan result for a settled task
             handle, _timeout_s = entry
             if meta is None:
-                handle.settle_error(
-                    WorkerDeath("result envelope unreadable", certain=True)
-                )
+                handle.settle_error(WorkerDeath("result envelope unreadable"))
             else:
                 if meta.get("stolen"):
                     self._steals += 1
@@ -245,8 +243,6 @@ class QueueBackend(ExecutionBackend):
                 handle.settle_error(
                     WorkerDeath(
                         f"queue worker {worker.wid} died mid-lease",
-                        certain=True,  # the lease names exactly one task
-                        worker_id=worker.wid,
                         pid=worker.proc.pid,
                     )
                 )

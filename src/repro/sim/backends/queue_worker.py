@@ -16,8 +16,7 @@ names one, so a fleet shares one memoized result set.
 The worker marks itself with
 :func:`~repro.sim.chaos.mark_worker_process`, so an injected ``crash``
 fault takes the *process* down (exit code 23) exactly like a pool
-worker — the lease it leaves behind is the parent's certain crash
-attribution.
+worker — the lease it leaves behind names the task its death settles.
 """
 
 from __future__ import annotations

@@ -768,8 +768,8 @@ class SweepService:
             )
         except Exception as exc:  # job failures are data, not crashes
             # An unsupervised cell surfaces its worker's death as the
-            # exception itself; a collateral death was not this cell's.
-            if isinstance(exc, WorkerDeath) and not exc.collateral:
+            # exception itself.
+            if isinstance(exc, WorkerDeath):
                 self._feed_breaker(1)
             self._finalize_failed(job, exc)
             return

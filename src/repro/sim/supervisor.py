@@ -13,19 +13,15 @@ propagate as they are.  With a policy it is **supervised**, with the
 guarantees a long sweep needs:
 
 * **per-run wall-clock timeouts** — a run that exceeds its deadline is
-  cancelled by the backend (pool teardown or a targeted worker kill),
-  surfaces as a typed :class:`~repro.sim.backends.TaskTimeout`, is
-  charged an attempt, and innocent in-flight runs are requeued without
-  charge;
+  cancelled by the backend (it kills the run's own worker), surfaces
+  as a typed :class:`~repro.sim.backends.TaskTimeout`, and is charged
+  an attempt; the runs beside it keep running;
 * **bounded retries** with exponential backoff and deterministic
   seeded jitter;
 * **worker-death recovery** — a dead worker surfaces as a typed
-  :class:`~repro.sim.backends.WorkerDeath`.  When the backend can
-  attribute the crash with certainty (a task alone in a process pool,
-  or a leased task in the queue backend) the run is charged an
-  attempt; otherwise every co-flying spec becomes a *suspect* that is
-  re-verified solo (one spec in flight at a time), so the actual
-  crasher is identified and innocents are never charged;
+  :class:`~repro.sim.backends.WorkerDeath` on the one run it was
+  executing (a process slot or a queue lease names it), and that run
+  is charged an attempt;
 * **graceful degradation** — after ``max_pool_restarts`` crash-driven
   backend restarts the remaining work always runs inline in the
   parent, where a process-level chaos fault degrades to an exception;
@@ -114,7 +110,7 @@ class FaultPolicy:
     Attributes:
         timeout_s: per-run wall-clock budget; ``None`` disables
             timeouts.  Enforced by the backend's preemption mechanism
-            (pool teardown, targeted worker kill), so it only cancels
+            (it kills the run's worker), so it only cancels
             runs on preemptible backends — inline/thread runs are not
             preemptible.
         retries: additional attempts after the first failure (total
@@ -278,7 +274,6 @@ class _Pending:
     key: Optional[str]
     attempts: int = 0
     eligible_at: float = 0.0
-    solo: bool = False  # suspect after a worker death: verify alone
     last_error: Optional[Tuple[Any, ...]] = None
 
 
@@ -558,12 +553,11 @@ class Supervisor:
     ) -> None:
         """The backend-agnostic supervision loop.
 
-        Scheduling state: ``ready`` (runnable, spec order), ``verify``
-        (crash suspects, run strictly solo so a second death is certain
-        attribution), ``waiting`` (backing off before a retry), and the
-        ``inflight`` handle map.  All failure semantics flow from the
-        two typed signals — :class:`WorkerDeath` and
-        :class:`TaskTimeout` — plus the payload envelope.
+        Scheduling state: ``ready`` (runnable, spec order), ``waiting``
+        (backing off before a retry), and the ``inflight`` handle map.
+        All failure semantics flow from the two typed signals —
+        :class:`WorkerDeath` and :class:`TaskTimeout`, each naming the
+        one run it settles — plus the payload envelope.
 
         A backend's counters are cumulative over its lifetime, and a
         caller-held one outlives this call, so everything reported here
@@ -574,7 +568,6 @@ class Supervisor:
         ready: Deque[_Pending] = collections.deque(
             sorted(pending, key=lambda item: item.index)
         )
-        verify: Deque[_Pending] = collections.deque()  # suspects, run solo
         waiting: List[_Pending] = []  # backing off
         inflight: Dict[Any, _Pending] = {}
         degraded: Optional[List[_Pending]] = None
@@ -592,32 +585,22 @@ class Supervisor:
 
         try:
             backend.start()
-            while ready or waiting or inflight or verify:
+            while ready or waiting or inflight:
                 now = time.monotonic()
                 still_waiting: List[_Pending] = []
                 for item in waiting:
                     if item.eligible_at <= now:
-                        (verify if item.solo else ready).append(item)
+                        ready.append(item)
                     else:
                         still_waiting.append(item)
                 waiting = still_waiting
 
-                if verify and not inflight:
-                    # Serial verification: one suspect alone on the
-                    # backend, so a death identifies the culprit with
-                    # certainty.
-                    suspect = verify.popleft()
+                while ready and len(inflight) < backend.capacity():
+                    item = ready.popleft()
                     handle = backend.submit(
-                        suspect.spec, suspect.attempts, policy.timeout_s
+                        item.spec, item.attempts, policy.timeout_s
                     )
-                    inflight[handle] = suspect
-                elif not verify:
-                    while ready and len(inflight) < backend.capacity():
-                        item = ready.popleft()
-                        handle = backend.submit(
-                            item.spec, item.attempts, policy.timeout_s
-                        )
-                        inflight[handle] = item
+                    inflight[handle] = item
 
                 if not inflight:
                     if waiting:
@@ -661,30 +644,18 @@ class Supervisor:
                     except WorkerDeath as death:
                         if self.fail_fast:
                             raise
-                        if death.collateral:
-                            # The backend killed this worker on purpose
-                            # (cancelling someone else): innocent,
-                            # requeue uncharged.
-                            ready.appendleft(item)
-                            continue
-                        if death.certain:
-                            self._fault(
-                                "worker_crash", item, "fault_worker_crashes"
-                            )
-                            error = (
-                                "error",
-                                "WorkerCrashError",
-                                "worker process died mid-run",
-                                "",
-                                None,
-                                0.0,
-                                death.pid,
-                            )
-                            if self._charge_attempt(item, error, now, failures):
-                                waiting.append(item)
-                        else:
-                            item.solo = True
-                            verify.append(item)
+                        self._fault("worker_crash", item, "fault_worker_crashes")
+                        error = (
+                            "error",
+                            "WorkerCrashError",
+                            "worker process died mid-run",
+                            "",
+                            None,
+                            0.0,
+                            death.pid,
+                        )
+                        if self._charge_attempt(item, error, now, failures):
+                            waiting.append(item)
                         continue
                     try:
                         payload = _parse_payload(payload)
@@ -715,14 +686,9 @@ class Supervisor:
 
                 if (
                     sync_restarts() > policy.max_pool_restarts
-                    and (ready or waiting or verify or inflight)
+                    and (ready or waiting or inflight)
                 ):
-                    degraded = (
-                        list(verify)
-                        + list(inflight.values())
-                        + list(ready)
-                        + waiting
-                    )
+                    degraded = list(inflight.values()) + list(ready) + waiting
                     inflight.clear()
                     break
             sync_restarts()
@@ -776,8 +742,6 @@ class Supervisor:
 
         self.metrics.counter("fault_degraded").inc()
         self.collector.emit(CAT_FAULT, "degrade", value=len(remaining))
-        for item in remaining:
-            item.solo = False  # inline cannot crash: no solo verify
         self._run_backend(
             InlineBackend(), True, remaining, results, records, failures
         )

@@ -39,10 +39,6 @@ mem_txn    read_req, write_req, invisible_req, reveal_req (one per
 fault      retry, timeout, worker_crash, corrupt_payload, pool_restart,
            exhausted, degrade, replayed_failure (engine supervision;
            ``seq`` is the spec index, ``value`` the attempt count)
-backend    submit, settle, steal, worker_death, worker_respawn (execution
-           backends; emitted in the parent process — ``seq`` is a task
-           sequence number; counters: queue depth, lease age, steals,
-           worker liveness)
 redteam    verdict, verdict_mismatch, audit (red-team harness; emitted
            in the parent process like ``fault`` — ``seq`` is the matrix
            cell index, ``value`` 1 = as expected / in band)
@@ -59,7 +55,6 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "ALL_CATEGORIES",
-    "CAT_BACKEND",
     "CAT_CACHE",
     "CAT_COHERENCE",
     "CAT_FAULT",
@@ -99,11 +94,6 @@ CAT_FAULT = "fault"
 #: ``fault``, emitted in the parent process: ``seq`` is the matrix cell
 #: index and ``value`` records whether the cell matched expectations.
 CAT_REDTEAM = "redteam"
-#: Execution-backend activity (:mod:`repro.sim.backends`): submissions,
-#: settlements, work steals, worker deaths/respawns.  Like ``fault``,
-#: emitted in the parent process; the counters carry queue depth, lease
-#: age, steal count, and worker liveness.
-CAT_BACKEND = "backend"
 
 #: Every category the instrumented components emit.
 ALL_CATEGORIES: FrozenSet[str] = frozenset(
@@ -117,7 +107,6 @@ ALL_CATEGORIES: FrozenSet[str] = frozenset(
         CAT_MEM_TXN,
         CAT_FAULT,
         CAT_REDTEAM,
-        CAT_BACKEND,
     }
 )
 

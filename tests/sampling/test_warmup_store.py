@@ -16,7 +16,6 @@ from repro.sampling.executor import (
 from repro.sampling.warmup import (
     FunctionalWarmer,
     build_warm_images,
-    clone_slice,
     restore_hierarchy,
     snapshot_hierarchy,
 )
@@ -47,19 +46,6 @@ def _clean_memo():
     _WARM_MEMO.clear()
     yield
     _WARM_MEMO.clear()
-
-
-class TestCloneSlice:
-    def test_rebases_seq_and_copies(self, traces):
-        trace = traces[0]
-        window = clone_slice(trace, 100, 150)
-        assert len(window) == 50
-        assert [op.seq for op in window] == list(range(50))
-        assert all(copy is not orig for copy, orig in zip(window, trace[100:]))
-        # The shared trace must be untouched (seq still absolute).
-        assert trace[100].seq == 100
-        # Program counters survive — predictors key on pc.
-        assert [op.pc for op in window] == [op.pc for op in trace[100:150]]
 
 
 class TestFunctionalWarmer:

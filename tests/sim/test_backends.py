@@ -25,6 +25,7 @@ from repro.sim.backends import (
     ProcessBackend,
     QueueBackend,
     TaskFailedError,
+    TaskTimeout,
     ThreadBackend,
     WorkerDeath,
     resolve_backend,
@@ -361,6 +362,40 @@ class TestProcessWorkerLifetime:
         run("mcf", LENGTH)
         assert cache.misses == misses + 1
 
+    def test_timeout_respawns_only_its_own_slot(self):
+        hang = ChaosConfig(seed=2, hang=1.0, hang_s=15.0, faulty_attempts=1)
+        hanging = _specs(RunConfig(chaos=hang))[0]
+        backend = ProcessBackend(workers=2)
+        try:
+            backend.start()
+            slots = list(backend._slots)
+            late = backend.submit(hanging, timeout_s=1.0)
+            clean = backend.submit(_specs()[1])
+            settled = []
+            while len(settled) < 2:
+                settled += backend.poll(5.0)
+            assert clean.outcome()[0] == "ok"
+            with pytest.raises(TaskTimeout):
+                late.outcome()
+            # The expired task's slot respawned; the other kept its pool.
+            assert backend._slots[0] is not slots[0]
+            assert backend._slots[1] is slots[1]
+            health = backend.health()
+            assert (health.restarts, health.crash_restarts) == (1, 0)
+        finally:
+            backend.shutdown()
+
+    def test_submit_beyond_capacity_raises(self):
+        backend = ProcessBackend(workers=1)
+        try:
+            backend.submit(_specs()[0])
+            with pytest.raises(RuntimeError, match="slots are busy"):
+                backend.submit(_specs()[1])
+            while not backend.poll(5.0):
+                pass
+        finally:
+            backend.shutdown()
+
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="the guard is Linux-only"
     )
@@ -375,7 +410,7 @@ class TestProcessWorkerLifetime:
         backend = ProcessBackend(workers=1)
         try:
             backend.start()
-            assert backend._pool._mp_context.get_start_method() == "fork"
+            assert backend._slots[0]._mp_context.get_start_method() == "fork"
             backend.submit(_specs()[0])
             settled = []
             while not settled:
@@ -405,10 +440,15 @@ class TestProcessWorkerLifetime:
                 get_benchmark("spec2017", "mcf"), SchemeKind.UNSAFE, 200,
                 RunConfig(),
             )
-            backend.submit(spec)
-            while not backend.poll(1.0):
-                pass
-            print(*backend._pool._processes, flush=True)
+            for _ in range(2):  # one task per slot forks both workers
+                backend.submit(spec)
+            settled = 0
+            while settled < 2:
+                settled += len(backend.poll(1.0))
+            print(
+                *(pid for pool in backend._slots for pid in pool._processes),
+                flush=True,
+            )
             time.sleep(120)
             """
         )

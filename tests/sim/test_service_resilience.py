@@ -187,7 +187,7 @@ class TestBreakerFeed:
 
     def test_unsupervised_worker_deaths_trip_the_breaker(self, monkeypatch):
         def crash(*args, **kwargs):
-            raise WorkerDeath(certain=True)
+            raise WorkerDeath()
 
         monkeypatch.setattr(api_mod, "run_suite", crash)
         breaker = CircuitBreaker(threshold=3, cooldown_s=60.0)

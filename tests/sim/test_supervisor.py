@@ -230,6 +230,21 @@ class TestPoolSupervision:
         assert counters["fault_pool_restarts"] >= 1
         assert counters["fault_retries"] == len(_specs())
 
+    def test_one_crash_costs_one_restart(self):
+        # One crashing cell beside clean ones: its own worker dies, and
+        # only that worker respawns; the neighbors are never re-run.
+        crashing = ChaosConfig(seed=2, crash=1.0, faulty_attempts=1)
+        specs = _specs()
+        specs[1] = _specs(RunConfig(chaos=crashing))[1]
+        supervisor = Supervisor(FaultPolicy(retries=2, backoff_s=0.001), jobs=2)
+        results, _, failures = supervisor.execute(specs)
+        assert all(result is not None for result in results) and not failures
+        counters = supervisor.fault_counters
+        assert counters["fault_pool_restarts"] == 1
+        assert counters["fault_worker_crashes"] == 1
+        assert counters["fault_retries"] == 1
+        assert counters["backend_tasks_completed"] == len(specs)
+
     def test_permanent_crash_exhausts_with_worker_crash_records(self):
         chaos = ChaosConfig(seed=2, crash=1.0)
         suite = _grid(

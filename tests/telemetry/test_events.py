@@ -156,8 +156,8 @@ class TestTelemetryCollector:
         assert CAT_CACHE in ALL_CATEGORIES
         assert CAT_MEM_TXN in ALL_CATEGORIES
         assert CAT_FAULT in ALL_CATEGORIES
-        from repro.telemetry.events import CAT_BACKEND, CAT_REDTEAM
+        from repro.telemetry.events import CAT_REDTEAM
 
         assert CAT_REDTEAM in ALL_CATEGORIES
-        assert CAT_BACKEND in ALL_CATEGORIES
-        assert len(ALL_CATEGORIES) == 10
+        assert "backend" not in ALL_CATEGORIES  # nothing emits it
+        assert len(ALL_CATEGORIES) == 9

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import Clueless
 from repro.common import OpClass
+from repro.sim import TraceCache
 from repro.workloads import (
     BenchmarkProfile,
     all_benchmarks,
@@ -16,6 +17,7 @@ from repro.workloads import (
     spec2006_suite,
     spec2017_suite,
 )
+from repro.workloads.gadgets import gadget_profiles, get_gadget
 
 
 class TestSuites:
@@ -184,3 +186,27 @@ class TestTraceContentPinned:
         assert trace_digest([p.trace() for p in programs]) == (
             "142692911cef718b56f78c060f35967119403538dac230b521ef706ac837d564"
         )
+
+
+def _thread_counts(profile):
+    if profile.suite == "gadgets":
+        return (get_gadget(profile.name).threads,)
+    return (1, 4) if profile.suite == "parsec" else (1,)
+
+
+class TestSequenceNumbers:
+    """A core numbers each uop by its position in its trace, while the
+    oracle and the red-team transmitter match read ``uop.seq``: the two
+    agree on every trace the simulator is handed."""
+
+    @pytest.mark.parametrize(
+        "profile",
+        spec2017_suite() + spec2006_suite() + parsec_suite() + gadget_profiles(),
+        ids=lambda profile: profile.label,
+    )
+    def test_seq_is_position(self, profile):
+        for threads in _thread_counts(profile):
+            traces = TraceCache().get(profile, threads, 400)
+            assert len(traces) == threads
+            for trace in traces:
+                assert [uop.seq for uop in trace] == list(range(len(trace)))
