@@ -46,7 +46,11 @@ from repro.sampling.estimator import (
     SampledEstimate,
     escalation_schedule,
 )
-from repro.sampling.warmup import FunctionalWarmer, restore_hierarchy
+from repro.sampling.warmup import (
+    IMAGE_VERSION,
+    FunctionalWarmer,
+    restore_hierarchy,
+)
 from repro.sim.config import RunConfig
 from repro.sim.system import System
 from repro.workloads.profile import BenchmarkProfile
@@ -83,6 +87,7 @@ def warm_images_key(
 
     payload = {
         "kind": WARM_IMAGE_KIND,
+        "version": IMAGE_VERSION,
         "profile": _jsonable(profile),
         "seed": profile.seed,
         "threads": threads,
