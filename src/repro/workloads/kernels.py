@@ -93,16 +93,6 @@ class WorkloadBuilder:
             )
         self._stream_cursor = 0
         self._index_cursor = 0
-        self._kernels = {
-            "pointer_chase": self._emit_pointer_chase,
-            "indexed": self._emit_indexed,
-            "tree": self._emit_tree,
-            "hash": self._emit_hash,
-            "stream": self._emit_stream,
-            "stencil": self._emit_stencil,
-            "compute": self._emit_compute,
-            "branchy": self._emit_branchy,
-        }
         self._kernel_names = list(profile.kernel_weights.keys())
         self._kernel_cum = self._cumulative_weights()
         #: Trace length at the start and after every emitted chunk.
@@ -188,7 +178,7 @@ class WorkloadBuilder:
             pick = self._rng.random() * self._kernel_cum[-1]
             for name, bound in zip(self._kernel_names, self._kernel_cum):
                 if pick <= bound:
-                    self._kernels[name]()
+                    _KERNELS[name](self)
                     break
             self.chunk_ends.append(len(self.prog))
         return self.prog
@@ -470,6 +460,22 @@ class WorkloadBuilder:
                 2, mispredict=self._rng.random() < self.profile.mispredict_rate
             )
             prog.alu(1, 2)
+
+
+#: Kernel chunk emitters by the names profiles weight.  Plain functions
+#: called with the builder: a builder holding its own bound methods would
+#: be a reference cycle, and its memory image would outlive the build
+#: until the cyclic collector ran.
+_KERNELS = {
+    "pointer_chase": WorkloadBuilder._emit_pointer_chase,
+    "indexed": WorkloadBuilder._emit_indexed,
+    "tree": WorkloadBuilder._emit_tree,
+    "hash": WorkloadBuilder._emit_hash,
+    "stream": WorkloadBuilder._emit_stream,
+    "stencil": WorkloadBuilder._emit_stencil,
+    "compute": WorkloadBuilder._emit_compute,
+    "branchy": WorkloadBuilder._emit_branchy,
+}
 
 
 def build_trace(profile: BenchmarkProfile, length: int) -> Program:
