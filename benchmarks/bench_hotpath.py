@@ -15,15 +15,22 @@ ratio falls when the untraced path picks up work it should skip (a
 telemetry hook that is not guarded, a submit-free path lost).  CI's
 ``bench-hotpath`` job runs this ratio gate on every push and uploads
 the JSON as the ``bench-hotpath`` artifact.
+
+The JSON also records what a cached trace costs: ``trace_bytes_per_uop``
+and ``decode_bytes_per_uop``, measured with tracemalloc on one SPEC2017
+and one PARSEC trace built after the cells' traces (so the position
+ints every trace shares already exist), next to the throughput.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import os
 import pstats
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro import SchemeKind
@@ -121,6 +128,47 @@ def _phase_breakdown(profile, scheme, threads, cache):
     return {phase: spent / total for phase, spent in buckets.items()}
 
 
+#: (label, profile, threads) traces whose memory per uop is measured.
+MEMORY_TRACES = (
+    ("spec2017/xz", get_benchmark("spec2017", "xz"), 1),
+    ("parsec/dedup@4", get_benchmark("parsec", "dedup"), 4),
+)
+
+
+def _traced_growth(fn):
+    """Bytes ``fn()`` leaves allocated, by tracemalloc, and its result."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before, result
+
+
+def _trace_memory():
+    """Bytes per uop of a cached trace and of one register decode."""
+    trace_bytes, decode_bytes = {}, {}
+    core = RunConfig().resolved_params().core
+    for label, profile, threads in MEMORY_TRACES:
+        cache = TraceCache()
+        length = HOTPATH_LENGTH // threads
+        tracemalloc.start()
+        try:
+            built, traces = _traced_growth(
+                lambda: cache.get(profile, threads, length)
+            )
+            decoded, _ = _traced_growth(
+                lambda: cache.get_decoded(
+                    profile, threads, length, core.arch_regs, core.phys_regs
+                )
+            )
+        finally:
+            tracemalloc.stop()
+        uops = sum(map(len, traces))
+        trace_bytes[label] = round(built / uops, 1)
+        decode_bytes[label] = round(decoded / uops, 1)
+    return trace_bytes, decode_bytes
+
+
 def _run():
     cache = TraceCache()
     cells = {}
@@ -138,7 +186,14 @@ def _run():
                 for k, v in _phase_breakdown(profile, scheme, threads, cache).items()
             },
         }
-    return {"length": HOTPATH_LENGTH, "rounds": ROUNDS, "cells": cells}
+    trace_bytes, decode_bytes = _trace_memory()
+    return {
+        "length": HOTPATH_LENGTH,
+        "rounds": ROUNDS,
+        "cells": cells,
+        "trace_bytes_per_uop": trace_bytes,
+        "decode_bytes_per_uop": decode_bytes,
+    }
 
 
 def test_hotpath_throughput_trajectory(benchmark):
@@ -152,6 +207,11 @@ def test_hotpath_throughput_trajectory(benchmark):
             f"{label:30s} untraced {cell['untraced_uops_per_sec'] / 1000:7.1f}k"
             f"  traced {cell['traced_uops_per_sec'] / 1000:7.1f}k"
             f"  ratio {cell['ratio']:.2f}x"
+        )
+    for label, per_uop in payload["trace_bytes_per_uop"].items():
+        rows.append(
+            f"{label:30s} trace {per_uop:6.1f} B/uop"
+            f"  decode {payload['decode_bytes_per_uop'][label]:5.1f} B/uop"
         )
     emit("BENCH_hotpath", "hot-path throughput (uops/s)", "\n".join(rows))
 

@@ -788,7 +788,7 @@ def _parent_parsers():
         default=None,
         metavar="CATS",
         help="comma list of event categories to collect "
-        "(pipeline,cache,coherence,recon,security,shadow,mem_txn,fault,backend; "
+        "(pipeline,cache,coherence,recon,security,shadow,mem_txn,fault,redteam; "
         "default all)",
     )
     telemetry.add_argument(

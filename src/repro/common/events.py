@@ -71,6 +71,11 @@ class EventQueue:
                 callback(arg, due)
         return True
 
+    def clear(self) -> None:
+        """Drop every pending event (a run that stopped before them)."""
+        self._buckets.clear()
+        self._cycles.clear()
+
     def next_cycle(self) -> Optional[int]:
         """Cycle of the earliest pending event (None when empty)."""
         if not self._cycles:

@@ -61,6 +61,17 @@ class CoreParams:
             raise ValueError("window resources must be positive")
         if self.lq_entries <= 0 or self.sq_entries <= 0:
             raise ValueError("load/store queues must be positive")
+        latencies = (
+            self.alu_latency,
+            self.mul_latency,
+            self.div_latency,
+            self.fp_latency,
+            self.branch_latency,
+        )
+        if min(latencies) <= 0:
+            # An event due in the cycle that scheduled it would fire only
+            # at the next step, after the cycle it was due.
+            raise ValueError("execution latencies must be positive")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -447,7 +447,15 @@ class Core:
             # Cycle-less subcomponents (LSQ, LPT, hierarchy, policies)
             # stamp their events with the collector's current cycle.
             self.telemetry.now = cycle
-        activity = self.events.service(cycle)
+        return self.advance(cycle, self.events.service(cycle))
+
+    def advance(self, cycle: int, activity: bool = False) -> bool:
+        """The cycle's pipeline work, once the event queue is serviced.
+
+        :meth:`step` services the queue first; a multicore loop services
+        the shared queue once per cycle and then advances each core.
+        Returns ``activity`` or'd with whether the pipeline did anything.
+        """
         if self._blocked_branches:
             if self._resolve_blocked_branches(cycle):
                 activity = True

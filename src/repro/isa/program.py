@@ -30,6 +30,32 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _new_op = MicroOp.__new__
 
 
+#: Positions at or past this many get fresh ints (each through the slow
+#: path of :meth:`Program._emit`): a full table holds about 40 MB of ints
+#: (32 bytes each plus an 8-byte slot), while a trace that long costs
+#: about 150 MB itself.
+POSITIONS_CAP = 1 << 20
+
+#: Process-wide position ints: ``_SEQS[i] == i`` and, per base pc,
+#: ``_PCS[base][i] == base + 4 * i``.  Every trace numbers its uops
+#: 0, 1, 2, ... and takes fresh pcs from the same base, so its ``seq``
+#: and fresh ``pc`` ints are shared with every other trace built in the
+#: process instead of costing two int objects per uop.  The tables grow
+#: on demand, in chunks, up to :data:`POSITIONS_CAP`.
+_SEQS: List[int] = []
+_PCS: Dict[int, List[int]] = {}
+
+
+def _position(table: List[int], start: int, step: int, index: int) -> int:
+    """``start + step * index``, from ``table`` (grown to hold it) if
+    ``index`` is under the cap; ``table[i] == start + step * i``."""
+    if index >= POSITIONS_CAP:
+        return start + step * index
+    size = min(max(2 * len(table), index + 1, 4096), POSITIONS_CAP)
+    table.extend(range(start + step * len(table), start + step * size, step))
+    return table[index]
+
+
 def default_memory_value(addr: int) -> int:
     """Deterministic pseudo-content for memory never written by the program.
 
@@ -65,7 +91,10 @@ class Program:
         self.ops: List[MicroOp] = []
         self.regs: Dict[int, int] = {r: 0 for r in range(arch_regs)}
         self.memory: Dict[int, int] = {}
-        self._next_pc = base_pc
+        self._base_pc = base_pc
+        #: Fresh pcs handed out so far; the next is ``base_pc + 4 * n``.
+        self._fresh_pcs = 0
+        self._pcs = _PCS.setdefault(base_pc, [])
         #: One tuple object per distinct register tuple: a trace holds
         #: tens of thousands of ``srcs``/``data_srcs`` over a few dozen
         #: values, and a tuple costs 48+ bytes.
@@ -104,10 +133,20 @@ class Program:
         """Append a micro-op whose fields the caller already validated."""
         op = _new_op(MicroOp)
         ops = self.ops
-        op.seq = len(ops)
+        seq = len(ops)
+        # The shared tables rarely lack a position, so a lookup that
+        # raises is cheaper than one guarded by a length check.
+        try:
+            op.seq = _SEQS[seq]
+        except IndexError:
+            op.seq = _position(_SEQS, 0, 1, seq)
         if pc is None:
-            pc = self._next_pc
-            self._next_pc = pc + 4
+            n = self._fresh_pcs
+            self._fresh_pcs = n + 1
+            try:
+                pc = self._pcs[n]
+            except IndexError:
+                pc = _position(self._pcs, self._base_pc, 4, n)
         op.pc = pc
         op.opclass = opclass
         op.dest = dest

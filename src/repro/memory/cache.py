@@ -9,7 +9,7 @@ invariants (capacity, associativity, LRU order).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.params import CacheParams
 from repro.common.types import MESIState
@@ -25,7 +25,9 @@ class CacheLine:
     The simulator never stores data contents (values travel with the trace);
     a line is its tag plus coherence and ReCon metadata.  The directory
     fields (``owner``/``sharers``) are only used on LLC lines, where the
-    in-cache directory lives.
+    in-cache directory lives; ``sharers`` is a core bit mask (bit ``c``
+    set when core ``c`` holds a copy), so a private line carries a plain
+    ``0`` rather than an empty set.
     """
 
     __slots__ = ("addr", "state", "reveal", "dirty", "lru", "owner", "sharers")
@@ -37,7 +39,7 @@ class CacheLine:
         self.dirty = False
         self.lru = 0
         self.owner: Optional[int] = None
-        self.sharers: Set[int] = set()
+        self.sharers = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

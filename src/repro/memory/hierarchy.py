@@ -57,7 +57,7 @@ ReCon metadata rules implemented here (paper §5.2-5.3):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.params import SystemParams
 from repro.common.stats import StatSet
@@ -77,6 +77,15 @@ from repro.telemetry.events import (
 )
 
 __all__ = ["MemoryHierarchy", "AccessResult"]
+
+
+def _cores_of(mask: int) -> Iterator[int]:
+    """The cores of a directory sharer mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 #: Stable MESI -> int encoding for event payloads.
 _MESI_ORD = {
@@ -273,7 +282,7 @@ class MemoryHierarchy:
             dir_line.reveal = recon_bits.merge(dir_line.reveal, vector)
         if dir_line.owner == core:
             dir_line.owner = None
-        dir_line.sharers.discard(core)
+        dir_line.sharers &= ~(1 << core)
         stats.bitvector_merges += 1
 
     def _fill_private(
@@ -329,14 +338,14 @@ class MemoryHierarchy:
     def _evict_llc(self, victim: CacheLine) -> None:
         """Inclusive LLC eviction: recall every private copy, then DRAM."""
         dirty = victim.dirty
-        holders = set(victim.sharers)
+        holders = victim.sharers
         if victim.owner is not None:
-            holders.add(victim.owner)
+            holders |= 1 << victim.owner
         home = self.noc.home_node(victim.addr)
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.emit(CAT_CACHE, "evict", addr=victim.addr, value=3)
-        for core in holders:
+        for core in _cores_of(holders):
             _, was_dirty = self._invalidate_private(core, victim.addr)
             dirty = dirty or was_dirty
             self._hop(src=home, dst=core)
@@ -399,7 +408,7 @@ class MemoryHierarchy:
                     dir_line.dirty = True
                     held.dirty = False
                 held.state = MESIState.SHARED
-        dir_line.sharers.add(owner)
+        dir_line.sharers |= 1 << owner
         dir_line.owner = None
         stats.coherence_transactions += 1
         return latency
@@ -610,7 +619,7 @@ class MemoryHierarchy:
         dir_line = self.llc.lookup(laddr, touch=False)
         if dir_line is not None:
             dir_line.owner = core
-            dir_line.sharers = {core}
+            dir_line.sharers = 1 << core
         self._stats[core].words_concealed += 1
         if self.telemetry.enabled:
             self.telemetry.emit(CAT_RECON, "conceal", core=core, addr=addr)
@@ -651,14 +660,14 @@ class MemoryHierarchy:
         dir_line, latency = self._llc_fetch(laddr, stats, core)
         if dir_line.owner is not None and dir_line.owner != core:
             latency += self._downgrade_owner(dir_line, stats)
-        if dir_line.sharers - {core}:
+        if dir_line.sharers & ~(1 << core):
             state = MESIState.SHARED
         else:
             state = MESIState.EXCLUSIVE
             # The directory tracks an E grant as ownership so a later GetS
             # knows whom to downgrade (E may silently have become M).
             dir_line.owner = core
-        dir_line.sharers.add(core)
+        dir_line.sharers |= 1 << core
         vector = self._vector_if_tracked(dir_line.reveal, CacheLevel.LLC)
         self._fill_private(core, laddr, state, vector, stats)
         latency += stall
@@ -689,12 +698,12 @@ class MemoryHierarchy:
             self._hop(src=core, dst=self.noc.home_node(laddr))
         state = (
             MESIState.EXCLUSIVE
-            if not (dir_line.sharers - {core})
+            if not (dir_line.sharers & ~(1 << core))
             else MESIState.SHARED
         )
         if state is MESIState.EXCLUSIVE:
             dir_line.owner = core
-        dir_line.sharers.add(core)
+        dir_line.sharers |= 1 << core
         vector = self._vector_if_tracked(dir_line.reveal, CacheLevel.LLC)
         priv = self._privs[core]
         l2_vec = self._vector_if_tracked(vector, CacheLevel.L2)
@@ -760,9 +769,9 @@ class MemoryHierarchy:
             self._stats[owner].invalidations += 1
             dir_line.dirty = dir_line.dirty or owner_dirty
             dir_line.owner = None
-            dir_line.sharers.discard(owner)
+            dir_line.sharers &= ~(1 << owner)
         preserve = self.params.preserve_invalidated_reveals
-        for sharer in sorted(dir_line.sharers - {core}):
+        for sharer in _cores_of(dir_line.sharers & ~(1 << core)):
             # Invalidated readers lose their private vectors (footnote 1)
             # unless the preserve-on-invalidation optimization is on, in
             # which case the ack carries the vector to the writer (safe:
@@ -781,7 +790,7 @@ class MemoryHierarchy:
                 self.telemetry.emit(
                     CAT_COHERENCE, "invalidate", core=sharer, addr=laddr
                 )
-        dir_line.sharers = {core}
+        dir_line.sharers = 1 << core
         dir_line.owner = core
         if own_vector is not None:
             # Upgrading sharer: keep its own reveals plus the directory's.
@@ -1000,7 +1009,7 @@ class MemoryHierarchy:
                     f" but core {exclusive[0][0]} holds {exclusive[0][1].value}"
                 )
             for core, _ in holders:
-                if core not in dir_line.sharers and dir_line.owner != core:
+                if not (dir_line.sharers >> core) & 1 and dir_line.owner != core:
                     raise AssertionError(
                         f"directory does not track core {core} for {laddr:#x}"
                     )

@@ -57,8 +57,8 @@ def _snapshot_array(array: CacheArray, directory: bool) -> Dict[str, Any]:
     """Dump resident lines in global-LRU-tick order (oldest first).
 
     One column per field: ``state`` is a string of one-letter MESI
-    values and ``sharers`` holds one core bit mask per line, so a dump
-    is a handful of flat lists however many lines it holds.
+    values and ``sharers`` holds each line's core bit mask as it is, so
+    a dump is a handful of flat lists however many lines it holds.
     """
     lines = sorted(array, key=_lru_of)
     dump: Dict[str, Any] = {
@@ -69,9 +69,7 @@ def _snapshot_array(array: CacheArray, directory: bool) -> Dict[str, Any]:
     }
     if directory:
         dump["owner"] = [line.owner for line in lines]
-        dump["sharers"] = [
-            sum(1 << core for core in line.sharers) for line in lines
-        ]
+        dump["sharers"] = [line.sharers for line in lines]
     return dump
 
 
@@ -93,12 +91,8 @@ def _restore_array(
     tick = array._tick
     if directory:
         owners, sharers = dump["owner"], dump["sharers"]
-        cores = {
-            bits: [core for core in range(bits.bit_length()) if bits >> core & 1]
-            for bits in set(sharers)
-        }
     else:
-        owners, sharers, cores = repeat(None), repeat(0), {0: ()}
+        owners, sharers = repeat(None), repeat(0)
     for addr, state, reveal, dirty, owner, bits in zip(
         dump["addr"], dump["state"], dump["reveal"], dump["dirty"], owners, sharers
     ):
@@ -110,7 +104,7 @@ def _restore_array(
         tick += 1
         line.lru = tick
         line.owner = owner
-        line.sharers = set(cores[bits])
+        line.sharers = bits
         sets[(addr >> shift) & mask][addr] = line
     array._tick = tick
     if max(map(len, sets)) > array.ways:

@@ -96,12 +96,15 @@ class RunResult:
 
 
 #: Per-uop retained size of a built trace, for the cache's byte budget:
-#: tracemalloc measured 208-212 bytes on SPEC2017 gcc and mcf (30k uops)
-#: and PARSEC canneal (4 x 10k), with the register tuples shared.
-_UOP_EST_BYTES = 212
+#: tracemalloc measured 138-166 bytes (median 153) on every SPEC2017
+#: profile at 30k uops and every PARSEC one at 4 x 10k, each built after
+#: another trace, so the register tuples and the position ints of
+#: ``seq`` and fresh ``pc`` (:mod:`repro.isa.program`) are shared.
+_UOP_EST_BYTES = 153
 
 #: Per-uop size of one decode (three lists of pointers, with the lists'
-#: growth slack; the register tuples are shared): 25-27 bytes measured.
+#: growth slack; the register tuples are shared): 25-44 bytes measured
+#: on the same traces, 25-28 on 18 of the 24.
 _DECODED_EST_BYTES = 26
 
 #: Byte budget of the trace cache an executor keeps across cells (the

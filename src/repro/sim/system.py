@@ -136,10 +136,26 @@ class System:
         if len(self.cores) == 1:
             core = self.cores[0]
             core.run(max_cycles=max_cycles)
+            # A core stopped by its measurement window leaves completions
+            # queued; they hold bound methods of the core, which would make
+            # the whole system cyclic garbage.
+            self.events.clear()
             measured = core.measured
             return self._result(measured.cycles, [measured])
+        events = self.events
+        collector = self.telemetry
         cycle = 0
         pending = [core for core in self.cores if not core.done]
+        # A step that did nothing and left its core's epoch unchanged is
+        # repeated exactly by the next one until the epoch moves (an
+        # event of the core fired, or -- for a miss-gating policy, whose
+        # cores share the queue's epoch -- any core changed cache state)
+        # or the core's fetch-resume cycle comes, so those steps are
+        # skipped.  ``quiet_epoch[i]`` is the epoch core ``i``'s last
+        # step left, ``None`` when that step did something or moved the
+        # epoch, and ``quiet_cycle[i]`` that step's cycle.
+        quiet_epoch: List[Optional[int]] = [None] * len(self.cores)
+        quiet_cycle = [0] * len(self.cores)
         while pending:
             if cycle >= max_cycles:
                 raise SimulationHangError(
@@ -149,12 +165,28 @@ class System:
                     mshr_outstanding=[
                         core.mshr_outstanding(cycle) for core in self.cores
                     ],
-                    event_queue_depth=len(self.events),
+                    event_queue_depth=len(events),
                 )
-            active = finished = False
+            if collector is not None:
+                collector.now = cycle
+            active = events.service(cycle)
+            finished = False
             for core in pending:
-                if core.step(cycle):
+                core_id = core.core_id
+                epochs = core._epochs
+                epoch = epochs.epoch
+                if epoch == quiet_epoch[core_id] and not (
+                    quiet_cycle[core_id] < core._fetch_resume_cycle <= cycle
+                ):
+                    continue
+                if core.advance(cycle):
                     active = True
+                    quiet_epoch[core_id] = None
+                elif epochs.epoch == epoch:
+                    quiet_epoch[core_id] = epoch
+                    quiet_cycle[core_id] = cycle
+                else:
+                    quiet_epoch[core_id] = None
                 if core.done:
                     finished = True
             if active:
@@ -164,6 +196,7 @@ class System:
                 cycle = min(core.next_wake(cycle) for core in pending)
             if finished:
                 pending = [core for core in pending if not core.done]
+        events.clear()
         measured = [core.measured for core in self.cores]
         end = max(stats.cycles for stats in measured)
         return self._result(end, measured)

@@ -26,6 +26,14 @@ class TestCoreParams:
         with pytest.raises(ValueError):
             dataclasses.replace(CoreParams(), phys_regs=16, arch_regs=32).validate()
 
+    @pytest.mark.parametrize(
+        "field",
+        ["alu_latency", "mul_latency", "div_latency", "fp_latency", "branch_latency"],
+    )
+    def test_validate_rejects_zero_latency(self, field):
+        with pytest.raises(ValueError, match="latencies"):
+            dataclasses.replace(CoreParams(), **{field: 0}).validate()
+
 
 class TestCacheParams:
     def test_geometry(self):

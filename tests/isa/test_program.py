@@ -4,6 +4,9 @@ import pytest
 
 from repro.common import MemPrediction, OpClass
 from repro.isa import MicroOp, Program, default_memory_value
+from repro.isa import program as program_module
+from repro.workloads import get_benchmark
+from repro.workloads.kernels import build_trace
 
 
 class TestMicroOp:
@@ -154,3 +157,36 @@ class TestProgramInterpreter:
         prog.li(1, 0)
         op = prog.branch(1, mispredict=True)
         assert op.mispredict
+
+
+class TestSharedPositions:
+    """Every trace takes its ``seq`` ints, and the ints of the pcs it
+    does not pass, from one process-wide table per position."""
+
+    def test_traces_of_different_profiles_share_position_ints(self):
+        gcc = build_trace(get_benchmark("spec2017", "gcc"), 3_000).trace()
+        lbm = build_trace(get_benchmark("spec2017", "lbm"), 3_000).trace()
+        assert gcc[0].pc == 0x1000
+        for a, b in zip(gcc, lbm):
+            assert a.seq is b.seq
+            assert a.pc is b.pc
+
+    def test_positions_past_the_cap_get_fresh_ints(self, monkeypatch):
+        base = 0x7F000
+        monkeypatch.setattr(program_module, "POSITIONS_CAP", 8)
+        program_module._PCS.pop(base, None)
+        prog = Program(base_pc=base)
+        for _ in range(20):
+            prog.nop()
+        assert [op.pc for op in prog.ops] == [base + 4 * i for i in range(20)]
+        assert [op.seq for op in prog.ops] == list(range(20))
+        assert len(program_module._PCS[base]) == 8
+
+    def test_explicit_pcs_are_kept(self):
+        prog = Program()
+        loop_pc = 0x123456
+        first = prog.nop(pc=loop_pc)
+        second = prog.nop()
+        third = prog.nop(pc=loop_pc)
+        assert (first.pc, second.pc, third.pc) == (loop_pc, 0x1000, loop_pc)
+        assert [op.seq for op in prog.ops] == [0, 1, 2]

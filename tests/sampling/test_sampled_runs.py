@@ -8,6 +8,7 @@ The two determinism contracts of the tentpole live here:
   store replay) produces the same estimate to the last bit.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -15,8 +16,10 @@ import pytest
 
 from repro import SchemeKind
 from repro.api import RunRequest, run_single, run_suite
+from repro.common.gcpause import gc_paused
 from repro.sampling import SampledEstimate, SamplingConfig
-from repro.sim import RunConfig, run_benchmark
+from repro.sampling.executor import _measure_unit, _unit_grid, get_warm_images
+from repro.sim import RunConfig, TraceCache, run_benchmark
 from repro.sim.engine import RunSpec, run_specs
 from repro.sim.store import ResultStore
 from repro.workloads import get_benchmark
@@ -208,3 +211,36 @@ class TestStoreRoundTrip:
         results, suite = run_specs([sampled], jobs=1, store=store)
         assert not suite.records[0].from_store
         assert results[0].sampling is not None
+
+
+class TestUnitsFreedAtOnce:
+    """A measured unit leaves no cyclic garbage: when its window closes
+    early, the completions still queued (bound methods of its cores)
+    are dropped with the run, so reference counting frees the unit's
+    system, hierarchy and in-flight instructions at once."""
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.UNSAFE, SchemeKind.STT_RECON])
+    def test_every_mcf_grid_unit_leaves_no_cycles(self, scheme):
+        length = 30_000
+        profile = get_benchmark("spec2017", "mcf")
+        sampling = SamplingConfig()
+        config = RunConfig(sampling=sampling)
+        params = config.resolved_params()
+        traces = TraceCache().get(profile, 1, length)
+        starts, unit_uops = _unit_grid(
+            config.resolved_warmup(length),
+            length,
+            sampling.resolved_unit_uops(length),
+            sampling.max_units,
+        )
+        unit_warm = sampling.resolved_unit_warm(unit_uops)
+        offsets = sorted({max(start - unit_warm, 0) for start in starts})
+        images = get_warm_images(profile, 1, length, params, offsets, traces)
+        gc.collect()
+        for start in starts:
+            image = images["offsets"][str(max(start - unit_warm, 0))]
+            with gc_paused():
+                _measure_unit(
+                    traces, params, scheme, start, unit_uops, unit_warm, image
+                )
+                assert gc.collect() == 0, start

@@ -368,6 +368,29 @@ class TestGroupedCommands:
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
 
+    def test_trace_filter_help_names_every_category(self):
+        import argparse
+        import re
+
+        from repro.cli import build_parser
+        from repro.telemetry.events import ALL_CATEGORIES
+
+        def actions(parser):
+            for action in parser._actions:
+                yield action
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from actions(sub)
+
+        helps = {
+            action.help
+            for action in actions(build_parser())
+            if "--trace-filter" in action.option_strings
+        }
+        assert len(helps) == 1
+        listed = re.search(r"\(([a-z_,]+);", helps.pop()).group(1)
+        assert sorted(listed.split(",")) == sorted(ALL_CATEGORIES)
+
 
 class TestRedteam:
     def test_matrix_prints_verdicts_and_saves_artifact(self, capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Tests for RunConfig, the retired legacy kwargs, the bounded TraceCache
 and its length prefixes, and the result-store key."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -121,6 +123,50 @@ class TestTraceCacheBudget:
             TraceCache(max_entries=0)
         with pytest.raises(ValueError):
             TraceCache(max_bytes=0)
+
+
+def _traced_bytes(fn):
+    """``(result, bytes fn left allocated)`` under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTraceMemory:
+    """What a cached trace costs, and what the cache's budget counts."""
+
+    LENGTH = 30_000
+
+    def test_spec2017_trace_built_after_another_is_small(self):
+        TraceCache().get(get_benchmark("spec2017", "gcc"), 1, self.LENGTH)
+        cache = TraceCache()
+        mcf = get_benchmark("spec2017", "mcf")
+        traces, used = _traced_bytes(lambda: cache.get(mcf, 1, self.LENGTH))
+        # 208-224 B/uop while every uop held its own seq and pc ints.
+        assert used / len(traces[0]) <= 165
+
+    @pytest.mark.parametrize(
+        "suite,name,threads", [("spec2017", "xz", 1), ("parsec", "canneal", 4)]
+    )
+    def test_budget_counts_a_trace_and_its_decode(self, suite, name, threads):
+        profile = get_benchmark(suite, name)
+        length = self.LENGTH // threads
+        # Another trace and decode first, as in a running grid: the
+        # shared ints and the decoder's module already exist.
+        TraceCache().get_decoded(
+            get_benchmark("spec2017", "gcc"), 1, self.LENGTH, 32, 224
+        )
+        cache = TraceCache()
+        _, used = _traced_bytes(
+            lambda: cache.get_decoded(profile, threads, length, 32, 224)
+        )
+        assert cache.approx_bytes == pytest.approx(used, rel=0.15)
 
 
 #: The MicroOp fields a prefix must match a fresh build in.
