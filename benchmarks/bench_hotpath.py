@@ -18,8 +18,10 @@ the JSON as the ``bench-hotpath`` artifact.
 
 The JSON also records what a cached trace costs: ``trace_bytes_per_uop``
 and ``decode_bytes_per_uop``, measured with tracemalloc on one SPEC2017
-and one PARSEC trace built after the cells' traces (so the position
-ints every trace shares already exist), next to the throughput.
+and one PARSEC trace built after the cells' traces, next to the
+throughput.  A second gate holds them under fixed ceilings
+(``TRACE_BYTES_CEILING``, ``DECODE_BYTES_CEILING``), so a change that
+brings per-uop objects back into the trace layout fails the bench.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ CELLS = (
 ROUNDS = 3
 BASELINE_PATH = Path(__file__).resolve().parent / "data" / "bench_hotpath_baseline.json"
 TOLERANCE = 0.9  # fail when the ratio drops below 90% of the baseline
+
+#: Bytes per uop a cached trace and one register decode of it may cost:
+#: the columnar layout measures about 27-29 and 8.5; a trace of MicroOp
+#: records cost about 153 and its tuple-list decode 26.
+TRACE_BYTES_CEILING = 40
+DECODE_BYTES_CEILING = 20
 
 _PHASES = ("dispatch", "issue", "commit", "events", "memory")
 
@@ -218,6 +226,17 @@ def test_hotpath_throughput_trajectory(benchmark):
     for label, cell in payload["cells"].items():
         assert cell["untraced_uops_per_sec"] > 0, label
         assert cell["traced_uops_per_sec"] > 0, label
+
+    for label, per_uop in payload["trace_bytes_per_uop"].items():
+        assert per_uop <= TRACE_BYTES_CEILING, (
+            f"{label}: a cached trace costs {per_uop} B/uop, over the "
+            f"{TRACE_BYTES_CEILING} B/uop ceiling of the columnar layout"
+        )
+    for label, per_uop in payload["decode_bytes_per_uop"].items():
+        assert per_uop <= DECODE_BYTES_CEILING, (
+            f"{label}: a register decode costs {per_uop} B/uop, over the "
+            f"{DECODE_BYTES_CEILING} B/uop ceiling"
+        )
 
     baseline = json.loads(BASELINE_PATH.read_text())
     for label, base_cell in baseline["cells"].items():

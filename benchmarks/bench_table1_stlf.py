@@ -60,7 +60,7 @@ def _build(pc3_pred, pc4_pred):
     prog.store(3, base=2)                            # PC2 (unresolved)
     pc3 = prog.load(5, base=4, forced_prediction=pc3_pred)   # PC3
     pc4 = prog.load(6, base=5, forced_prediction=pc4_pred)   # PC4
-    return prog, pc3.seq, pc4.seq
+    return prog, pc3, pc4
 
 
 def _observed(scheme, pc3_pred, pc4_pred):

@@ -3,11 +3,10 @@
 The collector runs a young collection every ``gc.get_threshold()[0]``
 container allocations, whether or not anything has died, and every
 tenth of those ages the survivors one generation further; a full
-collection then walks every live object, and a simulator process holds
-hundreds of thousands of :class:`~repro.isa.microop.MicroOp` records.
-A trace build or a warm-image restore allocates tens of thousands of
-objects that all stay alive and form no cycles, so every collection it
-triggers finds nothing to free.  Pausing collection for the burst lets
+collection then walks every live object.  A trace build (its memory
+image) or a warm-image restore (its cache lines) allocates tens of
+thousands of objects that all stay alive and form no cycles, so every
+collection it triggers finds nothing to free.  Pausing collection for the burst lets
 the first allocation after it age the whole burst in one young
 collection.
 """

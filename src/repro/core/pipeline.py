@@ -44,8 +44,15 @@ the full telemetry event stream of 4 traced cells):
   computes them once per trace; a trace cache shares that decode across
   every scheme of a row.  Dispatch reads the columns and keeps only a
   count of free registers, and each instruction record is initialized
-  once, from them.  Register tuples are shared (the trace builder and
-  the decode intern them), so they cost no memory per uop.
+  once, from them.
+* **Columnar trace.**  Dispatch reads the trace's dynamic columns
+  (:mod:`repro.isa.trace`) and, per static entry, the opclass, forced
+  prediction and operand shape the core took from the static table.
+  It copies each uop's opclass, a load's pc, address and forced
+  prediction, and a branch's mispredict flag into the instruction
+  record, so an untraced run makes no :class:`MicroOp`; commit
+  materializes one only for a policy's ``on_commit`` hook or a traced
+  ``commit`` event.
 * **Per-cycle event buckets.**  Completions ride
   :meth:`~repro.common.events.EventQueue.push` entries ``(fn, inst)``
   in one FIFO bucket per cycle; only a new cycle touches the heap.  No
@@ -101,7 +108,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationHangError
 from repro.common.events import EventQueue
@@ -110,9 +117,15 @@ from repro.common.stats import StatSet
 from repro.common.types import WORD_MASK, MemPrediction, OpClass, SpeculationModel
 from repro.core.lsq import LoadStoreUnit
 from repro.core.mdp import MemoryDependencePredictor
-from repro.core.rename import DecodedTrace, RegisterFile, decode_trace
+from repro.core.rename import (
+    DecodedTrace,
+    RegisterFile,
+    decode_trace,
+    operand_shape,
+)
 from repro.core.shadows import NO_SHADOW, ShadowTracker
 from repro.isa.microop import MicroOp
+from repro.isa.trace import as_trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.security.lpt import LoadPairTable
 from repro.security.policy import EMPTY_TAINT, SecurityPolicy
@@ -146,7 +159,11 @@ class _Inst:
 
     __slots__ = (
         "seq",
-        "uop",
+        "opclass",
+        "pc",
+        "addr",
+        "mispredict",
+        "forced",
         "dest_phys",
         "src_phys",
         "data_phys",
@@ -169,14 +186,18 @@ class _Inst:
     def __init__(
         self,
         seq: int,
-        uop: MicroOp,
+        opclass: OpClass,
         src_phys: Tuple[int, ...],
         data_phys: Tuple[int, ...],
-        dest_phys: Optional[int],
+        dest_phys: int,
         pending: int,
     ) -> None:
         self.seq = seq
-        self.uop = uop
+        self.opclass = opclass
+        # Dispatch sets a load's ``pc``, ``addr``, ``forced`` (its forced
+        # prediction) and ``word``, and a branch's ``mispredict``;
+        # nothing reads them on any other instruction.
+        #: The physical register allocated, or -1 without a destination.
         self.dest_phys = dest_phys
         self.src_phys = src_phys
         self.data_phys = data_phys
@@ -220,7 +241,7 @@ class Core:
         self,
         core_id: int,
         params: SystemParams,
-        trace: List[MicroOp],
+        trace: Sequence[MicroOp],
         hierarchy: MemoryHierarchy,
         policy: SecurityPolicy,
         stats: Optional[StatSet] = None,
@@ -233,7 +254,9 @@ class Core:
         params.validate()
         self.core_id = core_id
         self.params = params
-        self.trace = trace
+        #: The trace as columns (:mod:`repro.isa.trace`); a plain
+        #: :class:`MicroOp` sequence is converted here, once.
+        self.trace = trace = as_trace(trace)
         core = params.core
         #: The trace's physical registers (:func:`decode_trace`); a
         #: trace cache hands in the decode it shares across schemes, and
@@ -277,6 +300,16 @@ class Core:
         self._measure_snapshot: Optional[StatSet] = None
 
         self.regfile = RegisterFile(core.arch_regs, core.phys_regs)
+        #: Per static instruction of the trace: its opclass, forced
+        #: prediction and :func:`~repro.core.rename.operand_shape`, all
+        #: dispatch needs from the static table.
+        self._kinds = [
+            (opclass, forced, operand_shape(srcs, data_srcs))
+            for opclass, _, srcs, data_srcs, forced, _ in trace.statics
+        ]
+        #: ``(p,)`` for every physical register: dispatch builds each
+        #: uop's register tuples from the decode's columns.
+        self._ones = [(phys,) for phys in range(core.phys_regs)]
         self.shadows = ShadowTracker()
         self.lsq = LoadStoreUnit(core.lq_entries, core.sq_entries)
         self.mdp = MemoryDependencePredictor()
@@ -538,8 +571,7 @@ class Core:
     # ------------------------------------------------------------------
     def _complete(self, inst: _Inst, cycle: int) -> None:
         self._epochs.epoch += 1
-        uop = inst.uop
-        oc = uop.opclass
+        oc = inst.opclass
         if self._traced:
             self.telemetry.emit(
                 CAT_PIPELINE, "complete", core=self.core_id, seq=inst.seq
@@ -554,7 +586,7 @@ class Core:
                 bound = cycle + self._mispredict_penalty
                 for load in violated:
                     stats.mem_order_violations += 1
-                    mdp.train_violation(load.uop.pc)
+                    mdp.train_violation(load.pc)
                 if bound > self._fetch_resume_cycle:
                     self._fetch_resume_cycle = bound
             if self._store_shadows:
@@ -604,7 +636,7 @@ class Core:
                 CAT_SHADOW, "exit", core=self.core_id, seq=inst.seq
             )
         inst.completed = True
-        if inst.uop.mispredict:
+        if inst.mispredict:
             self.stats.mispredicted_branches += 1
             if traced:
                 # The wrong-path fetch bubble is the squash in this
@@ -636,7 +668,7 @@ class Core:
         went = inst.visible_access
         revealed = inst.mem_revealed and use_recon
         if not revealed and went and self._has_word_public:
-            revealed = self.policy.word_is_public(inst.uop.addr)
+            revealed = self.policy.word_is_public(inst.addr)
         if speculative and use_recon and went:
             if revealed:
                 self.stats.reveal_hits += 1
@@ -648,7 +680,7 @@ class Core:
                     "reveal_hit" if revealed else "reveal_miss",
                     core=self.core_id,
                     seq=inst.seq,
-                    addr=inst.uop.addr,
+                    addr=inst.addr,
                 )
         if self._has_on_load_value:
             broadcast_now, taint = self.policy.on_load_value(
@@ -672,7 +704,7 @@ class Core:
 
     def _broadcast(self, inst: _Inst, taint: FrozenSet[int]) -> None:
         dest = inst.dest_phys
-        if dest is None:
+        if dest < 0:
             return
         regfile = self.regfile
         regfile.ready[dest] = True
@@ -726,20 +758,20 @@ class Core:
         core_id = self.core_id
         policy = self.policy
         has_on_commit = self._has_on_commit
+        trace = self.trace
         released = 0
         traced = self._traced
         while committed < width and head < rob_len:
             inst = rob[head]
             if not inst.completed:
                 break
-            uop = inst.uop
-            oc = uop.opclass
+            oc = inst.opclass
             if oc is _STORE:
                 if len(sb) >= sq_entries:
                     break
                 lsq.commit_store(inst.seq)
                 stats.committed_stores += 1
-                if lpt is not None and inst.dest_phys is not None:
+                if lpt is not None and inst.dest_phys >= 0:
                     lpt.on_other_commit(inst.dest_phys)
             elif oc is _LOAD:
                 lsq.commit_load(inst.seq)
@@ -750,7 +782,7 @@ class Core:
                     reveals = lpt.on_load_commit_multi(
                         inst.dest_phys,
                         inst.src_phys[:lpt_sources],
-                        inst.uop.addr or 0,
+                        inst.addr,
                     )
                     if reveals:
                         stats.load_pairs_detected += len(reveals)
@@ -759,17 +791,24 @@ class Core:
             else:
                 if oc is _BRANCH:
                     stats.committed_branches += 1
-                if lpt is not None and inst.dest_phys is not None:
+                if lpt is not None and inst.dest_phys >= 0:
                     lpt.on_other_commit(inst.dest_phys)
-            if has_on_commit:
-                policy.on_commit(uop)
-            if traced:
-                # The uop reference rides the event for streaming sinks
-                # (leakage timeline); it is stripped before storage.
-                self.telemetry.emit(
-                    CAT_PIPELINE, "commit", core=self.core_id, seq=inst.seq, uop=uop
-                )
-            if inst.dest_phys is not None:
+            if has_on_commit or traced:
+                # The only MicroOps a run makes: the policy's DIFT and
+                # streaming sinks (leakage timeline) read the record.
+                uop = trace.uop(inst.seq)
+                if has_on_commit:
+                    policy.on_commit(uop)
+                if traced:
+                    # The reference is stripped before storage.
+                    self.telemetry.emit(
+                        CAT_PIPELINE,
+                        "commit",
+                        core=self.core_id,
+                        seq=inst.seq,
+                        uop=uop,
+                    )
+            if inst.dest_phys >= 0:
                 # Frees the register its destination was mapped to.
                 released += 1
             rob[head] = None  # type: ignore[call-overload]
@@ -830,8 +869,7 @@ class Core:
             if issued >= width:
                 kept.extend(ready[index:])
                 break
-            uop = inst.uop
-            oc = uop.opclass
+            oc = inst.opclass
             if oc is _LOAD:
                 # Epoch memo: a blocked verdict only changes when state
                 # it reads changes, and every such change bumps the
@@ -940,8 +978,7 @@ class Core:
         if taint and self._blocks_loads and policy.load_issue_blocked(taint):
             inst.gated_at = self._frontier_moves
             return False
-        uop = inst.uop
-        addr = uop.addr
+        addr = inst.addr
         shadows = self.shadows
         if self._gates_on_miss:
             l1_hit, revealed = self.hierarchy.peek_access(self.core_id, addr)
@@ -961,12 +998,12 @@ class Core:
             return False  # matching older store exists but has no data yet
         unresolved = lsq.has_older_unresolved_store(inst.seq)
         if self._mdp_on:
-            prediction = uop.forced_prediction or self.mdp.predict(uop.pc)
+            prediction = inst.forced or self.mdp.predict(inst.pc)
             if prediction is _STF:
                 if unresolved:
                     return False  # wait for older store addresses
                 if forward is None:
-                    self.mdp.train_no_dependence(uop.pc)
+                    self.mdp.train_no_dependence(inst.pc)
                     self._epochs.epoch += 1  # same-pc loads may now go
             # MEM prediction (or STF that found nothing): proceed; a match
             # with a resolved store always forwards.
@@ -1041,13 +1078,20 @@ class Core:
         dests = decoded.dests
         regfile = self.regfile
         free = regfile.free
-        if not free and dests[idx] is not None:
+        if not free and dests[idx] >= 0:
             # The commonest stall (most calls that dispatch nothing on
             # SPEC2017 and PARSEC): no free register for the oldest uop.
             return 0
         trace = self.trace
-        srcs_col = decoded.srcs
+        kinds = self._kinds
+        static_col = trace.index
+        pc_col = trace.pc
+        addr_col = trace.addr
+        mispredict_col = trace.mispredict
+        src0_col = decoded.src0
+        src1_col = decoded.src1
         data_col = decoded.data
+        ones = self._ones
         end = self._trace_len
         rob = self._rob
         rob_append = rob.append
@@ -1075,8 +1119,7 @@ class Core:
         woke = False
         blocked_by = None
         while dispatched < room:
-            uop = trace[idx]
-            oc = uop.opclass
+            oc, forced, shape = kinds[static_col[idx]]
             if oc is _LOAD:
                 if lq_room <= 0:
                     break
@@ -1086,7 +1129,7 @@ class Core:
                     break
                 sq_room -= 1
             dest_phys = dests[idx]
-            if dest_phys is not None:
+            if dest_phys >= 0:
                 if not free:
                     break
                 free -= 1
@@ -1094,33 +1137,60 @@ class Core:
                 rtaint[dest_phys] = EMPTY_TAINT
             # A fresh destination is never among the sources (it was on
             # the free list, unmapped), so counting after claiming it is
-            # safe.
-            src_phys = srcs_col[idx]
+            # safe.  The shape is the number of sources plus three times
+            # the number of data registers (commonest first).
+            if shape == 1:
+                src_phys = ones[src0_col[idx]]
+                data_phys = ()
+            elif shape == 0:
+                src_phys = data_phys = ()
+            elif shape == 4:  # a store
+                src_phys = ones[src0_col[idx]]
+                data_phys = ones[data_col[idx]]
+            elif shape == 2:
+                src_phys = (src0_col[idx], src1_col[idx])
+                data_phys = ()
+            elif shape == 3:
+                src_phys = ()
+                data_phys = ones[data_col[idx]]
+            elif shape == 5:
+                src_phys = (src0_col[idx], src1_col[idx])
+                data_phys = ones[data_col[idx]]
+            else:
+                src_phys, data_phys = decoded.wide[idx]
             pending = 0
             for phys in src_phys:
                 if not ready[phys]:
                     pending += 1
             # The sequence number is the uop's position in this core's
-            # trace, so a sampled unit runs on a plain slice of a shared
-            # trace (whose ``uop.seq`` stays absolute).
+            # trace, so a sampled unit runs on a slice of a shared trace
+            # (whose uops keep their absolute ``seq``).
             seq = idx
-            inst = _Inst(seq, uop, src_phys, data_col[idx], dest_phys, pending)
+            inst = _Inst(seq, oc, src_phys, data_phys, dest_phys, pending)
             rob_append(inst)
             if traced:
                 self.telemetry.emit(
-                    CAT_PIPELINE, "dispatch", core=self.core_id, seq=seq, addr=uop.pc
+                    CAT_PIPELINE,
+                    "dispatch",
+                    core=self.core_id,
+                    seq=seq,
+                    addr=pc_col[idx],
                 )
             casts = False
             if oc is _LOAD:
-                inst.word = uop.addr & WORD_MASK
+                inst.pc = pc_col[idx]
+                inst.addr = addr = addr_col[idx]
+                inst.forced = forced
+                inst.word = addr & WORD_MASK
                 lsq.add_load(inst)  # the instruction is its own LQ entry
                 casts = futuristic
             elif oc is _STORE:
-                lsq.add_store(seq, uop.pc, uop.addr)
+                lsq.add_store(seq, pc_col[idx], addr_col[idx])
                 casts = store_shadows
             elif oc is _BRANCH:
                 casts = True
-                if uop.mispredict:
+                mispredict = inst.mispredict = mispredict_col[idx]
+                if mispredict:
                     blocked_by = seq
             if casts:
                 heappush(shadow_heap, seq)
@@ -1140,7 +1210,6 @@ class Core:
                         else:
                             waiting.append(inst)
             if oc is _STORE:
-                data_phys = inst.data_phys
                 data_pending = 0
                 for phys in data_phys:
                     if not ready[phys]:

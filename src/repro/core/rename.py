@@ -19,46 +19,94 @@ of free registers to stall dispatch when the list would be empty.
 from __future__ import annotations
 
 import collections
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.isa.microop import MicroOp
+from repro.isa.trace import as_trace
 
-__all__ = ["DecodedTrace", "RegisterFile", "decode_trace"]
+__all__ = ["DecodedTrace", "RegisterFile", "decode_trace", "operand_shape"]
 
 EMPTY_TAINT: FrozenSet[int] = frozenset()
 
+#: A uop's physical address-source and store-data registers.
+Operands = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+#: :func:`operand_shape` of a static instruction whose registers do not
+#: fit the columns (more than two address sources or more than one data
+#: register): its uops' registers are in :attr:`DecodedTrace.wide`.
+WIDE = 6
+
+
+def operand_shape(srcs: Tuple[int, ...], data_srcs: Tuple[int, ...]) -> int:
+    """Which decode columns hold a uop's registers, from its static
+    instruction: ``len(srcs) + 3 * len(data_srcs)``, or :data:`WIDE`."""
+    if len(srcs) <= 2 and len(data_srcs) <= 1:
+        return len(srcs) + 3 * len(data_srcs)
+    return WIDE
+
 
 class DecodedTrace:
-    """The physical registers of every uop of a trace, one column each.
+    """The physical registers of every uop of a trace, in typed columns.
 
-    ``srcs[i]``/``data[i]`` are uop ``i``'s address-source and store-data
-    physical registers (tuples shared between equal values) and
-    ``dests[i]`` the register it allocates (``None`` without a
-    destination).  A uop with a destination frees, at its commit, the
-    register its destination was mapped to before it; the pipeline only
-    needs to know *that* it frees one, which ``dests[i]`` says, so that
-    register is not stored.  The decode of a trace's prefix is the
-    prefix of its decode, so one decode serves every shorter length.
+    ``src0[i]``/``src1[i]`` are uop ``i``'s first and second
+    address-source physical registers, ``data[i]`` its store-data
+    register and ``dests[i]`` the register it allocates, each -1 where
+    there is none.  A uop with more registers than that (its static
+    instruction's :func:`operand_shape` is :data:`WIDE`) has its
+    ``(srcs, data)`` tuples in ``wide[i]``; no generated trace has one.
+    A uop with a destination frees, at its commit, the register its
+    destination was mapped to before it; the pipeline only needs to know
+    *that* it frees one, which ``dests[i]`` says, so that register is
+    not stored.  The decode of a trace's prefix is the prefix of its
+    decode, so one decode serves every shorter length.
     """
 
-    __slots__ = ("arch_regs", "phys_regs", "srcs", "data", "dests")
+    __slots__ = (
+        "arch_regs",
+        "phys_regs",
+        "src0",
+        "src1",
+        "data",
+        "dests",
+        "wide",
+    )
 
     def __init__(
         self,
         arch_regs: int,
         phys_regs: int,
-        srcs: List[Tuple[int, ...]],
-        data: List[Tuple[int, ...]],
-        dests: List[Optional[int]],
+        src0: array,
+        src1: array,
+        data: array,
+        dests: array,
+        wide: Dict[int, Operands],
     ) -> None:
         self.arch_regs = arch_regs
         self.phys_regs = phys_regs
-        self.srcs = srcs
+        self.src0 = src0
+        self.src1 = src1
         self.data = data
         self.dests = dests
+        self.wide = wide
 
     def __len__(self) -> int:
-        return len(self.srcs)
+        return len(self.dests)
+
+    def sources(self, i: int) -> Operands:
+        """Uop ``i``'s ``(srcs, data)`` physical registers."""
+        if i in self.wide:
+            return self.wide[i]
+        first = self.src0[i]
+        second = self.src1[i]
+        data = self.data[i]
+        if first < 0:
+            srcs: Tuple[int, ...] = ()
+        elif second < 0:
+            srcs = (first,)
+        else:
+            srcs = (first, second)
+        return srcs, (() if data < 0 else (data,))
 
 
 def decode_trace(
@@ -67,37 +115,49 @@ def decode_trace(
     """Rename ``trace`` through a FIFO free list of ``phys_regs - arch_regs``."""
     if phys_regs <= arch_regs:
         raise ValueError("need more physical than architectural registers")
-    rmap = list(range(arch_regs))
+    trace = as_trace(trace)
+    # The extra last entry maps "no register" (-1) to itself.
+    rmap = list(range(arch_regs)) + [-1]
     free = collections.deque(range(arch_regs, phys_regs))
     popleft = free.popleft
     push = free.append
-    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {(): ()}
-    share = shared.setdefault
-    srcs: List[Tuple[int, ...]] = []
-    data: List[Tuple[int, ...]] = []
-    dests: List[Optional[int]] = []
-    srcs_append = srcs.append
+    code = "h" if phys_regs <= 1 << 15 else "i"
+    src0, src1, data, dests = (array(code) for _ in range(4))
+    wide: Dict[int, Operands] = {}
+    src0_append = src0.append
+    src1_append = src1.append
     data_append = data.append
     dests_append = dests.append
-    for uop in trace:
-        regs = uop.srcs
-        if not regs:
-            srcs_append(())
-        elif len(regs) == 1:
-            phys = (rmap[regs[0]],)
-            srcs_append(share(phys, phys))
+    # Per static instruction: its destination, and its first and second
+    # address sources and data register (-1 for none), or None where
+    # they do not fit the columns.
+    shapes = []
+    for _, dest, srcs, data_srcs, _, _ in trace.statics:
+        regs = None
+        if operand_shape(srcs, data_srcs) != WIDE:
+            regs = (
+                srcs[0] if srcs else -1,
+                srcs[1] if len(srcs) == 2 else -1,
+                data_srcs[0] if data_srcs else -1,
+            )
+        shapes.append((dest, regs, srcs, data_srcs))
+    for i, k in enumerate(trace.index[: len(trace)]):
+        dest, regs, srcs, data_srcs = shapes[k]
+        if regs is None:
+            wide[i] = (
+                tuple([rmap[a] for a in srcs]),
+                tuple([rmap[a] for a in data_srcs]),
+            )
+            src0_append(-1)
+            src1_append(-1)
+            data_append(-1)
         else:
-            phys = tuple([rmap[a] for a in regs])
-            srcs_append(share(phys, phys))
-        regs = uop.data_srcs
-        if regs:
-            phys = tuple([rmap[a] for a in regs])
-            data_append(share(phys, phys))
-        else:
-            data_append(())
-        dest = uop.dest
+            first, second, stored = regs
+            src0_append(rmap[first])
+            src1_append(rmap[second])
+            data_append(rmap[stored])
         if dest is None:
-            dests_append(None)
+            dests_append(-1)
         else:
             # The list never runs dry here: each pop is followed by the
             # push of the register this uop frees at its commit.
@@ -105,7 +165,7 @@ def decode_trace(
             rmap[dest] = new = popleft()
             push(old)
             dests_append(new)
-    return DecodedTrace(arch_regs, phys_regs, srcs, data, dests)
+    return DecodedTrace(arch_regs, phys_regs, src0, src1, data, dests, wide)
 
 
 class RegisterFile:

@@ -11,10 +11,12 @@ the Clueless analyzer sees the same dataflow the pipeline does.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import itertools
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.common.types import WORD_MASK, MemPrediction, OpClass, word_addr
 from repro.isa.microop import MicroOp
+from repro.isa.trace import Trace
 
 __all__ = ["Program", "default_memory_value"]
 
@@ -27,33 +29,20 @@ _BRANCH = OpClass.BRANCH
 _NOP = OpClass.NOP
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_new_op = MicroOp.__new__
 
-
-#: Positions at or past this many get fresh ints (each through the slow
-#: path of :meth:`Program._emit`): a full table holds about 40 MB of ints
-#: (32 bytes each plus an 8-byte slot), while a trace that long costs
-#: about 150 MB itself.
-POSITIONS_CAP = 1 << 20
-
-#: Process-wide position ints: ``_SEQS[i] == i`` and, per base pc,
-#: ``_PCS[base][i] == base + 4 * i``.  Every trace numbers its uops
-#: 0, 1, 2, ... and takes fresh pcs from the same base, so its ``seq``
-#: and fresh ``pc`` ints are shared with every other trace built in the
-#: process instead of costing two int objects per uop.  The tables grow
-#: on demand, in chunks, up to :data:`POSITIONS_CAP`.
-_SEQS: List[int] = []
-_PCS: Dict[int, List[int]] = {}
-
-
-def _position(table: List[int], start: int, step: int, index: int) -> int:
-    """``start + step * index``, from ``table`` (grown to hold it) if
-    ``index`` is under the cap; ``table[i] == start + step * i``."""
-    if index >= POSITIONS_CAP:
-        return start + step * index
-    size = min(max(2 * len(table), index + 1, 4096), POSITIONS_CAP)
-    table.extend(range(start + step * len(table), start + step * size, step))
-    return table[index]
+#: A static instruction's opclass and forced prediction travel as one
+#: small int, ``3 * opclass code + prediction code``, in the key that
+#: finds its static-table entry: an enum in the key would hash through
+#: a Python-level ``__hash__``, several times slower than an int.
+_OPCLASSES = tuple(OpClass)
+_PREDICTIONS = (None, MemPrediction.MEM, MemPrediction.STF)
+_OPCLASS_CODES = {opclass: code for code, opclass in enumerate(_OPCLASSES)}
+_PREDICTION_CODES = {pred: code for code, pred in enumerate(_PREDICTIONS)}
+_C_ALU = 3 * _OPCLASS_CODES[_ALU]
+_C_LOAD = 3 * _OPCLASS_CODES[_LOAD]
+_C_STORE = 3 * _OPCLASS_CODES[_STORE]
+_C_BRANCH = 3 * _OPCLASS_CODES[_BRANCH]
+_C_NOP = 3 * _OPCLASS_CODES[_NOP]
 
 
 def default_memory_value(addr: int) -> int:
@@ -71,6 +60,16 @@ def _bad_reg(reg: int, arch_regs: int) -> ValueError:
     return ValueError(f"register r{reg} outside namespace of {arch_regs}")
 
 
+def _bad_word(what: str, value: int) -> ValueError:
+    return ValueError(f"{what} {value!r} outside 0 .. 2**64 - 1")
+
+
+def _load_code(forced_prediction: Optional[MemPrediction]) -> int:
+    if forced_prediction is None:
+        return _C_LOAD
+    return _C_LOAD + _PREDICTION_CODES[forced_prediction]
+
+
 class Program:
     """Builds a micro-op trace while interpreting it functionally.
 
@@ -79,25 +78,39 @@ class Program:
         base_pc: starting program counter; each appended micro-op gets a
             fresh pc unless ``pc`` is passed explicitly (loops reuse pcs).
 
-    Every builder method checks its registers inline (``0 <= reg <
-    arch_regs``, else :class:`ValueError`) before it changes any state,
-    and emits through :meth:`_emit`, which skips the checks of
-    :class:`MicroOp`'s constructor: each method builds only micro-ops
-    that pass them.
+    The trace is a columnar :class:`~repro.isa.trace.Trace` (:attr:`ops`)
+    that grows as uops are appended.  Every builder method checks its
+    registers inline (``0 <= reg < arch_regs``), and any immediate,
+    absolute address or explicit pc against ``0 .. 2**64 - 1``, raising
+    :class:`ValueError` before it changes any state.  It then emits
+    through :meth:`_emit`, which skips the checks of :class:`MicroOp`'s
+    constructor (each method builds only micro-ops that pass them), and
+    returns the appended uop's position, which is its ``seq``:
+    ``prog.ops[position]`` is its :class:`MicroOp` record.  Appending
+    makes no per-uop object.
     """
 
     def __init__(self, arch_regs: int = 32, base_pc: int = 0x1000) -> None:
+        if not 0 <= base_pc <= _MASK64:
+            raise ValueError(f"base pc {base_pc:#x} is not a 64-bit address")
         self.arch_regs = arch_regs
-        self.ops: List[MicroOp] = []
+        #: The trace built so far (shared, not copied).
+        self.ops = Trace()
         self.regs: Dict[int, int] = {r: 0 for r in range(arch_regs)}
         self.memory: Dict[int, int] = {}
-        self._base_pc = base_pc
-        #: Fresh pcs handed out so far; the next is ``base_pc + 4 * n``.
-        self._fresh_pcs = 0
-        self._pcs = _PCS.setdefault(base_pc, [])
-        #: One tuple object per distinct register tuple: a trace holds
-        #: tens of thousands of ``srcs``/``data_srcs`` over a few dozen
-        #: values, and a tuple costs 48+ bytes.
+        #: The fresh pcs: ``base_pc``, ``base_pc + 4``, ...
+        self._fresh_pcs = itertools.count(base_pc, 4)
+        #: Static-table index by ``(code, dest, srcs, data_srcs)``.
+        self._statics: Dict[Tuple, int] = {}
+        ops = self.ops
+        self._pc_column = ops.pc
+        self._append_index = ops.index.append
+        self._append_pc = ops.pc.append
+        self._append_addr = ops.addr.append
+        self._append_value = ops.value.append
+        self._append_mispredict = ops.mispredict.append
+        #: One tuple object per distinct register tuple, so equal static
+        #: instructions share their ``srcs``/``data_srcs``.
         self._regs: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: ``(r,)`` for every register, the most common tuple by far.
         self._one = [self._shared((r,)) for r in range(arch_regs)]
@@ -107,6 +120,8 @@ class Program:
     # ------------------------------------------------------------------
     def poke(self, addr: int, value: int) -> None:
         """Pre-install ``value`` at aligned word ``addr`` (no trace record)."""
+        if not 0 <= value <= _MASK64:
+            raise _bad_word("value", value)
         self.memory[word_addr(addr)] = value
 
     def peek(self, addr: int) -> int:
@@ -120,55 +135,67 @@ class Program:
     # ------------------------------------------------------------------
     def _emit(
         self,
-        opclass: OpClass,
+        code: int,
         dest: Optional[int],
         srcs: Tuple[int, ...],
         data_srcs: Tuple[int, ...],
-        addr: Optional[int],
+        addr: int,
         value: int,
         mispredict: bool,
-        forced_prediction: Optional[MemPrediction],
         pc: Optional[int],
-    ) -> MicroOp:
-        """Append a micro-op whose fields the caller already validated."""
-        op = _new_op(MicroOp)
-        ops = self.ops
-        seq = len(ops)
-        # The shared tables rarely lack a position, so a lookup that
-        # raises is cheaper than one guarded by a length check.
-        try:
-            op.seq = _SEQS[seq]
-        except IndexError:
-            op.seq = _position(_SEQS, 0, 1, seq)
+    ) -> int:
+        """Append a micro-op whose fields the caller already validated.
+
+        ``addr`` is 0 for a uop without one.  Returns its position.
+        """
         if pc is None:
-            n = self._fresh_pcs
-            self._fresh_pcs = n + 1
-            try:
-                pc = self._pcs[n]
-            except IndexError:
-                pc = _position(self._pcs, self._base_pc, 4, n)
-        op.pc = pc
-        op.opclass = opclass
-        op.dest = dest
-        op.srcs = srcs
-        op.data_srcs = data_srcs
-        op.addr = addr
-        op.value = value
-        op.mispredict = mispredict
-        op.forced_prediction = forced_prediction
-        ops.append(op)
-        return op
+            pc = next(self._fresh_pcs)
+        elif not 0 <= pc <= _MASK64:
+            raise _bad_word("pc", pc)
+        # The pc goes first: a failed append then leaves every column
+        # as it was.
+        self._append_pc(pc)
+        key = (code, dest, srcs, data_srcs)
+        k = self._statics.get(key)
+        if k is None:
+            k = self._add_static(key)
+        self._append_index(k)
+        self._append_addr(addr)
+        self._append_value(value)
+        self._append_mispredict(mispredict)
+        return len(self._pc_column) - 1
+
+    def _add_static(self, key: Tuple) -> int:
+        code, dest, srcs, data_srcs = key
+        opclass = _OPCLASSES[code // 3]
+        ops = self.ops
+        k = ops.add_static(
+            (
+                opclass,
+                dest,
+                srcs,
+                data_srcs,
+                _PREDICTIONS[code % 3],
+                opclass is _LOAD or opclass is _STORE,
+            )
+        )
+        self._statics[key] = k
+        self._append_index = ops.index.append  # it may have widened
+        return k
 
     def _shared(self, regs: Tuple[int, ...]) -> Tuple[int, ...]:
         """The program's one tuple equal to ``regs``."""
         return self._regs.setdefault(regs, regs)
 
-    def li(self, dest: int, value: int, pc: Optional[int] = None) -> MicroOp:
+    def li(self, dest: int, value: int, pc: Optional[int] = None) -> int:
         """Load-immediate (an ALU op with no sources)."""
         if not 0 <= dest < self.arch_regs:
             raise _bad_reg(dest, self.arch_regs)
+        if not 0 <= value <= _MASK64:
+            raise _bad_word("value", value)
+        seq = self._emit(_C_ALU, dest, (), (), 0, value, False, pc)
         self.regs[dest] = value
-        return self._emit(_ALU, dest, (), (), None, value, False, None, pc)
+        return seq
 
     def alu(
         self,
@@ -176,7 +203,7 @@ class Program:
         *srcs: int,
         opclass: OpClass = _ALU,
         pc: Optional[int] = None,
-    ) -> MicroOp:
+    ) -> int:
         """Register-to-register computation (ALU/MUL/DIV/FP).
 
         The interpreted result is a deterministic mix of the sources so that
@@ -193,14 +220,14 @@ class Program:
             if not 0 <= src < arch_regs:
                 raise _bad_reg(src, arch_regs)
             result = (result * 31 + regs[src]) & _MASK64
+        code = _C_ALU if opclass is _ALU else 3 * _OPCLASS_CODES[opclass]
+        seq = self._emit(code, dest, self._shared(srcs), (), 0, result, False, pc)
         regs[dest] = result
-        return self._emit(
-            opclass, dest, self._shared(srcs), (), None, result, False, None, pc
-        )
+        return seq
 
     def add_imm(
         self, dest: int, src: int, imm: int, pc: Optional[int] = None
-    ) -> MicroOp:
+    ) -> int:
         """``dest = src + imm`` — preserves pointer arithmetic exactly."""
         arch_regs = self.arch_regs
         if not 0 <= dest < arch_regs:
@@ -209,10 +236,9 @@ class Program:
             raise _bad_reg(src, arch_regs)
         regs = self.regs
         result = (regs[src] + imm) & _MASK64
+        seq = self._emit(_C_ALU, dest, self._one[src], (), 0, result, False, pc)
         regs[dest] = result
-        return self._emit(
-            _ALU, dest, self._one[src], (), None, result, False, None, pc
-        )
+        return seq
 
     def load(
         self,
@@ -221,7 +247,7 @@ class Program:
         offset: int = 0,
         pc: Optional[int] = None,
         forced_prediction: Optional[MemPrediction] = None,
-    ) -> MicroOp:
+    ) -> int:
         """``load dest, [base + offset]`` — base is a register."""
         arch_regs = self.arch_regs
         if not 0 <= dest < arch_regs:
@@ -231,10 +257,10 @@ class Program:
         regs = self.regs
         addr = (regs[base] + offset) & _MASK64
         value = self.peek(addr)
+        code = _load_code(forced_prediction)
+        seq = self._emit(code, dest, self._one[base], (), addr, value, False, pc)
         regs[dest] = value
-        return self._emit(
-            _LOAD, dest, self._one[base], (), addr, value, False, forced_prediction, pc
-        )
+        return seq
 
     def load_indexed(
         self,
@@ -244,7 +270,7 @@ class Program:
         offset: int = 0,
         pc: Optional[int] = None,
         forced_prediction: Optional[MemPrediction] = None,
-    ) -> MicroOp:
+    ) -> int:
         """``load dest, [base + index + offset]`` — two address sources.
 
         Models the multi-source micro-ops of paper §5.1.1: a load pair can
@@ -258,11 +284,11 @@ class Program:
         regs = self.regs
         addr = (regs[base] + regs[index] + offset) & _MASK64
         value = self.peek(addr)
-        regs[dest] = value
         srcs = self._shared((base, index))
-        return self._emit(
-            _LOAD, dest, srcs, (), addr, value, False, forced_prediction, pc
-        )
+        code = _load_code(forced_prediction)
+        seq = self._emit(code, dest, srcs, (), addr, value, False, pc)
+        regs[dest] = value
+        return seq
 
     def load_abs(
         self,
@@ -270,19 +296,21 @@ class Program:
         addr: int,
         pc: Optional[int] = None,
         forced_prediction: Optional[MemPrediction] = None,
-    ) -> MicroOp:
+    ) -> int:
         """``load dest, [addr]`` — absolute address, no source register."""
         if not 0 <= dest < self.arch_regs:
             raise _bad_reg(dest, self.arch_regs)
+        if not 0 <= addr <= _MASK64:
+            raise _bad_word("address", addr)
         value = self.peek(addr)
+        code = _load_code(forced_prediction)
+        seq = self._emit(code, dest, (), (), addr, value, False, pc)
         self.regs[dest] = value
-        return self._emit(
-            _LOAD, dest, (), (), addr, value, False, forced_prediction, pc
-        )
+        return seq
 
     def store(
         self, src: int, base: int, offset: int = 0, pc: Optional[int] = None
-    ) -> MicroOp:
+    ) -> int:
         """``store src, [base + offset]``.
 
         The base register is the address source (``srcs``); the data
@@ -297,47 +325,49 @@ class Program:
         regs = self.regs
         addr = (regs[base] + offset) & _MASK64
         value = regs[src]
-        self.memory[addr & WORD_MASK] = value
         one = self._one
-        return self._emit(
-            _STORE, None, one[base], one[src], addr, value, False, None, pc
-        )
+        seq = self._emit(_C_STORE, None, one[base], one[src], addr, value, False, pc)
+        self.memory[addr & WORD_MASK] = value
+        return seq
 
-    def store_abs(self, src: int, addr: int, pc: Optional[int] = None) -> MicroOp:
+    def store_abs(self, src: int, addr: int, pc: Optional[int] = None) -> int:
         """``store src, [addr]`` — absolute address, no address register."""
         if not 0 <= src < self.arch_regs:
             raise _bad_reg(src, self.arch_regs)
+        if not 0 <= addr <= _MASK64:
+            raise _bad_word("address", addr)
         value = self.regs[src]
+        seq = self._emit(_C_STORE, None, (), self._one[src], addr, value, False, pc)
         self.memory[addr & WORD_MASK] = value
-        return self._emit(
-            _STORE, None, (), self._one[src], addr, value, False, None, pc
-        )
+        return seq
 
     def branch(
         self, *srcs: int, mispredict: bool = False, pc: Optional[int] = None
-    ) -> MicroOp:
+    ) -> int:
         """Conditional branch reading ``srcs``; casts a speculation shadow."""
         arch_regs = self.arch_regs
         for src in srcs:
             if not 0 <= src < arch_regs:
                 raise _bad_reg(src, arch_regs)
-        return self._emit(
-            _BRANCH, None, self._shared(srcs), (), None, 0, mispredict, None, pc
+        seq = self._emit(
+            _C_BRANCH, None, self._shared(srcs), (), 0, 0, bool(mispredict), pc
         )
+        return seq
 
-    def nop(self, pc: Optional[int] = None) -> MicroOp:
+    def nop(self, pc: Optional[int] = None) -> int:
         """A no-op micro-op (consumes pipeline slots only)."""
-        return self._emit(_NOP, None, (), (), None, 0, False, None, pc)
+        seq = self._emit(_C_NOP, None, (), (), 0, 0, False, pc)
+        return seq
 
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.ops.pc)
 
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self.ops)
 
-    def trace(self) -> List[MicroOp]:
-        """The built micro-op list (shared, not copied)."""
+    def trace(self) -> Trace:
+        """The built trace (shared, not copied)."""
         return self.ops

@@ -35,11 +35,12 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
-from repro.isa.microop import MicroOp
+from repro.core.rename import DecodedTrace
+from repro.isa.trace import Trace
 from repro.sampling.config import SamplingConfig
 from repro.sampling.estimator import (
     MeanEstimator,
@@ -54,6 +55,9 @@ from repro.sampling.warmup import (
 from repro.sim.config import RunConfig
 from repro.sim.system import System
 from repro.workloads.profile import BenchmarkProfile
+
+if TYPE_CHECKING:  # pragma: no cover - the runner imports this module lazily
+    from repro.sim.runner import TraceCache
 
 __all__ = ["run_sampled", "warm_images_key", "get_warm_images"]
 
@@ -123,7 +127,7 @@ def get_warm_images(
     length: int,
     params: Any,
     offsets: Sequence[int],
-    traces: Sequence[Sequence[MicroOp]],
+    traces: Sequence[Trace],
     store: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Warm images for every grid offset, memoized by content hash."""
@@ -188,13 +192,14 @@ class _UnitResult:
 
 
 def _measure_unit(
-    traces: Sequence[Sequence[MicroOp]],
+    traces: Sequence[Trace],
     params: Any,
     scheme: SchemeKind,
     start: int,
     unit_uops: int,
     unit_warm: int,
     image: Optional[Dict[str, Any]],
+    decode: Optional[Callable[[int, int], List[DecodedTrace]]] = None,
 ) -> _UnitResult:
     """Detail-simulate one measurement unit and return its measurement.
 
@@ -202,14 +207,15 @@ def _measure_unit(
     the measurement window so fetch never starves mid-window; the core
     stops at the window-closing commit (``measure_uops``), so the
     suffix is never simulated to completion and end-of-trace pipeline
-    drain cannot pollute the measured cycle count.
+    drain cannot pollute the measured cycle count.  ``decode(start,
+    stop)``, when given, returns the slices' register decodes (shared
+    across schemes); otherwise the system decodes them.
     """
     snap = max(start - unit_warm, 0)
     warm_len = start - snap
-    cooldown = params.core.rob_entries
-    unit_traces = [
-        trace[snap : start + unit_uops + cooldown] for trace in traces
-    ]
+    stop = start + unit_uops + params.core.rob_entries
+    unit_traces = [trace[snap:stop] for trace in traces]
+    decoded = decode(snap, stop) if decode is not None else None
     hierarchy = None
     if image is not None:
         hierarchy = restore_hierarchy(params, image)
@@ -220,6 +226,7 @@ def _measure_unit(
         warmup_uops=warm_len,
         hierarchy=hierarchy,
         measure_uops=unit_uops,
+        decoded=decoded,
     ).run()
     committed = sum(s.committed_uops for s in result.per_core)
     cpi = (result.cycles / committed) if committed else 0.0
@@ -274,8 +281,9 @@ def run_sampled(
     length: int,
     *,
     config: RunConfig,
-    traces: Sequence[Sequence[MicroOp]],
+    traces: Sequence[Trace],
     store: Optional[Any] = None,
+    cache: Optional["TraceCache"] = None,
 ):
     """Run one (benchmark, scheme) cell with statistical sampling.
 
@@ -284,6 +292,8 @@ def run_sampled(
     trace list from the runner's trace cache (shared across schemes);
     ``store`` optionally persists warm images (defaults to the
     environment-configured store, see :func:`_default_warm_store`).
+    ``cache``, the trace cache ``traces`` came from, keeps each unit
+    slice's register decode, so the row's other schemes reuse it.
     """
     from repro.sim.runner import RunResult
 
@@ -297,6 +307,20 @@ def run_sampled(
         warmup, length, sampling.resolved_unit_uops(length), sampling.max_units
     )
     unit_warm = sampling.resolved_unit_warm(unit_uops)
+    decode = None
+    if cache is not None:
+        core = params.core
+
+        def decode(start: int, stop: int) -> List[DecodedTrace]:
+            return cache.get_slice_decodes(
+                profile,
+                config.threads,
+                length,
+                start,
+                stop,
+                core.arch_regs,
+                core.phys_regs,
+            )
 
     images: Optional[Dict[str, Any]] = None
     if sampling.warmup_mode == "functional":
@@ -332,7 +356,7 @@ def run_sampled(
             if images is not None:
                 image = images[str(max(start - unit_warm, 0))]
             measured[slot] = _measure_unit(
-                traces, params, scheme, start, unit_uops, unit_warm, image
+                traces, params, scheme, start, unit_uops, unit_warm, image, decode
             )
         # Rebuild the estimators in ascending-offset order every round:
         # the accumulation order (which matters in floating point) then

@@ -32,6 +32,7 @@ from repro.common.gcpause import gc_paused
 from repro.common.params import SystemParams
 from repro.common.types import MESIState, OpClass
 from repro.isa.microop import MicroOp
+from repro.isa.trace import as_trace
 from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -187,7 +188,7 @@ class FunctionalWarmer:
 
             params = dataclasses.replace(params, num_cores=len(traces))
         self.params = params
-        self.traces = traces
+        self.traces = [as_trace(trace) for trace in traces]
         self.hierarchy = MemoryHierarchy(params)
         self.position = 0
         self._pairs: List[Dict[int, int]] = [dict() for _ in traces]
@@ -201,24 +202,36 @@ class FunctionalWarmer:
             )
         hierarchy = self.hierarchy
         read, write, reveal = hierarchy.read, hierarchy.write, hierarchy.reveal
-        lanes = list(zip(range(len(self.traces)), self.traces, self._pairs))
+        # Each lane reads its trace's static-index and address columns,
+        # and (opclass, dest, srcs) of its static entries.
+        lanes = [
+            (
+                core,
+                len(trace),
+                trace.index,
+                trace.addr,
+                [static[:3] for static in trace.statics],
+                pairs,
+            )
+            for core, (trace, pairs) in enumerate(zip(self.traces, self._pairs))
+        ]
         for idx in range(self.position, upto):
-            for core, trace, pairs in lanes:
-                if idx >= len(trace):
+            for core, length, index, addrs, shapes, pairs in lanes:
+                if idx >= length:
                     continue
-                uop = trace[idx]
-                opclass = uop.opclass
+                opclass, dest, srcs = shapes[index[idx]]
                 if opclass is _LOAD:
-                    for src in uop.srcs:
-                        addr = pairs.get(src)
-                        if addr is not None:
-                            reveal(core, addr, 0)
-                    read(core, uop.addr, 0)
-                    pairs[uop.dest] = uop.addr
+                    addr = addrs[idx]
+                    for src in srcs:
+                        pair = pairs.get(src)
+                        if pair is not None:
+                            reveal(core, pair, 0)
+                    read(core, addr, 0)
+                    pairs[dest] = addr
                 elif opclass is _STORE:
-                    write(core, uop.addr, 0)
-                elif uop.dest is not None:
-                    pairs.pop(uop.dest, None)
+                    write(core, addrs[idx], 0)
+                elif dest is not None:
+                    pairs.pop(dest, None)
         self.position = upto
 
     def snapshot(self, at: int) -> Dict[str, Any]:

@@ -31,7 +31,7 @@ from typing import (
 
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
-from repro.isa.microop import MicroOp
+from repro.isa.trace import Trace
 from repro.sim.config import RunConfig
 from repro.telemetry.events import TelemetryResult
 from repro.workloads.kernels import (
@@ -96,49 +96,61 @@ class RunResult:
 
 
 #: Per-uop retained size of a built trace, for the cache's byte budget:
-#: tracemalloc measured 138-166 bytes (median 153) on every SPEC2017
-#: profile at 30k uops and every PARSEC one at 4 x 10k, each built after
-#: another trace, so the register tuples and the position ints of
-#: ``seq`` and fresh ``pc`` (:mod:`repro.isa.program`) are shared.
-_UOP_EST_BYTES = 153
+#: tracemalloc measured 26.8-29.2 bytes (median 27.3) on every SPEC2017
+#: profile at 30k uops and every PARSEC one at 4 x 10k -- the typed
+#: columns of :mod:`repro.isa.trace` plus their growth slack; the static
+#: table (at most 163 entries) is noise.
+_UOP_EST_BYTES = 28
 
-#: Per-uop size of one decode (three lists of pointers, with the lists'
-#: growth slack; the register tuples are shared): 25-44 bytes measured
-#: on the same traces, 25-28 on 18 of the 24.
-_DECODED_EST_BYTES = 26
+#: Per-uop size of one register decode (four 2-byte columns and their
+#: growth slack): 8.1-8.5 bytes measured on the same traces.
+_DECODED_EST_BYTES = 8
 
 #: Byte budget of the trace cache an executor keeps across cells (the
-#: inline and thread backends, pool and queue workers): every SPEC2017
-#: profile at a few thousand uops, or two or three 30k-uop cells.
+#: inline and thread backends, pool and queue workers).  A 30k-uop
+#: SPEC2017 trace and its decode count about 1.08 MB, so 16 MB holds 15
+#: of the 16 traces of a Fig 5/6 grid, or all of them at 25k uops.
 EXECUTOR_TRACE_BYTES = 16 * 1024 * 1024
 
 
 class _Entry:
-    """One cached build: every thread's micro-op list and their decodes.
+    """One cached build: every thread's trace and their decodes.
 
     ``ends`` holds each thread's chunk ends (``None`` when the traces
     are not prefix-stable), ``built`` the length the build was asked
     for, and ``view`` the last prefix handed out, so a repeated length
-    gets the same list object back.  ``decoded`` maps ``(arch_regs,
+    gets the same trace objects back.  ``decoded`` maps ``(arch_regs,
     phys_regs)`` to every thread's :class:`~repro.core.rename.DecodedTrace`
-    of the whole build, which serves every prefix as well.
+    of the whole build, which serves every prefix as well; ``slices``
+    holds the decodes of sampled unit slices (see
+    :meth:`TraceCache.get_slice_decodes`), which cover ``slice_uops``.
     """
 
-    __slots__ = ("traces", "ends", "built", "view", "decoded")
+    __slots__ = (
+        "traces",
+        "ends",
+        "built",
+        "view",
+        "decoded",
+        "slices",
+        "slice_uops",
+    )
 
     def __init__(
         self,
-        traces: List[List[MicroOp]],
+        traces: List[Trace],
         ends: Optional[List[List[int]]],
         built: int,
     ) -> None:
         self.traces = traces
         self.ends = ends
         self.built = built
-        self.view: Tuple[int, List[List[MicroOp]]] = (built, traces)
+        self.view: Tuple[int, List[Trace]] = (built, traces)
         self.decoded: Dict[Tuple[int, int], List["DecodedTrace"]] = {}
+        self.slices: Dict[Tuple[int, ...], "DecodedTrace"] = {}
+        self.slice_uops = 0
 
-    def prefix(self, length: int) -> List[List[MicroOp]]:
+    def prefix(self, length: int) -> List[Trace]:
         """The traces a fresh build of ``length`` would produce."""
         if self.view[0] == length or self.ends is None:
             return self.view[1]
@@ -152,11 +164,12 @@ class _Entry:
     @property
     def approx_bytes(self) -> int:
         uops = sum(len(trace) for trace in self.traces)
-        return uops * (_UOP_EST_BYTES + len(self.decoded) * _DECODED_EST_BYTES)
+        decodes = uops * len(self.decoded) + self.slice_uops
+        return uops * _UOP_EST_BYTES + decodes * _DECODED_EST_BYTES
 
 
 def _build(profile: BenchmarkProfile, threads: int, length: int) -> _Entry:
-    """Build every thread's trace; keep only the uop lists and chunk ends."""
+    """Build every thread's trace; keep only the traces and chunk ends."""
     from repro.common.gcpause import gc_paused
 
     with gc_paused():
@@ -193,8 +206,8 @@ class TraceCache:
     and stay keyed by (label, seed, threads, length).
 
     The cache is bounded: at most ``max_entries`` entries and roughly
-    ``max_bytes`` of retained micro-ops, with least-recently-used
-    eviction.  It keeps only micro-op lists and their chunk ends, never
+    ``max_bytes`` of retained traces and decodes, with least-recently-used
+    eviction.  It keeps only traces and their chunk ends, never
     a builder's memory image.
     """
 
@@ -225,7 +238,7 @@ class TraceCache:
 
     def get(
         self, profile: BenchmarkProfile, threads: int, length: int
-    ) -> List[List[MicroOp]]:
+    ) -> List[Trace]:
         """Return (building if needed) the trace list for this request."""
         key = self._key(profile, threads, length)
         entry = self._cache.get(key)
@@ -252,7 +265,7 @@ class TraceCache:
         length: int,
         arch_regs: int,
         phys_regs: int,
-    ) -> Tuple[List[List[MicroOp]], List["DecodedTrace"]]:
+    ) -> Tuple[List[Trace], List["DecodedTrace"]]:
         """The traces of :meth:`get` and their register decodes.
 
         The entry decodes its whole build once per register
@@ -275,6 +288,45 @@ class TraceCache:
             self._bytes += _DECODED_EST_BYTES * sum(map(len, entry.traces))
             self._evict()
         return traces, decoded
+
+    def get_slice_decodes(
+        self,
+        profile: BenchmarkProfile,
+        threads: int,
+        length: int,
+        start: int,
+        stop: int,
+        arch_regs: int,
+        phys_regs: int,
+    ) -> List["DecodedTrace"]:
+        """The register decodes of every thread's uops ``[start, stop)``
+        of :meth:`get`'s traces.
+
+        A slice renames from a fresh register map, so its decode is not a
+        slice of the trace's.  The entry keeps each decode, keyed by the
+        register configuration, thread and slice bounds and counted in
+        its bytes, so every scheme of a sampled row shares it.
+        """
+        from repro.core.rename import decode_trace
+
+        traces = self.get(profile, threads, length)
+        entry = self._cache[self._key(profile, threads, length)]
+        decoded = []
+        added = 0
+        for thread, trace in enumerate(traces):
+            end = min(stop, len(trace))
+            bounds = (arch_regs, phys_regs, thread, start, end)
+            decode = entry.slices.get(bounds)
+            if decode is None:
+                decode = decode_trace(trace[start:end], arch_regs, phys_regs)
+                entry.slices[bounds] = decode
+                added += len(decode)
+            decoded.append(decode)
+        if added:
+            entry.slice_uops += added
+            self._bytes += _DECODED_EST_BYTES * added
+            self._evict()
+        return decoded
 
     def _evict(self) -> None:
         """Drop least-recently-used entries until within budget.
@@ -326,7 +378,12 @@ def run_benchmark(
 
         traces = trace_cache.get(profile, config.threads, length)
         return run_sampled(
-            profile, scheme, length, config=config, traces=traces
+            profile,
+            scheme,
+            length,
+            config=config,
+            traces=traces,
+            cache=trace_cache,
         )
     # The simulator loads with the first run, not with this module:
     # configs, trace caches and store hits never need it.

@@ -103,7 +103,7 @@ class System:
                 Core(
                     core_id,
                     params,
-                    list(trace),
+                    trace,
                     self.hierarchy,
                     policy,
                     stats,

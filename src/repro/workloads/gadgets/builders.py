@@ -195,7 +195,7 @@ def emit_v1_bounds_bypass(
     prog.li(1, secret)
     prog.load(2, base=1)  # speculative read of the secret word
     transmit = prog.load(3, base=2)  # transmitter: dereferences it
-    return GadgetSite(0, transmit.seq, word_addr(secret), (prefix,))
+    return GadgetSite(0, transmit, word_addr(secret), (prefix,))
 
 
 def emit_v1_indexed(
@@ -221,7 +221,7 @@ def emit_v1_indexed(
     prog.load(2, base=1)  # speculative read of the secret index
     prog.li(3, base + _TABLE_OFF)
     transmit = prog.load_indexed(4, base=3, index=2)
-    return GadgetSite(0, transmit.seq, word_addr(secret), (prefix,))
+    return GadgetSite(0, transmit, word_addr(secret), (prefix,))
 
 
 def emit_v1_deep_chain(
@@ -249,7 +249,7 @@ def emit_v1_deep_chain(
     prog.load(2, base=1)
     prog.load(3, base=2)
     transmit = prog.load(4, base=3)
-    return GadgetSite(0, transmit.seq, word_addr(secret), (prefix,))
+    return GadgetSite(0, transmit, word_addr(secret), (prefix,))
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +284,7 @@ def emit_v11_spec_store_forward(
     prog.store(2, base=3)  # speculative store of the secret value
     prog.load(4, base=3)  # forwarded back (concealed, taint-carrying)
     transmit = prog.load(5, base=4)
-    return GadgetSite(0, transmit.seq, word_addr(secret), (prefix,))
+    return GadgetSite(0, transmit, word_addr(secret), (prefix,))
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +328,7 @@ def emit_v4_ssb_store_bypass(
     prog.li(1, ptr)
     prog.load(2, base=1, forced_prediction=MemPrediction.MEM)
     transmit = prog.load(3, base=2)
-    return GadgetSite(0, transmit.seq, word_addr(ptr), (prefix,))
+    return GadgetSite(0, transmit, word_addr(ptr), (prefix,))
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +361,7 @@ def emit_reveal_rederef(
     prog.li(1, ptr)
     prog.load(2, base=1)  # speculative re-read: finds the word revealed
     transmit = prog.load(3, base=2, offset=_FRESH_OFF)  # fresh cold line
-    return GadgetSite(0, transmit.seq, word_addr(ptr), (prefix,))
+    return GadgetSite(0, transmit, word_addr(ptr), (prefix,))
 
 
 def emit_reveal_conceal_rederef(
@@ -389,7 +389,7 @@ def emit_reveal_conceal_rederef(
     prog.li(1, ptr)
     prog.load(2, base=1)  # reads the *new*, never-leaked pointer
     transmit = prog.load(3, base=2)
-    return GadgetSite(0, transmit.seq, word_addr(ptr), (prefix,))
+    return GadgetSite(0, transmit, word_addr(ptr), (prefix,))
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +419,7 @@ def emit_implicit_branch(
     prog.load(2, base=1)  # speculative secret read (~1 miss)
     prog.branch(2, mispredict=True)  # secret-dependent resolution
     transmit = prog.load_abs(3, base + _PROBE_OFF)  # gated probe
-    return GadgetSite(0, transmit.seq, word_addr(secret), (prefix,))
+    return GadgetSite(0, transmit, word_addr(secret), (prefix,))
 
 
 def emit_implicit_branch_revealed(
@@ -443,7 +443,7 @@ def emit_implicit_branch_revealed(
     prog.load(2, base=1)  # revealed: untainted under ReCon
     prog.branch(2, mispredict=True)
     transmit = prog.load_abs(3, base + _PROBE_OFF)
-    return GadgetSite(0, transmit.seq, word_addr(secret), (prefix,))
+    return GadgetSite(0, transmit, word_addr(secret), (prefix,))
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +475,7 @@ def emit_indirect_chain(
     prog.li(1, ptr)
     prog.load(2, base=1)  # not revealed: the LPT never saw a pair
     transmit = prog.load(3, base=2, offset=_FRESH_OFF)
-    return GadgetSite(0, transmit.seq, word_addr(ptr), (prefix,))
+    return GadgetSite(0, transmit, word_addr(ptr), (prefix,))
 
 
 # ----------------------------------------------------------------------
@@ -523,4 +523,4 @@ def emit_multicore_secret_sharing(
     _shadow(p1, base, depth=6)
     p1.load(8, base=reg)  # speculative read of ptr: cross-core reveal
     transmit = p1.load(9, base=8)  # cold in core 1's L1
-    return GadgetSite(1, transmit.seq, word_addr(ptr), (prefix0, prefix1))
+    return GadgetSite(1, transmit, word_addr(ptr), (prefix0, prefix1))

@@ -1,11 +1,13 @@
 """Unit tests for register renaming: the decode pass and the register file."""
 
 import collections
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RegisterFile, decode_trace
+from repro.core.rename import WIDE, operand_shape
 from repro.isa import Program
 from tests.helpers import make_core
 
@@ -30,22 +32,23 @@ class TestRegisterFile:
     def test_initial_identity_map_ready(self):
         trace = _program(4, [(None, (0, 3), None)])
         decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
-        assert decoded.srcs[0] == (0, 3)
+        assert decoded.sources(0)[0] == (0, 3)
         rf = RegisterFile(arch_regs=4, phys_regs=8)
-        assert all(rf.ready[p] for p in decoded.srcs[0])
+        assert all(rf.ready[p] for p in decoded.sources(0)[0])
         assert not any(rf.ready[4:])
 
     def test_rename_allocates_fresh_dest(self):
         trace = _program(4, [(1, (), None)])
         decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
-        assert decoded.dests == [4]  # the head of the free list
+        assert decoded.dests.tolist() == [4]  # the head of the free list
 
     def test_consumer_sees_latest_mapping(self):
         trace = _program(4, [(1, (), None), (2, (1,), None), (None, (), 2)])
         decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
-        first, second, _ = decoded.dests
-        assert decoded.srcs[1] == (first,)
-        assert decoded.data[2] == (second,)  # a store's data register
+        first, second, none = decoded.dests
+        assert none == -1  # a store allocates no register
+        assert decoded.sources(1) == ((first,), ())
+        assert decoded.sources(2)[1] == (second,)  # a store's data register
 
     def test_free_list_exhaustion_and_release(self):
         # Two free registers: the third allocation reuses the register the
@@ -53,7 +56,7 @@ class TestRegisterFile:
         ops = [(0, (), None), (1, (), None), (0, (), None), (1, (), None)]
         trace = _program(2, ops)
         decoded = decode_trace(trace, arch_regs=2, phys_regs=4)
-        assert decoded.dests == [2, 3, 0, 1]
+        assert decoded.dests.tolist() == [2, 3, 0, 1]
         assert decode_trace(trace[:2], 2, 4).dests == decoded.dests[:2]
         assert RegisterFile(arch_regs=2, phys_regs=4).free == 2
 
@@ -76,10 +79,16 @@ class TestRegisterFile:
         assert not core.regfile.ready[dest]
         assert core.regfile.free == core.params.core.phys_regs - 32 - 1
 
-    def test_equal_register_tuples_are_shared(self):
-        trace = _program(4, [(None, (1, 2), None), (None, (1, 2), None)])
+    def test_decode_columns_are_typed_arrays(self):
+        trace = _program(4, [(None, (1, 2), None), (3, (1, 2, 3), None)])
         decoded = decode_trace(trace, arch_regs=4, phys_regs=8)
-        assert decoded.srcs[0] is decoded.srcs[1]
+        for column in (decoded.src0, decoded.src1, decoded.data, decoded.dests):
+            assert isinstance(column, array) and column.itemsize == 2
+        assert decoded.sources(0) == ((1, 2), ())
+        # Three sources do not fit the two source columns.
+        assert operand_shape((1, 2, 3), ()) == WIDE and 1 in decoded.wide
+        assert decoded.sources(1) == ((1, 2, 3), ())
+        assert decoded.dests.tolist() == [-1, 4]
 
 
 _uop = st.tuples(
@@ -133,9 +142,8 @@ class TestDecodeMatchesDynamicRename:
                     dest = free_list.popleft()
                     free_count -= 1
                     rmap[uop.dest] = dest
-                assert decoded.srcs[dispatched] == srcs
-                assert decoded.data[dispatched] == data
-                assert decoded.dests[dispatched] == dest
+                assert decoded.sources(dispatched) == (srcs, data)
+                assert decoded.dests[dispatched] == (-1 if dest is None else dest)
                 in_flight.append(freed)
                 dispatched += 1
             else:

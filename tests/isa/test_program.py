@@ -4,9 +4,6 @@ import pytest
 
 from repro.common import MemPrediction, OpClass
 from repro.isa import MicroOp, Program, default_memory_value
-from repro.isa import program as program_module
-from repro.workloads import get_benchmark
-from repro.workloads.kernels import build_trace
 
 
 class TestMicroOp:
@@ -34,7 +31,7 @@ class TestProgramInterpreter:
         prog = Program()
         prog.poke(0x2000, 0xDEAD)
         prog.li(1, 0x2000)
-        op = prog.load(2, base=1)
+        op = prog.ops[prog.load(2, base=1)]
         assert op.addr == 0x2000
         assert op.value == 0xDEAD
         assert prog.regs[2] == 0xDEAD
@@ -45,8 +42,8 @@ class TestProgramInterpreter:
         prog.poke(0x1000, 0x2000)  # [0x1000] holds a pointer to 0x2000
         prog.poke(0x2000, 42)
         prog.li(1, 0x1000)
-        first = prog.load(2, base=1)
-        second = prog.load(3, base=2)
+        first = prog.ops[prog.load(2, base=1)]
+        second = prog.ops[prog.load(3, base=2)]
         assert first.value == 0x2000
         assert second.addr == 0x2000
         assert second.value == 42
@@ -55,7 +52,7 @@ class TestProgramInterpreter:
         prog = Program()
         prog.poke(0x3010, 7)
         prog.li(1, 0x3000)
-        op = prog.load(2, base=1, offset=0x10)
+        op = prog.ops[prog.load(2, base=1, offset=0x10)]
         assert op.addr == 0x3010
         assert op.value == 7
 
@@ -65,14 +62,14 @@ class TestProgramInterpreter:
         prog.li(2, 99)
         prog.store(2, base=1)
         prog.li(3, 0x4000)
-        op = prog.load(4, base=3)
+        op = prog.ops[prog.load(4, base=3)]
         assert op.value == 99
 
     def test_store_splits_address_and_data_sources(self):
         prog = Program()
         prog.li(1, 0x4000)
         prog.li(2, 99)
-        op = prog.store(2, base=1)
+        op = prog.ops[prog.store(2, base=1)]
         assert op.srcs == (1,)  # address-forming registers only
         assert op.data_srcs == (2,)
         assert op.addr == 0x4000
@@ -80,7 +77,7 @@ class TestProgramInterpreter:
     def test_store_abs_has_no_address_sources(self):
         prog = Program()
         prog.li(2, 99)
-        op = prog.store_abs(2, 0x4000)
+        op = prog.ops[prog.store_abs(2, 0x4000)]
         assert op.srcs == ()
         assert op.data_srcs == (2,)
 
@@ -95,7 +92,8 @@ class TestProgramInterpreter:
         prog_a, prog_b = Program(), Program()
         prog_a.li(1, 0x5000)
         prog_b.li(1, 0x5000)
-        assert prog_a.load(2, 1).value == prog_b.load(2, 1).value
+        a, b = prog_a.load(2, 1), prog_b.load(2, 1)
+        assert prog_a.ops[a].value == prog_b.ops[b].value
 
     def test_sub_word_peek_reads_containing_word(self):
         prog = Program()
@@ -111,9 +109,9 @@ class TestProgramInterpreter:
 
     def test_pc_autoincrements_and_can_be_pinned(self):
         prog = Program(base_pc=0x400)
-        a = prog.li(1, 1)
-        b = prog.li(2, 2)
-        c = prog.li(3, 3, pc=a.pc)
+        a = prog.ops[prog.li(1, 1)]
+        b = prog.ops[prog.li(2, 2)]
+        c = prog.ops[prog.li(3, 3, pc=a.pc)]
         assert b.pc == a.pc + 4
         assert c.pc == a.pc
 
@@ -121,11 +119,11 @@ class TestProgramInterpreter:
         prog = Program()
         prog.li(1, 10)
         prog.li(2, 20)
-        op1 = prog.alu(3, 1, 2)
+        op1 = prog.ops[prog.alu(3, 1, 2)]
         prog2 = Program()
         prog2.li(1, 10)
         prog2.li(2, 20)
-        op2 = prog2.alu(3, 1, 2)
+        op2 = prog2.ops[prog2.alu(3, 1, 2)]
         assert op1.value == op2.value
 
     def test_add_imm_is_exact_pointer_arithmetic(self):
@@ -149,44 +147,25 @@ class TestProgramInterpreter:
     def test_forced_prediction_carried(self):
         prog = Program()
         prog.li(1, 0x8000)
-        op = prog.load(2, base=1, forced_prediction=MemPrediction.STF)
+        op = prog.ops[prog.load(2, base=1, forced_prediction=MemPrediction.STF)]
         assert op.forced_prediction is MemPrediction.STF
 
     def test_branch_mispredict_flag(self):
         prog = Program()
         prog.li(1, 0)
-        op = prog.branch(1, mispredict=True)
+        op = prog.ops[prog.branch(1, mispredict=True)]
         assert op.mispredict
 
 
 class TestSharedPositions:
-    """Every trace takes its ``seq`` ints, and the ints of the pcs it
-    does not pass, from one process-wide table per position."""
-
-    def test_traces_of_different_profiles_share_position_ints(self):
-        gcc = build_trace(get_benchmark("spec2017", "gcc"), 3_000).trace()
-        lbm = build_trace(get_benchmark("spec2017", "lbm"), 3_000).trace()
-        assert gcc[0].pc == 0x1000
-        for a, b in zip(gcc, lbm):
-            assert a.seq is b.seq
-            assert a.pc is b.pc
-
-    def test_positions_past_the_cap_get_fresh_ints(self, monkeypatch):
-        base = 0x7F000
-        monkeypatch.setattr(program_module, "POSITIONS_CAP", 8)
-        program_module._PCS.pop(base, None)
-        prog = Program(base_pc=base)
-        for _ in range(20):
-            prog.nop()
-        assert [op.pc for op in prog.ops] == [base + 4 * i for i in range(20)]
-        assert [op.seq for op in prog.ops] == list(range(20))
-        assert len(program_module._PCS[base]) == 8
+    """A uop's ``seq`` is its position; pcs not passed run on from the
+    base pc, and passed ones are kept."""
 
     def test_explicit_pcs_are_kept(self):
         prog = Program()
         loop_pc = 0x123456
-        first = prog.nop(pc=loop_pc)
-        second = prog.nop()
-        third = prog.nop(pc=loop_pc)
+        first = prog.ops[prog.nop(pc=loop_pc)]
+        second = prog.ops[prog.nop()]
+        third = prog.ops[prog.nop(pc=loop_pc)]
         assert (first.pc, second.pc, third.pc) == (loop_pc, 0x1000, loop_pc)
         assert [op.seq for op in prog.ops] == [0, 1, 2]

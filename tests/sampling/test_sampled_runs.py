@@ -244,3 +244,46 @@ class TestUnitsFreedAtOnce:
                     traces, params, scheme, start, unit_uops, unit_warm, image
                 )
                 assert gc.collect() == 0, start
+
+
+class TestSliceDecodesShared:
+    """A sampled row's schemes decode each unit slice once: the trace
+    cache keeps every slice's register decode on the trace's entry,
+    counted in its bytes, and the estimates are those of decoding
+    afresh for every scheme."""
+
+    def test_each_slice_is_decoded_once_per_row(self, monkeypatch):
+        import repro.core.pipeline as pipeline
+        import repro.core.rename as rename
+        from repro.sim import runner
+
+        decoded = []
+        decode = rename.decode_trace
+
+        def counting(trace, arch_regs, phys_regs):
+            decoded.append((trace.start, len(trace)))
+            return decode(trace, arch_regs, phys_regs)
+
+        monkeypatch.setattr(rename, "decode_trace", counting)
+        monkeypatch.setattr(pipeline, "decode_trace", counting)
+        profile = get_benchmark("spec2017", "gcc")
+        schemes = (SchemeKind.UNSAFE, SchemeKind.NDA, SchemeKind.STT_RECON)
+        cache = TraceCache()
+        config = RunConfig(sampling=SAMPLING, cache=cache)
+        shared = [run_benchmark(profile, s, 6_000, config=config) for s in schemes]
+        assert decoded and len(set(decoded)) == len(decoded)
+        entry = next(iter(cache._cache.values()))
+        assert entry.slice_uops == sum(n for _, n in decoded)
+        assert cache.approx_bytes == entry.approx_bytes == (
+            sum(map(len, entry.traces)) * runner._UOP_EST_BYTES
+            + entry.slice_uops * runner._DECODED_EST_BYTES
+        )
+        for scheme, result in zip(schemes, shared):
+            alone = run_benchmark(
+                profile,
+                scheme,
+                6_000,
+                config=RunConfig(sampling=SAMPLING, cache=TraceCache()),
+            )
+            assert result.sampling == alone.sampling
+            assert result.stats.as_dict() == alone.stats.as_dict()

@@ -92,5 +92,5 @@ class TestConstantTimeSelection:
         prog.load(12, base=3)         # speculative selector read
         transmit = prog.load(13, base=12, offset=KEYS_BASE)
         core = run_program(prog, SchemeKind.STT_RECON)
-        obs = [o for o in observations(core) if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit]
         assert not obs or not obs[0].speculative

@@ -69,14 +69,14 @@ class TestDomPipeline:
     def test_speculative_miss_delayed(self):
         prog, target = shadowed_miss_program()
         core = run_program(prog, SchemeKind.DOM)
-        obs = [o for o in observations(core) if o.seq == target.seq]
+        obs = [o for o in observations(core) if o.seq == target]
         assert obs and not obs[0].speculative
         assert core.stats.delayed_loads >= 1
 
     def test_speculative_hit_proceeds(self):
         prog, target = shadowed_miss_program(warm=True)
         core = run_program(prog, SchemeKind.DOM)
-        obs = [o for o in observations(core) if o.seq == target.seq]
+        obs = [o for o in observations(core) if o.seq == target]
         assert obs and obs[0].speculative  # L1 hit: allowed while speculative
 
     def test_recon_lifts_revealed_miss(self):
@@ -88,7 +88,7 @@ class TestDomPipeline:
         """
         prog, target = shadowed_miss_program(reveal=True)
         core = run_program(prog, SchemeKind.DOM_RECON)
-        obs = [o for o in observations(core) if o.seq == target.seq]
+        obs = [o for o in observations(core) if o.seq == target]
         assert obs  # the load accessed memory
         # With the line still private this is a hit anyway; the key
         # property: the run is never slower than plain DoM.

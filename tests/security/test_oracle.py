@@ -21,7 +21,7 @@ class TestOracleSet:
         prog.load(3, base=2)       # leaks PTR
         third = prog.load(4, base=1)  # PTR already leaked here
         oracle = oracle_revealed_loads(prog.trace())
-        assert third.seq in oracle
+        assert third in oracle
         assert len(oracle) == 1
 
     def test_store_conceals_for_oracle(self):
@@ -34,7 +34,7 @@ class TestOracleSet:
         prog.store(5, base=1)      # conceal PTR
         later = prog.load(6, base=1)
         oracle = oracle_revealed_loads(prog.trace())
-        assert later.seq not in oracle
+        assert later not in oracle
 
     def test_indirect_leak_included(self):
         """The oracle sees DIFT leakage that the LPT cannot."""
@@ -46,7 +46,7 @@ class TestOracleSet:
         prog.load(4, base=3)       # leaks PTR via DIFT only
         later = prog.load(5, base=1)
         oracle = oracle_revealed_loads(prog.trace())
-        assert later.seq in oracle
+        assert later in oracle
 
 
 class TestOraclePolicies:
@@ -71,7 +71,7 @@ class TestOraclePolicies:
             telemetry=observer(),
         )
         core.run()
-        return core, transmit.seq
+        return core, transmit
 
     def test_oracle_lifts_when_word_known_leaked(self):
         # Pretend the oracle says the pointer load (seq of load r2) leaked.

@@ -51,8 +51,8 @@ def reveal_warmup(prog: Program) -> None:
     prog.branch(3, mispredict=True)
 
 
-def observation_of(core, op):
-    matches = [o for o in observations(core) if o.seq == op.seq]
+def observation_of(core, seq):
+    matches = [o for o in observations(core) if o.seq == seq]
     return matches[0] if matches else None
 
 

@@ -52,7 +52,7 @@ class TestTaintThroughForwarding:
         )                              # forward it back
         transmit = prog.load(8, base=7)  # dereference the forwarded secret
         core = run_program(prog, SchemeKind.STT)
-        obs = [o for o in observations(core) if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit]
         assert not obs or not obs[0].speculative
 
     def test_forwarded_data_never_lifts_defenses(self):
@@ -78,7 +78,7 @@ class TestTaintThroughForwarding:
         )                                 # forwarded: concealed
         transmit = prog.load(8, base=7)
         core = run_program(prog, SchemeKind.STT_RECON)
-        obs = [o for o in observations(core) if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit]
         assert not obs or not obs[0].speculative
 
 

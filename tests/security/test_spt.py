@@ -71,7 +71,7 @@ class TestSptTracking:
     def test_spt_lifts_indirect_leakage_recon_cannot(self):
         prog, transmit = indirect_reveal_then_speculative_pair()
         spt_core = run_with(SptSttPolicy, prog)
-        obs = [o for o in observations(spt_core) if o.seq == transmit.seq]
+        obs = [o for o in observations(spt_core) if o.seq == transmit]
         assert obs and obs[0].speculative  # SPT lifted the defense
 
         prog2, transmit2 = indirect_reveal_then_speculative_pair()
@@ -87,7 +87,7 @@ class TestSptTracking:
             telemetry=observer(),
         )
         recon_core.run()
-        obs2 = [o for o in observations(recon_core) if o.seq == transmit2.seq]
+        obs2 = [o for o in observations(recon_core) if o.seq == transmit2]
         assert not obs2 or not obs2[0].speculative  # ReCon could not
 
     def test_spt_protects_never_leaked_secrets(self):
@@ -100,13 +100,13 @@ class TestSptTracking:
         prog.load(2, base=1)          # speculative, never leaked before
         transmit = prog.load(3, base=2)
         core = run_with(SptSttPolicy, prog)
-        obs = [o for o in observations(core) if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit]
         assert not obs or not obs[0].speculative
 
     def test_spt_nda_variant_broadcasts_public_values(self):
         prog, transmit = indirect_reveal_then_speculative_pair()
         core = run_with(SptNdaPolicy, prog)
-        obs = [o for o in observations(core) if o.seq == transmit.seq]
+        obs = [o for o in observations(core) if o.seq == transmit]
         assert obs and obs[0].speculative
 
     def test_spt_uses_no_lpt(self):

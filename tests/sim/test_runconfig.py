@@ -148,8 +148,9 @@ class TestTraceMemory:
         cache = TraceCache()
         mcf = get_benchmark("spec2017", "mcf")
         traces, used = _traced_bytes(lambda: cache.get(mcf, 1, self.LENGTH))
-        # 208-224 B/uop while every uop held its own seq and pc ints.
-        assert used / len(traces[0]) <= 165
+        # 208-224 B/uop while every uop held its own seq and pc ints,
+        # about 153 while a trace was a list of MicroOps sharing them.
+        assert used / len(traces[0]) <= 40
 
     @pytest.mark.parametrize(
         "suite,name,threads", [("spec2017", "xz", 1), ("parsec", "canneal", 4)]
@@ -158,7 +159,7 @@ class TestTraceMemory:
         profile = get_benchmark(suite, name)
         length = self.LENGTH // threads
         # Another trace and decode first, as in a running grid: the
-        # shared ints and the decoder's module already exist.
+        # decoder's module and the builder's caches already exist.
         TraceCache().get_decoded(
             get_benchmark("spec2017", "gcc"), 1, self.LENGTH, 32, 224
         )
