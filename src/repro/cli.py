@@ -233,6 +233,21 @@ def _report_failures(suite, chaos) -> int:
     return 0
 
 
+def _warn_unconverged(suite) -> None:
+    """Name the sampled cells whose interval never met its target."""
+    cells = [
+        f"{bench}/{scheme.value}"
+        for (bench, scheme), result in suite.items()
+        if result.sampling is not None and not result.sampling.converged
+    ]
+    if cells:
+        print(
+            f"warning: {len(cells)} sampled cell(s) did not converge to the "
+            f"target CI: {', '.join(cells)}",
+            file=sys.stderr,
+        )
+
+
 def _export_telemetry(args: argparse.Namespace, cells) -> None:
     """Write the trace/metrics files for traced grid cells.
 
@@ -360,6 +375,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     )
     print(f"\n{suite.summary()}", file=sys.stderr)
+    _warn_unconverged(suite)
     return _report_failures(suite, chaos)
 
 
@@ -424,6 +440,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     print(format_table(headers, rows))
     out = suite.save(Path("results") / f"suite_{args.suite}.json")
     print(f"\n{suite.summary()}  ->  {out}", file=sys.stderr)
+    _warn_unconverged(suite)
     return _report_failures(suite, chaos)
 
 
@@ -805,7 +822,7 @@ def _parent_parsers():
         metavar="SPEC",
         help="statistically sampled simulation: 'on' for defaults or a "
         "spec like 'ci=0.02,conf=0.95,min=4,max=8,unit=250' "
-        "(fields: ci,conf,min,max,unit,warm,warmup,bias,memoize; "
+        "(fields: ci,conf,min,max,unit,warm,warmup,bias; "
         "default: exact simulation)",
     )
 

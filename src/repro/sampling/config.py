@@ -41,8 +41,6 @@ class SamplingConfig:
             ``max(statistical, bias_floor * |mean|)`` to keep intervals
             honest about slice-boundary effects the t statistic can't
             see.
-        memoize_warm: share the functional warm image across schemes
-            through the result store's content-hash blob entries.
     """
 
     target_ci: float = 0.02
@@ -53,7 +51,6 @@ class SamplingConfig:
     unit_warm: Optional[int] = None
     warmup_mode: str = "functional"
     bias_floor: float = 0.01
-    memoize_warm: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_ci < 1.0:
@@ -110,8 +107,6 @@ class SamplingConfig:
             parts.append("warmup=%s" % self.warmup_mode)
         if self.bias_floor != default.bias_floor:
             parts.append("bias=%g" % self.bias_floor)
-        if self.memoize_warm != default.memoize_warm:
-            parts.append("memoize=%d" % int(self.memoize_warm))
         return ",".join(parts)
 
 
@@ -132,13 +127,10 @@ _KEY_ALIASES = {
     "warmup_mode": "warmup_mode",
     "bias": "bias_floor",
     "bias_floor": "bias_floor",
-    "memoize": "memoize_warm",
-    "memoize_warm": "memoize_warm",
 }
 
 _INT_FIELDS = {"min_units", "max_units", "unit_uops", "unit_warm"}
 _FLOAT_FIELDS = {"target_ci", "confidence", "bias_floor"}
-_BOOL_FIELDS = {"memoize_warm"}
 
 
 def parse_sampling(spec) -> Optional[SamplingConfig]:
@@ -186,8 +178,6 @@ def parse_sampling(spec) -> Optional[SamplingConfig]:
                 kwargs[key] = int(value)
             elif key in _FLOAT_FIELDS:
                 kwargs[key] = float(value)
-            elif key in _BOOL_FIELDS:
-                kwargs[key] = value.lower() not in ("0", "false", "no", "off")
             else:
                 kwargs[key] = value.lower()
         except ValueError as exc:

@@ -15,18 +15,19 @@ later load that sources that register reveals the earlier load's word
 any non-load writer of the register clears the entry.
 
 Warm images are plain JSON-serializable dicts (each cache array's lines
-in global LRU order, one flat column per field, plus the per-core
-load-pair maps), so
-:mod:`repro.sampling.executor` can memoize them in the result store and
+in global LRU order, one flat column per field), so
+:mod:`repro.sampling.executor` can keep them in the result store and
 share them across schemes — trace generation and the functional replay
-are both scheme-independent.
+are both scheme-independent.  The load-pair maps stay in the warmer,
+which needs them to issue its reveals; a restored unit's load-pair
+table starts empty and fills during its detailed re-warm.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.common.gcpause import gc_paused
 from repro.common.params import SystemParams
@@ -46,7 +47,7 @@ __all__ = [
 #: The stored layout; bump it whenever the layout changes.
 #: ``warm_images_key`` hashes it, so no store serves a blob of another
 #: layout.
-IMAGE_VERSION = 2
+IMAGE_VERSION = 3
 
 _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
@@ -112,10 +113,8 @@ def _restore_array(
         raise ValueError("warm image exceeds cache capacity")
 
 
-def snapshot_hierarchy(
-    hierarchy: MemoryHierarchy, pairs: Sequence[Dict[int, int]]
-) -> Dict[str, Any]:
-    """Serialize warm cache/directory state plus the load-pair maps."""
+def snapshot_hierarchy(hierarchy: MemoryHierarchy) -> Dict[str, Any]:
+    """Serialize warm cache and directory state."""
     return {
         "version": IMAGE_VERSION,
         "llc": _snapshot_array(hierarchy.llc, directory=True),
@@ -125,10 +124,6 @@ def snapshot_hierarchy(
                 "l2": _snapshot_array(priv.l2, directory=False),
             }
             for priv in hierarchy._privs
-        ],
-        "pairs": [
-            {str(reg): addr for reg, addr in core_pairs.items()}
-            for core_pairs in pairs
         ],
     }
 
@@ -158,14 +153,6 @@ def restore_hierarchy(
             _restore_array(priv.l1, dump["l1"], directory=False)
             _restore_array(priv.l2, dump["l2"], directory=False)
     return hierarchy
-
-
-def image_pairs(image: Dict[str, Any]) -> List[Dict[int, int]]:
-    """Decode the per-core load-pair maps from a warm image."""
-    return [
-        {int(reg): int(addr) for reg, addr in core_pairs.items()}
-        for core_pairs in image["pairs"]
-    ]
 
 
 class FunctionalWarmer:
@@ -237,25 +224,5 @@ class FunctionalWarmer:
     def snapshot(self, at: int) -> Dict[str, Any]:
         """Advance to ``at`` and serialize the warm state."""
         self.advance(at)
-        return snapshot_hierarchy(self.hierarchy, self._pairs)
+        return snapshot_hierarchy(self.hierarchy)
 
-
-def build_warm_images(
-    params: SystemParams,
-    traces: Sequence[Sequence[MicroOp]],
-    offsets: Sequence[int],
-) -> Dict[str, Any]:
-    """One functional pass producing a warm image per grid offset.
-
-    ``offsets`` must be sorted ascending; the result maps each offset to
-    its image under a JSON-friendly layout shared across schemes.
-    """
-    warmer = FunctionalWarmer(params, traces)
-    images: Dict[str, Any] = {"version": IMAGE_VERSION, "offsets": {}}
-    last: Optional[int] = None
-    for offset in offsets:
-        if last is not None and offset < last:
-            raise ValueError("offsets must be ascending")
-        last = offset
-        images["offsets"][str(offset)] = warmer.snapshot(offset)
-    return images

@@ -34,7 +34,7 @@ class TestParseSampling:
     def test_full_spec(self):
         cfg = parse_sampling(
             "ci=0.05,conf=0.9,min=8,max=32,unit=200,warm=64,"
-            "warmup=cold,bias=0.02,memoize=0"
+            "warmup=cold,bias=0.02"
         )
         assert cfg == SamplingConfig(
             target_ci=0.05,
@@ -45,7 +45,6 @@ class TestParseSampling:
             unit_warm=64,
             warmup_mode="cold",
             bias_floor=0.02,
-            memoize_warm=False,
         )
 
     def test_long_aliases(self):
@@ -59,6 +58,9 @@ class TestParseSampling:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown sampling option"):
             parse_sampling("frobnicate=1")
+        # Warm images always live on the trace cache entry.
+        with pytest.raises(ValueError, match="unknown sampling option"):
+            parse_sampling("memoize=0")
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -138,7 +140,6 @@ class TestSamplingConfig:
         unit_warm=st.sampled_from([None, 0, 64]),
         warmup_mode=st.sampled_from(["functional", "cold"]),
         bias_floor=st.sampled_from([0.0, 0.01, 0.05]),
-        memoize_warm=st.booleans(),
     )
     def test_spec_round_trip(
         self,
@@ -150,7 +151,6 @@ class TestSamplingConfig:
         unit_warm,
         warmup_mode,
         bias_floor,
-        memoize_warm,
     ):
         cfg = SamplingConfig(
             target_ci=target_ci,
@@ -161,7 +161,6 @@ class TestSamplingConfig:
             unit_warm=unit_warm,
             warmup_mode=warmup_mode,
             bias_floor=bias_floor,
-            memoize_warm=memoize_warm,
         )
         assert parse_sampling(cfg.spec()) == cfg
 

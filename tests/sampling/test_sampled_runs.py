@@ -18,6 +18,7 @@ from repro import SchemeKind
 from repro.api import RunRequest, run_single, run_suite
 from repro.common.gcpause import gc_paused
 from repro.sampling import SampledEstimate, SamplingConfig
+from repro.sampling import executor
 from repro.sampling.executor import _measure_unit, _unit_grid, get_warm_images
 from repro.sim import RunConfig, TraceCache, run_benchmark
 from repro.sim.engine import RunSpec, run_specs
@@ -226,7 +227,8 @@ class TestUnitsFreedAtOnce:
         sampling = SamplingConfig()
         config = RunConfig(sampling=sampling)
         params = config.resolved_params()
-        traces = TraceCache().get(profile, 1, length)
+        cache = TraceCache()
+        traces = cache.get(profile, 1, length)
         starts, unit_uops = _unit_grid(
             config.resolved_warmup(length),
             length,
@@ -235,13 +237,21 @@ class TestUnitsFreedAtOnce:
         )
         unit_warm = sampling.resolved_unit_warm(unit_uops)
         offsets = sorted({max(start - unit_warm, 0) for start in starts})
-        images = get_warm_images(profile, 1, length, params, offsets, traces)
+        images = get_warm_images(cache, profile, 1, length, params, offsets)
+
+        def decode(start, stop):
+            return cache.get_slice_decodes(
+                profile, 1, length, start, stop,
+                params.core.arch_regs, params.core.phys_regs,
+            )
+
         gc.collect()
         for start in starts:
             image = images["offsets"][str(max(start - unit_warm, 0))]
             with gc_paused():
                 _measure_unit(
-                    traces, params, scheme, start, unit_uops, unit_warm, image
+                    traces, params, scheme, start, unit_uops, unit_warm,
+                    image, decode,
                 )
                 assert gc.collect() == 0, start
 
@@ -249,8 +259,8 @@ class TestUnitsFreedAtOnce:
 class TestSliceDecodesShared:
     """A sampled row's schemes decode each unit slice once: the trace
     cache keeps every slice's register decode on the trace's entry,
-    counted in its bytes, and the estimates are those of decoding
-    afresh for every scheme."""
+    counted in its bytes beside the row's warm images, and the
+    estimates are those of decoding afresh for every scheme."""
 
     def test_each_slice_is_decoded_once_per_row(self, monkeypatch):
         import repro.core.pipeline as pipeline
@@ -273,10 +283,13 @@ class TestSliceDecodesShared:
         shared = [run_benchmark(profile, s, 6_000, config=config) for s in schemes]
         assert decoded and len(set(decoded)) == len(decoded)
         entry = next(iter(cache._cache.values()))
-        assert entry.slice_uops == sum(n for _, n in decoded)
+        (images,) = [
+            value for key, value in entry.derived.items() if type(key) is str
+        ]
         assert cache.approx_bytes == entry.approx_bytes == (
             sum(map(len, entry.traces)) * runner._UOP_EST_BYTES
-            + entry.slice_uops * runner._DECODED_EST_BYTES
+            + sum(n for _, n in decoded) * runner._DECODED_EST_BYTES
+            + executor._image_bytes(images)
         )
         for scheme, result in zip(schemes, shared):
             alone = run_benchmark(

@@ -1,4 +1,4 @@
-"""Functional warm-up, warm-image memoization, and store integration."""
+"""Functional warm-up, warm images on the trace cache, and the store."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.sampling import SamplingConfig, executor
 from repro.sampling.executor import (
     WARM_IMAGE_KIND,
-    _WARM_MEMO,
     get_warm_images,
     run_sampled,
     warm_images_key,
@@ -18,12 +17,11 @@ from repro.sampling.executor import (
 from repro.sampling.warmup import (
     IMAGE_VERSION,
     FunctionalWarmer,
-    build_warm_images,
     restore_hierarchy,
     snapshot_hierarchy,
 )
-from repro.sim import RunConfig, TraceCache
-from repro.sim.store import ResultStore, run_key
+from repro.sim import RunConfig, TraceCache, run_benchmark, runner
+from repro.sim.store import STORE_ENV, ResultStore, run_key
 from repro.workloads import get_benchmark
 
 LENGTH = 2_000
@@ -35,20 +33,18 @@ def profile():
 
 
 @pytest.fixture
-def traces(profile):
-    return TraceCache().get(profile, 1, LENGTH)
+def cache():
+    return TraceCache()
+
+
+@pytest.fixture
+def traces(profile, cache):
+    return cache.get(profile, 1, LENGTH)
 
 
 @pytest.fixture
 def params():
     return RunConfig().resolved_params()
-
-
-@pytest.fixture(autouse=True)
-def _clean_memo():
-    _WARM_MEMO.clear()
-    yield
-    _WARM_MEMO.clear()
 
 
 class TestFunctionalWarmer:
@@ -74,7 +70,7 @@ class TestFunctionalWarmer:
         warmer = FunctionalWarmer(params, traces)
         image = warmer.snapshot(600)
         restored = restore_hierarchy(params, image)
-        again = snapshot_hierarchy(restored, [dict() for _ in traces])
+        again = snapshot_hierarchy(restored)
         assert again["llc"] == image["llc"]
         assert again["cores"] == image["cores"]
 
@@ -88,7 +84,7 @@ class TestFunctionalWarmer:
         masks = [line.sharers for line in restored.llc]
         assert all(type(mask) is int for mask in masks)
         assert any(bin(mask).count("1") > 1 for mask in masks)
-        again = snapshot_hierarchy(restored, [dict() for _ in traces])
+        again = snapshot_hierarchy(restored)
         assert again["llc"] == image["llc"]
         assert again["cores"] == image["cores"]
 
@@ -104,16 +100,21 @@ class TestFunctionalWarmer:
         with pytest.raises(ValueError, match="cores"):
             restore_hierarchy(params, image)
 
-    def test_build_warm_images_requires_ascending_offsets(
-        self, params, traces
-    ):
-        with pytest.raises(ValueError, match="ascending"):
-            build_warm_images(params, traces, [500, 100])
+    def test_snapshot_offsets_must_ascend(self, params, traces):
+        warmer = FunctionalWarmer(params, traces)
+        warmer.snapshot(500)
+        with pytest.raises(ValueError, match="forward-only"):
+            warmer.snapshot(100)
 
-    def test_images_are_json_serializable(self, params, traces):
-        images = build_warm_images(params, traces, [100, 400])
+    def test_images_are_json_serializable(self, profile, params, cache):
+        images = get_warm_images(cache, profile, 1, LENGTH, params, [100, 400])
         round_tripped = json.loads(json.dumps(images))
+        assert round_tripped == images
         assert set(round_tripped["offsets"]) == {"100", "400"}
+
+    def test_images_carry_no_load_pair_maps(self, params, traces):
+        image = FunctionalWarmer(params, traces).snapshot(600)
+        assert set(image) == {"version", "llc", "cores"}
 
 
 def _insert_restore(params, image):
@@ -234,21 +235,20 @@ class TestWarmImagesKey:
         monkeypatch.setattr(executor, "IMAGE_VERSION", IMAGE_VERSION + 1)
         assert warm_images_key(profile, 1, LENGTH, params, [100, 400]) != base
 
-    def test_in_process_memo(self, profile, params, traces):
+    def test_in_process_memo(self, profile, params, cache):
         offsets = [100, 400]
-        first = get_warm_images(profile, 1, LENGTH, params, offsets, traces)
-        second = get_warm_images(profile, 1, LENGTH, params, offsets, traces)
-        assert second is first  # memo hit, not a rebuild
+        first = get_warm_images(cache, profile, 1, LENGTH, params, offsets)
+        second = get_warm_images(cache, profile, 1, LENGTH, params, offsets)
+        assert second is first  # kept on the cache entry, not a rebuild
 
-    def test_store_round_trip(self, profile, params, traces, tmp_path):
+    def test_store_round_trip(self, profile, params, tmp_path):
         store = ResultStore(tmp_path)
         offsets = [100, 400]
         built = get_warm_images(
-            profile, 1, LENGTH, params, offsets, traces, store=store
+            TraceCache(), profile, 1, LENGTH, params, offsets, store=store
         )
-        _WARM_MEMO.clear()
         loaded = get_warm_images(
-            profile, 1, LENGTH, params, offsets, traces, store=store
+            TraceCache(), profile, 1, LENGTH, params, offsets, store=store
         )
         assert loaded == built
         key = warm_images_key(profile, 1, LENGTH, params, offsets)
@@ -332,19 +332,86 @@ class TestRunKeyGating:
 
 
 class TestCrossSchemeSharing:
-    def test_one_blob_serves_every_scheme(self, profile, traces, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_one_blob_serves_every_scheme(self, profile, tmp_path, monkeypatch):
+        monkeypatch.setenv(STORE_ENV, str(tmp_path))
         config = RunConfig(sampling=SamplingConfig())
         for scheme in (SchemeKind.UNSAFE, SchemeKind.STT):
+            # A fresh cache each time, so the second scheme's images
+            # come from the store.
             result = run_sampled(
-                profile,
-                scheme,
-                LENGTH,
-                config=config,
-                traces=traces,
-                store=store,
+                profile, scheme, LENGTH, config=config, cache=TraceCache()
             )
             assert result.sampling is not None
         blob_dir = tmp_path / ".blobs" / WARM_IMAGE_KIND
         blobs = list(blob_dir.rglob("*.json"))
         assert len(blobs) == 1  # scheme-free key: second scheme reused it
+
+
+class TestWarmImagesOnTraceCache:
+    """Warm images live on the trace's cache entry: a row's schemes
+    share one set in any cell order, a fresh cache starts without any,
+    and an evicted entry takes its images' bytes with it."""
+
+    NAMES = ("mcf", "gcc", "lbm", "xz", "leela")
+    SCHEMES = (SchemeKind.UNSAFE, SchemeKind.STT_RECON)
+
+    @pytest.fixture
+    def snapshots(self, monkeypatch):
+        monkeypatch.delenv(STORE_ENV, raising=False)
+        calls = []
+        snapshot = FunctionalWarmer.snapshot
+
+        def counting(warmer, at):
+            calls.append(at)
+            return snapshot(warmer, at)
+
+        monkeypatch.setattr(FunctionalWarmer, "snapshot", counting)
+        return calls
+
+    def _diagonal(self, cache):
+        """Every benchmark under every scheme, in diagonal rounds: all
+        five benchmarks come between two schemes of one row."""
+        config = RunConfig(sampling=SamplingConfig(), cache=cache)
+        profiles = [get_benchmark("spec2017", name) for name in self.NAMES]
+        return [
+            run_benchmark(
+                profile,
+                self.SCHEMES[(i + r) % len(self.SCHEMES)],
+                LENGTH,
+                config=config,
+            ).sampling
+            for r in range(len(self.SCHEMES))
+            for i, profile in enumerate(profiles)
+        ]
+
+    def test_diagonal_grid_builds_each_image_set_once(self, snapshots):
+        offsets = SamplingConfig().max_units
+        first = self._diagonal(TraceCache())
+        assert len(snapshots) == len(self.NAMES) * offsets
+        # A fresh cache holds no images, so a second pass is as cold.
+        second = self._diagonal(TraceCache())
+        assert len(snapshots) == 2 * len(self.NAMES) * offsets
+        assert second == first
+
+    def test_evicted_entry_gives_its_image_bytes_back(self, snapshots):
+        cache = TraceCache(max_entries=1)
+        config = RunConfig(sampling=SamplingConfig(), cache=cache)
+        mcf = get_benchmark("spec2017", "mcf")
+        run_benchmark(mcf, SchemeKind.UNSAFE, LENGTH, config=config)
+        built = len(snapshots)
+        (entry,) = cache._cache.values()
+        (images,) = [
+            value for key, value in entry.derived.items() if type(key) is str
+        ]
+        trace_bytes = sum(map(len, entry.traces)) * runner._UOP_EST_BYTES
+        image_bytes = executor._image_bytes(images)
+        assert image_bytes > 0
+        assert cache.approx_bytes == entry.approx_bytes
+        assert entry.approx_bytes >= trace_bytes + image_bytes
+        other = get_benchmark("spec2017", "gcc")
+        traces = cache.get(other, 1, LENGTH)
+        assert len(cache) == 1
+        assert cache.approx_bytes == sum(map(len, traces)) * runner._UOP_EST_BYTES
+        # The images went with mcf's entry: its next cell rebuilds them.
+        run_benchmark(mcf, SchemeKind.STT, LENGTH, config=config)
+        assert len(snapshots) == 2 * built

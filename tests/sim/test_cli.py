@@ -238,7 +238,24 @@ class TestSamplingFlag:
         assert main(
             ["run", "one", "spec2017/mcf", "--length", "800", "--schemes", "unsafe"]
         ) == 0
-        assert "±" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "±" not in captured.out
+        assert "converge" not in captured.err
+
+    def test_unconverged_cells_warn_once(self, capsys):
+        # Two units cannot meet a 0.1% interval: neither cell converges.
+        assert main(
+            ["run", "one", "spec2017/mcf", "--length", "1200", "--schemes",
+             "unsafe,stt", "--sampling", "ci=0.001,min=2,max=2"]
+        ) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "did not converge" in line
+        ]
+        assert warnings == [
+            "warning: 2 sampled cell(s) did not converge to the target CI: "
+            "mcf/unsafe, mcf/stt"
+        ]
 
     def test_bad_sampling_spec_exits_cleanly(self):
         with pytest.raises(SystemExit):

@@ -248,8 +248,9 @@ class TestRunKey:
         assert run_key(canneal, SchemeKind("nda+recon"), 6000, 4, four, 2400) == (
             "f7d9ed8e765a902ce49454d9bcac80fb9790cf61da78b5ef0e62f8e6a51cb4e7"
         )
+        # Sampled keys hash every SamplingConfig field.
         sampled = parse_sampling("ci=0.02,conf=0.95")
         assert run_key(
             mcf, SchemeKind.UNSAFE, 30000, 1, SystemParams(), 12000,
             sampling=sampled,
-        ) == "823ab27eaa8c0e1a171a5e35134b8d0bb1d0c92f00c1cfdaa4b455c46fd6db78"
+        ) == "409bc4ab187b40d380f4142d77a56cedbb373d3a61461cd2c3bade964637a374"
