@@ -95,10 +95,3 @@ class DiftEngine:
                 changed = changed or len(self.leaked) != before
         if changed and len(self.leaked) > self.peak_leaked:
             self.peak_leaked = len(self.leaked)
-
-    @property
-    def leaked_fraction(self) -> float:
-        """Leaked words as a fraction of the program's data footprint."""
-        if not self.footprint:
-            return 0.0
-        return len(self.leaked & self.footprint) / len(self.footprint)

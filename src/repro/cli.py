@@ -12,7 +12,7 @@ Commands are grouped by what they do::
     python -m repro telemetry summarize trace.json  # summarize a trace
     python -m repro save-trace spec2017/mcf mcf.trace   # export a trace
     python -m repro redteam matrix                # gadget x scheme verdicts
-    python -m repro redteam audit                 # metadata AUC audit
+    python -m repro redteam audit                 # metadata matched-pair audit
     python -m repro serve                         # HTTP sweep service
 
 Common options: ``--length`` (trace micro-ops), ``--schemes`` (comma
@@ -653,10 +653,10 @@ def cmd_redteam_matrix(args: argparse.Namespace) -> int:
         from repro.redteam import audit_all
 
         for audit in audit_all(trials=args.trials):
-            status = "ok" if audit.ok else "OUT OF BAND"
+            status = "ok" if audit.ok else "DIFFERS"
             print(
-                f"audit {audit.scheme.value}: worst AUC "
-                f"{audit.worst_auc:.3f} ({audit.worst_feature}) {status}",
+                f"audit {audit.scheme.value}: differing "
+                f"{_differing_text(audit)} {status}",
                 file=sys.stderr,
             )
             if not audit.ok:
@@ -669,8 +669,19 @@ def cmd_redteam_matrix(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _differing_text(audit) -> str:
+    """``name a->b, ...`` for an audit's differing features, or ``none``."""
+    if not audit.differing:
+        return "none"
+    return ", ".join(
+        f"{name} {a:.12g}->{b:.12g}"
+        for name, (a, b) in sorted(audit.differing.items())
+    )
+
+
 def cmd_redteam_audit(args: argparse.Namespace) -> int:
-    """Audit protection metadata for secret-dependence (AUC must be ~0.5)."""
+    """Audit protection metadata for secret-dependence (matched runs must
+    agree on every metadata feature)."""
     from repro.redteam import PROTECTED_SCHEMES, audit_scheme, control_audit
 
     schemes = (
@@ -684,12 +695,7 @@ def cmd_redteam_audit(args: argparse.Namespace) -> int:
         except (KeyError, ValueError) as exc:
             raise SystemExit(str(exc))
         rows.append(
-            [
-                scheme.value,
-                f"{audit.worst_auc:.3f}",
-                audit.worst_feature,
-                "ok" if audit.ok else "OUT OF BAND",
-            ]
+            [scheme.value, _differing_text(audit), "ok" if audit.ok else "DIFFERS"]
         )
         if not audit.ok:
             exit_code = 1
@@ -697,14 +703,13 @@ def cmd_redteam_audit(args: argparse.Namespace) -> int:
     rows.append(
         [
             "unsafe (control)",
-            f"{control.worst_auc:.3f}",
-            control.worst_feature,
+            _differing_text(control),
             "channel found" if not control.ok else "CONTROL FAILED",
         ]
     )
     if control.ok:  # the control must detect the planted channel
         exit_code = 1
-    print(format_table(["scheme", "worst AUC", "feature", "status"], rows))
+    print(format_table(["scheme", "differing (A->B)", "status"], rows))
     return exit_code
 
 
@@ -805,7 +810,7 @@ def _parent_parsers():
         default=None,
         metavar="CATS",
         help="comma list of event categories to collect "
-        "(pipeline,cache,coherence,recon,security,shadow,mem_txn,fault,redteam; "
+        "(pipeline,cache,coherence,recon,security,shadow,mem_txn; "
         "default all)",
     )
     telemetry.add_argument(
@@ -991,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument(
         "--no-audit",
         action="store_true",
-        help="skip the metadata AUC audit after the matrix",
+        help="skip the metadata matched-pair audit after the matrix",
     )
     p_matrix.add_argument(
         "--trials",
@@ -1002,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.set_defaults(func=cmd_redteam_matrix)
 
     p_audit = red_sub.add_parser(
-        "audit", help="metadata AUC audit of the protected schemes"
+        "audit", help="metadata matched-pair audit of the protected schemes"
     )
     p_audit.add_argument(
         "--schemes",

@@ -121,10 +121,6 @@ class LoadStoreUnit:
     def lq_full(self) -> bool:
         return len(self._lq) >= self.lq_entries
 
-    @property
-    def sb_full(self) -> bool:
-        return len(self._sb) >= self.sq_entries
-
     # ------------------------------------------------------------------
     # dispatch / execute / commit hooks
     # ------------------------------------------------------------------
@@ -245,9 +241,6 @@ class LoadStoreUnit:
                     return entry
         in_sb = self._sb_words.get(word)
         return in_sb[-1] if in_sb is not None else None
-
-    def _find_sq(self, seq: int) -> Optional[StoreEntry]:
-        return self._sq_map.get(seq)
 
     def load_entry(self, seq: int) -> Optional[Any]:
         """The LQ entry for ``seq``, if still allocated."""

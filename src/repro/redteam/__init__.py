@@ -4,8 +4,9 @@ Runs the :mod:`repro.workloads.gadgets` catalog across the scheme
 matrix, classifies each cell as leak / protected / benign from
 speculation-tagged cache-observation telemetry plus an architectural
 Clueless DIFT pass, and audits each protected scheme's own metadata for
-secret-dependence with a Mann-Whitney AUC classifier (which must stay
-≈ 0.5).  See ``docs/security.md`` for the methodology.
+secret-dependence by comparing matched runs that differ only in the
+secret (every metadata counter must be identical).  See
+``docs/security.md`` for the methodology.
 """
 
 from repro._lazy import lazy_exports
@@ -22,7 +23,6 @@ __getattr__, __dir__ = lazy_exports(
             "audit_all",
             "audit_scheme",
             "control_audit",
-            "mann_whitney_auc",
         ),
         "repro.redteam.harness": (
             "CellOutcome",
@@ -43,6 +43,5 @@ __all__ = [
     "audit_all",
     "audit_scheme",
     "control_audit",
-    "mann_whitney_auc",
     "run_matrix",
 ]

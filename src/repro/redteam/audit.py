@@ -7,19 +7,18 @@ can see those signals (a co-tenant reading shared performance counters,
 a profiling interface) would learn the secret without ever touching the
 cache.
 
-The audit plays that attacker.  For each protected scheme it runs
-matched pairs of gadget trials — same benign noise seed, *different
-secret value* — with telemetry enabled, extracts a feature vector of
-scheme-visible metadata per run (delay/taint/reveal counters plus the
-per-load ``delay_cycles`` histogram buckets), and scores every feature
-as a one-dimensional classifier of "which secret was it?" via the
-Mann-Whitney U statistic (midrank AUC).  If the metadata is independent
-of the secret, matched trials produce *identical* features and every
-AUC is exactly 0.5; the acceptance band is ``[0.4, 0.6]``.
+The audit plays that attacker with a two-run check.  For each
+protected scheme it runs matched pairs of gadget trials — same benign
+noise seed, *different secret value* — with telemetry enabled, and
+extracts a feature vector of scheme-visible metadata per run
+(delay/taint/reveal counters plus the per-load ``delay_cycles``
+histogram buckets).  The simulator is deterministic, so metadata that
+does not depend on the secret is identical within every pair; a feature
+that differs in any pair is a channel and fails the audit.
 
-The positive control (:func:`control_audit`) proves the classifier has
+The positive control (:func:`control_audit`) proves the check has
 teeth: under the unsafe baseline with *timing* features and a secret
-that selects a warm vs. cold transmit target, the AUC saturates.
+that selects a warm vs. cold transmit target, the pairs differ.
 
 The audit always runs with telemetry, on the same cycle loop as every
 measured number.
@@ -28,7 +27,7 @@ measured number.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import SystemParams
 from repro.common.types import SchemeKind
@@ -43,7 +42,6 @@ __all__ = [
     "audit_all",
     "audit_scheme",
     "control_audit",
-    "mann_whitney_auc",
 ]
 
 #: The matrix's protected columns — every one must pass the audit.
@@ -85,42 +83,21 @@ _SECRET_A = 0x7000
 _SECRET_B = 0x7800
 
 
-def mann_whitney_auc(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """AUC of "larger value => class y" with midrank tie handling.
-
-    Equals the Mann-Whitney U statistic normalized by ``len(xs) *
-    len(ys)``; 0.5 means the feature carries no class information,
-    0.0/1.0 mean perfect (anti-)separation.
-    """
-    if not xs or not ys:
-        raise ValueError("both classes need at least one sample")
-    greater = ties = 0
-    for x in xs:
-        for y in ys:
-            if y > x:
-                greater += 1
-            elif y == x:
-                ties += 1
-    return (greater + 0.5 * ties) / (len(xs) * len(ys))
-
-
 @dataclasses.dataclass(frozen=True)
 class AuditResult:
-    """AUC audit outcome for one (scheme, gadget)."""
+    """Matched-pair audit outcome for one (scheme, gadget)."""
 
     scheme: SchemeKind
     gadget: str
     trials: int
-    #: Per-feature AUC (feature -> AUC of secret-A vs secret-B samples).
-    feature_aucs: Dict[str, float]
-    #: The feature with the largest deviation from 0.5, and its AUC.
-    worst_feature: str
-    worst_auc: float
+    #: Features that differ within some matched pair -> their (secret-A,
+    #: secret-B) values in the first such pair by noise seed.
+    differing: Dict[str, Tuple[float, float]]
 
     @property
     def ok(self) -> bool:
-        """True when even the most discriminative feature is in band."""
-        return 0.4 <= self.worst_auc <= 0.6
+        """True when every matched pair had identical features."""
+        return not self.differing
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary of the audit outcome."""
@@ -128,9 +105,9 @@ class AuditResult:
             "scheme": self.scheme.value,
             "gadget": self.gadget,
             "trials": self.trials,
-            "feature_aucs": dict(sorted(self.feature_aucs.items())),
-            "worst_feature": self.worst_feature,
-            "worst_auc": self.worst_auc,
+            "differing": {
+                name: list(pair) for name, pair in sorted(self.differing.items())
+            },
             "ok": self.ok,
         }
 
@@ -179,19 +156,38 @@ def _timing_features(stats, _telemetry) -> Dict[str, float]:
     return {name: float(getattr(stats, name)) for name in _CONTROL_FEATURES}
 
 
-def _score(
-    class_a: List[Dict[str, float]], class_b: List[Dict[str, float]]
-) -> Tuple[Dict[str, float], str, float]:
-    names = sorted(set().union(*class_a, *class_b))
-    aucs = {
-        name: mann_whitney_auc(
-            [sample.get(name, 0.0) for sample in class_a],
-            [sample.get(name, 0.0) for sample in class_b],
+def _compare_pairs(
+    gadget: str,
+    scheme: SchemeKind,
+    trials: int,
+    features: Callable[[object, object], Dict[str, float]],
+    warm_line: Optional[int] = None,
+) -> AuditResult:
+    """Run ``trials`` matched pairs (noise seeds ``0..trials-1``) and
+    collect every feature whose secret-A and secret-B values differ."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1 (one matched pair)")
+    differing: Dict[str, Tuple[float, float]] = {}
+    for seed in range(trials):
+        a, b = (
+            features(
+                *_run_trial(
+                    gadget,
+                    scheme,
+                    secret_value=secret,
+                    noise_seed=seed,
+                    warm_line=warm_line,
+                )
+            )
+            for secret in (_SECRET_A, _SECRET_B)
         )
-        for name in names
-    }
-    worst = max(aucs, key=lambda name: abs(aucs[name] - 0.5))
-    return aucs, worst, aucs[worst]
+        for name in sorted(a.keys() | b.keys()):
+            pair = (a.get(name, 0.0), b.get(name, 0.0))
+            if pair[0] != pair[1]:
+                differing.setdefault(name, pair)
+    return AuditResult(
+        scheme=scheme, gadget=gadget, trials=trials, differing=differing
+    )
 
 
 def audit_scheme(
@@ -203,31 +199,12 @@ def audit_scheme(
     """Audit one protected scheme's metadata on one gadget.
 
     Runs ``trials`` matched pairs (secret A vs secret B, shared noise
-    seed) and scores every metadata feature.  The gadget must accept a
-    tunable secret (``GadgetCase.secret_tunable``).
+    seed) and compares every metadata feature within each pair.  The
+    gadget must accept a tunable secret (``GadgetCase.secret_tunable``).
     """
-    case = get_gadget(gadget)
-    if not case.secret_tunable:
+    if not get_gadget(gadget).secret_tunable:
         raise ValueError(f"gadget {gadget!r} has no tunable secret to audit")
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a meaningful AUC")
-    class_a: List[Dict[str, float]] = []
-    class_b: List[Dict[str, float]] = []
-    for trial in range(trials):
-        for secret, bucket in ((_SECRET_A, class_a), (_SECRET_B, class_b)):
-            stats, telemetry = _run_trial(
-                gadget, scheme, secret_value=secret, noise_seed=trial
-            )
-            bucket.append(_metadata_features(stats, telemetry))
-    aucs, worst, worst_auc = _score(class_a, class_b)
-    return AuditResult(
-        scheme=scheme,
-        gadget=gadget,
-        trials=trials,
-        feature_aucs=aucs,
-        worst_feature=worst,
-        worst_auc=worst_auc,
-    )
+    return _compare_pairs(gadget, scheme, trials, _metadata_features)
 
 
 def audit_all(
@@ -241,36 +218,19 @@ def audit_all(
 
 
 def control_audit(*, trials: int = 6) -> AuditResult:
-    """Positive control: the classifier must detect a real channel.
+    """Positive control: the pair check must detect a real channel.
 
     Unsafe baseline, timing features, and a secret that points at a
-    *warmed* line (class A) vs. a cold one (class B): the transmitter's
-    hit/miss difference shows up in cycles and miss counters, so the
-    worst-feature AUC should saturate.  Both classes run structurally
-    identical programs (the same line is warmed in both), so the only
-    difference is the secret value itself.
+    *warmed* line (secret A) vs. a cold one (secret B): the
+    transmitter's hit/miss difference shows up in cycles and miss
+    counters, so the pairs differ.  Both runs of a pair execute
+    structurally identical programs (the same line is warmed in both),
+    so the only difference is the secret value itself.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a meaningful AUC")
-    gadget = "v1_bounds_bypass"
-    class_a: List[Dict[str, float]] = []
-    class_b: List[Dict[str, float]] = []
-    for trial in range(trials):
-        for secret, bucket in ((_SECRET_A, class_a), (_SECRET_B, class_b)):
-            stats, telemetry = _run_trial(
-                gadget,
-                SchemeKind.UNSAFE,
-                secret_value=secret,
-                noise_seed=trial,
-                warm_line=_SECRET_A,  # warm the class-A target in BOTH classes
-            )
-            bucket.append(_timing_features(stats, telemetry))
-    aucs, worst, worst_auc = _score(class_a, class_b)
-    return AuditResult(
-        scheme=SchemeKind.UNSAFE,
-        gadget=gadget,
-        trials=trials,
-        feature_aucs=aucs,
-        worst_feature=worst,
-        worst_auc=worst_auc,
+    return _compare_pairs(
+        "v1_bounds_bypass",
+        SchemeKind.UNSAFE,
+        trials,
+        _timing_features,
+        warm_line=_SECRET_A,  # warm the secret-A target in BOTH runs
     )

@@ -46,13 +46,7 @@ from repro.sim.engine import RunSpec, SuiteResult, run_specs
 from repro.sim.ledger import durable_write
 from repro.sim.runner import RunResult
 from repro.sim.supervisor import FaultPolicy
-from repro.telemetry.events import (
-    CAT_RECON,
-    CAT_REDTEAM,
-    CAT_SECURITY,
-    TelemetryCollector,
-    TelemetryConfig,
-)
+from repro.telemetry.events import CAT_RECON, CAT_SECURITY, TelemetryConfig
 from repro.workloads.gadgets import (
     CATALOG,
     MATRIX_SCHEMES,
@@ -138,8 +132,6 @@ class MatrixResult:
 
     cells: List[CellOutcome]
     suite: SuiteResult
-    #: CAT_REDTEAM event counts from the harness's own collector.
-    event_counts: Dict[str, int]
     wall_time_s: float
     #: Cells that failed to execute under supervision (spec label list).
     failed_cells: List[Tuple[str, str]] = dataclasses.field(default_factory=list)
@@ -169,10 +161,9 @@ class MatrixResult:
     def to_dict(self) -> Dict[str, object]:
         """The JSON-ready artifact payload (``results/BENCH_gadgets.json``)."""
         return {
-            "version": 1,
+            "version": 2,
             "cells": [c.as_dict() for c in self.cells],
             "verdicts": self.verdict_map(),
-            "event_counts": dict(self.event_counts),
             "failed_cells": [list(fc) for fc in self.failed_cells],
             "summary": {
                 "cells": len(self.cells),
@@ -259,15 +250,10 @@ def run_matrix(
         policy=FaultPolicy() if supervise is True else supervise or None,
     )
 
-    collector = TelemetryCollector(
-        TelemetryConfig(categories=frozenset({CAT_REDTEAM}))
-    )
     cells: List[CellOutcome] = []
     failed: List[Tuple[str, str]] = []
     public_cache: Dict[str, FrozenSet[int]] = {}
-    for index, (spec, (case, built), result) in enumerate(
-        zip(specs, meta, results)
-    ):
+    for spec, (case, built), result in zip(specs, meta, results):
         if result is None:
             failed.append((case.name, spec.scheme.value))
             continue
@@ -275,36 +261,27 @@ def run_matrix(
             public_cache[case.name] = arch_leaked_words(built)
         public = built.secret_word in public_cache[case.name]
         verdict, observed, spec_any, transmitted = _classify(built, result, public)
-        cell = CellOutcome(
-            gadget=case.name,
-            scheme=spec.scheme,
-            verdict=verdict,
-            expected=case.expected[spec.scheme],
-            observed=observed,
-            observed_speculative=spec_any,
-            transmitted=transmitted,
-            secret_arch_leaked=public,
-            cycles=result.cycles,
-            reveal_hits=result.stats.reveal_hits,
-            reveal_misses=result.stats.reveal_misses,
-            delayed_loads=result.stats.delayed_loads,
-            tainted_loads=result.stats.tainted_loads,
+        cells.append(
+            CellOutcome(
+                gadget=case.name,
+                scheme=spec.scheme,
+                verdict=verdict,
+                expected=case.expected[spec.scheme],
+                observed=observed,
+                observed_speculative=spec_any,
+                transmitted=transmitted,
+                secret_arch_leaked=public,
+                cycles=result.cycles,
+                reveal_hits=result.stats.reveal_hits,
+                reveal_misses=result.stats.reveal_misses,
+                delayed_loads=result.stats.delayed_loads,
+                tainted_loads=result.stats.tainted_loads,
+            )
         )
-        cells.append(cell)
-        collector.emit(
-            CAT_REDTEAM, "verdict", seq=index, value=1 if cell.ok else 0
-        )
-        if not cell.ok:
-            collector.emit(CAT_REDTEAM, "verdict_mismatch", seq=index)
-
-    counts: Dict[str, int] = {}
-    for ev in collector.events:
-        counts[ev.kind] = counts.get(ev.kind, 0) + 1
 
     return MatrixResult(
         cells=cells,
         suite=suite,
-        event_counts=counts,
         wall_time_s=suite.wall_time_s,
         failed_cells=failed,
     )

@@ -79,7 +79,3 @@ class SttPolicy(SecurityPolicy):
         if not taint or not self._unsafe_roots:
             return False
         return not self._unsafe_roots.isdisjoint(taint)
-
-    @property
-    def unsafe_root_count(self) -> int:
-        return len(self._unsafe_roots)

@@ -246,7 +246,6 @@ class TaskHandle:
         "attempt",
         "token",
         "deadline",
-        "submitted_at",
         "_payload",
         "_error",
         "_settled",
@@ -264,7 +263,6 @@ class TaskHandle:
         self.token = token
         #: ``time.monotonic()`` budget expiry, or ``None`` (no budget).
         self.deadline = deadline
-        self.submitted_at = time.monotonic()
         self._payload: Any = None
         self._error: Optional[BaseException] = None
         self._settled = False

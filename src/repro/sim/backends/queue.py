@@ -60,12 +60,11 @@ _SCAN_INTERVAL_S = 0.02
 class _Worker:
     """Parent-side view of one detached worker process."""
 
-    __slots__ = ("wid", "proc", "spawned_at")
+    __slots__ = ("wid", "proc")
 
-    def __init__(self, wid: str, proc: subprocess.Popen, spawned_at: float):
+    def __init__(self, wid: str, proc: subprocess.Popen):
         self.wid = wid
         self.proc = proc
-        self.spawned_at = spawned_at
 
 
 class QueueBackend(ExecutionBackend):
@@ -143,7 +142,7 @@ class QueueBackend(ExecutionBackend):
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        return _Worker(wid, proc, time.monotonic())
+        return _Worker(wid, proc)
 
     # -- submission ----------------------------------------------------
 

@@ -28,7 +28,6 @@ __all__ = [
     "failure_rows",
     "format_ipc",
     "format_table",
-    "records_rows",
     "suite_normalized_rows",
 ]
 
@@ -143,39 +142,6 @@ def suite_normalized_rows(
             # committed nothing): a number here would be fiction.
             mean_row.append("n/a")
     rows.append(mean_row)
-    return rows
-
-
-def records_rows(records: Sequence) -> List[List[str]]:
-    """Per-run observability rows (bench, scheme, source, time, rate).
-
-    ``records`` is a sequence of :class:`~repro.sim.engine.RunRecord`
-    (``SuiteResult.records``); pair with :func:`format_table`.  When any
-    record is estimated (a sampled run), two extra columns report the
-    unit count and the relative CI half-width; an all-exact suite keeps
-    the historical five-column shape.
-    """
-    sampled = any(getattr(record, "estimated", False) for record in records)
-    rows = []
-    for record in records:
-        row = [
-            record.bench,
-            record.scheme.value,
-            "store" if record.from_store else "simulated",
-            f"{record.wall_time_s:.2f}s",
-            "-"
-            if record.from_store
-            else f"{record.uops_per_sec / 1000:.0f}k uops/s",
-        ]
-        if sampled:
-            if getattr(record, "estimated", False):
-                row.append(str(record.samples))
-                row.append(
-                    "±?" if record.ipc_ci is None else f"±{record.ipc_ci:.3f}"
-                )
-            else:
-                row.extend(["-", "-"])
-        rows.append(row)
     return rows
 
 

@@ -43,14 +43,13 @@ or ``BrokenProcessPool`` directly.  ``backend=`` selects the substrate
 (``inline`` / ``threads`` / ``process`` / ``queue``); the default keeps
 the historical behavior — inline for ``jobs=1``, a process pool above.
 
-Supervision is observable: the supervisor owns a telemetry collector
-restricted to the :data:`~repro.telemetry.events.CAT_FAULT` category and
-bumps ``fault_*`` counters (retries, timeouts, worker crashes, corrupt
-payloads, pool restarts, exhausted cells) in its metrics registry; the
-change in the backend's ``backend_*`` counters (steals, worker deaths,
-queue depth) over the sweep is folded in at its end, so a backend the
-caller holds across sweeps is counted once per sweep, and the combined
-snapshot rides on ``SuiteResult.fault_counters``.
+Supervision is observable: the supervisor bumps ``fault_*`` counters
+(retries, timeouts, worker crashes, corrupt payloads, pool restarts,
+exhausted cells) in its own metrics registry, and emits no trace
+events.  The change in the backend's ``backend_*`` counters (steals,
+worker deaths, queue depth) over the sweep is folded in at its end, so
+a backend the caller holds across sweeps is counted once per sweep, and
+the combined snapshot rides on ``SuiteResult.fault_counters``.
 
 Timeouts require a preemptible backend: inline/thread runs are not
 preemptible, so their timeouts are recorded post-hoc but cannot
@@ -91,7 +90,7 @@ from repro.sim.engine import (
 from repro.sim.ledger import append_jsonl, read_jsonl
 from repro.sim.runner import RunResult
 from repro.sim.store import ResultStore
-from repro.telemetry.events import CAT_FAULT, TelemetryCollector, TelemetryConfig
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "CorruptResultError",
@@ -321,10 +320,7 @@ class Supervisor:
         self.backend = backend
         self.observer = observer
         self.cache = cache
-        self.collector = TelemetryCollector(
-            TelemetryConfig(categories=frozenset({CAT_FAULT}))
-        )
-        self.metrics = self.collector.metrics
+        self.metrics = MetricsRegistry()
         self._rng = random.Random(self.policy.seed)
         self._done = 0
         self._total = 0
@@ -340,18 +336,6 @@ class Supervisor:
             if name.startswith(("fault_", "backend_"))
             or name == "store_corrupt_entries"
         }
-
-    @property
-    def fault_events(self) -> List[Any]:
-        """The CAT_FAULT events emitted so far, oldest first."""
-        return self.collector.events
-
-    def _fault(self, kind: str, item: "_Pending", counter: str) -> None:
-        """Count and emit one supervision fault event."""
-        self.metrics.counter(counter).inc()
-        self.collector.emit(
-            CAT_FAULT, kind, seq=item.index, value=item.attempts
-        )
 
     def _emit_progress(self, record: RunRecord) -> None:
         if self.progress:
@@ -429,11 +413,7 @@ class Supervisor:
                 if failure is not None:
                     failures[index] = failure
                     self._done += 1
-                    self._fault(
-                        "replayed_failure",
-                        _Pending(index, spec, key),
-                        "fault_replayed_failures",
-                    )
+                    self.metrics.counter("fault_replayed_failures").inc()
                     self._emit_failure(failure)
                     continue
             pending.append(_Pending(index, spec, key))
@@ -508,7 +488,7 @@ class Supervisor:
         if item.attempts <= self.policy.retries:
             delay = self.policy.backoff_for(item.attempts, self._rng)
             item.eligible_at = now + delay
-            self._fault("retry", item, "fault_retries")
+            self.metrics.counter("fault_retries").inc()
             return True
         failure = self._failure_from(item)
         if self.fail_fast:
@@ -517,7 +497,7 @@ class Supervisor:
         if self.journal is not None and item.key is not None:
             self.journal.record_failed(item.key, failure)
         self._done += 1
-        self._fault("exhausted", item, "fault_exhausted")
+        self.metrics.counter("fault_exhausted").inc()
         self._emit_failure(failure)
         return False
 
@@ -627,7 +607,7 @@ class Supervisor:
                     except TaskTimeout:
                         if self.fail_fast:
                             raise
-                        self._fault("timeout", item, "fault_timeouts")
+                        self.metrics.counter("fault_timeouts").inc()
                         error = (
                             "error",
                             "TimeoutError",
@@ -644,7 +624,7 @@ class Supervisor:
                     except WorkerDeath as death:
                         if self.fail_fast:
                             raise
-                        self._fault("worker_crash", item, "fault_worker_crashes")
+                        self.metrics.counter("fault_worker_crashes").inc()
                         error = (
                             "error",
                             "WorkerCrashError",
@@ -668,9 +648,7 @@ class Supervisor:
                             continue
                         error = payload
                     except CorruptResultError as exc:
-                        self._fault(
-                            "corrupt_payload", item, "fault_corrupt_payloads"
-                        )
+                        self.metrics.counter("fault_corrupt_payloads").inc()
                         error = _error_payload(exc, 0.0, None)
                     if (
                         not backend.preemptible
@@ -680,7 +658,7 @@ class Supervisor:
                     ):
                         # Non-preemptible backends cannot cancel a run;
                         # record the blown budget post-hoc.
-                        self._fault("timeout", item, "fault_timeouts")
+                        self.metrics.counter("fault_timeouts").inc()
                     if self._charge_attempt(item, error, now, failures):
                         waiting.append(item)
 
@@ -728,7 +706,6 @@ class Supervisor:
     def _metric_pool_restart(self) -> None:
         """Count one backend worker/pool teardown-respawn."""
         self.metrics.counter("fault_pool_restarts").inc()
-        self.collector.emit(CAT_FAULT, "pool_restart")
 
     def _degrade(
         self,
@@ -741,7 +718,6 @@ class Supervisor:
         from repro.sim.backends.local import InlineBackend
 
         self.metrics.counter("fault_degraded").inc()
-        self.collector.emit(CAT_FAULT, "degrade", value=len(remaining))
         self._run_backend(
             InlineBackend(), True, remaining, results, records, failures
         )

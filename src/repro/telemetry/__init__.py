@@ -34,11 +34,9 @@ __getattr__, __dir__ = lazy_exports(
             "ALL_CATEGORIES",
             "CAT_CACHE",
             "CAT_COHERENCE",
-            "CAT_FAULT",
             "CAT_MEM_TXN",
             "CAT_PIPELINE",
             "CAT_RECON",
-            "CAT_REDTEAM",
             "CAT_SECURITY",
             "CAT_SHADOW",
             "Event",
@@ -70,11 +68,9 @@ __all__ = [
     "ALL_CATEGORIES",
     "CAT_CACHE",
     "CAT_COHERENCE",
-    "CAT_FAULT",
     "CAT_MEM_TXN",
     "CAT_PIPELINE",
     "CAT_RECON",
-    "CAT_REDTEAM",
     "CAT_SECURITY",
     "CAT_SHADOW",
     "Counter",

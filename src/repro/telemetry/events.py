@@ -36,12 +36,6 @@ security   delay_start, delay_end, nda_defer, stt_taint, observe (one per
 shadow     enter, exit
 mem_txn    read_req, write_req, invisible_req, reveal_req (one per
            submitted transaction; ``value`` is the end-to-end latency)
-fault      retry, timeout, worker_crash, corrupt_payload, pool_restart,
-           exhausted, degrade, replayed_failure (engine supervision;
-           ``seq`` is the spec index, ``value`` the attempt count)
-redteam    verdict, verdict_mismatch, audit (red-team harness; emitted
-           in the parent process like ``fault`` — ``seq`` is the matrix
-           cell index, ``value`` 1 = as expected / in band)
 ========== ================================================================
 """
 
@@ -57,11 +51,9 @@ __all__ = [
     "ALL_CATEGORIES",
     "CAT_CACHE",
     "CAT_COHERENCE",
-    "CAT_FAULT",
     "CAT_MEM_TXN",
     "CAT_PIPELINE",
     "CAT_RECON",
-    "CAT_REDTEAM",
     "CAT_SECURITY",
     "CAT_SHADOW",
     "Event",
@@ -86,14 +78,6 @@ CAT_SECURITY = "security"
 CAT_SHADOW = "shadow"
 #: Memory transactions (one event per submitted transaction, value=latency).
 CAT_MEM_TXN = "mem_txn"
-#: Engine supervision faults (retries, timeouts, crashes, pool restarts).
-#: Emitted by the suite supervisor in the parent process, not by the
-#: simulated system — cycle is always 0, ``seq`` is the spec index.
-CAT_FAULT = "fault"
-#: Red-team harness verdicts and audits (:mod:`repro.redteam`).  Like
-#: ``fault``, emitted in the parent process: ``seq`` is the matrix cell
-#: index and ``value`` records whether the cell matched expectations.
-CAT_REDTEAM = "redteam"
 
 #: Every category the instrumented components emit.
 ALL_CATEGORIES: FrozenSet[str] = frozenset(
@@ -105,8 +89,6 @@ ALL_CATEGORIES: FrozenSet[str] = frozenset(
         CAT_SECURITY,
         CAT_SHADOW,
         CAT_MEM_TXN,
-        CAT_FAULT,
-        CAT_REDTEAM,
     }
 )
 

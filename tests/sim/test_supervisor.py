@@ -392,17 +392,6 @@ class TestCallerHeldBackend:
 
 
 class TestSupervisorTelemetry:
-    def test_fault_events_name_the_failing_specs(self):
-        chaos = ChaosConfig(seed=2, oom=1.0)
-        config = RunConfig(chaos=chaos)
-        supervisor = Supervisor(FaultPolicy(retries=0), jobs=1)
-        results, records, failures = supervisor.execute(_specs(config))
-        assert len(failures) == len(_specs())
-        events = supervisor.fault_events
-        assert {e.kind for e in events} == {"exhausted"}
-        assert sorted(e.seq for e in events) == list(range(len(_specs())))
-        assert all(e.category == "fault" for e in events)
-
     def test_suite_json_round_trips_failures(self, tmp_path):
         from repro.sim.engine import SuiteResult
 
