@@ -7,8 +7,6 @@ from typing import Optional
 
 __all__ = ["SamplingConfig", "parse_sampling", "DEFAULT_SAMPLING_SPEC"]
 
-WARMUP_MODES = ("functional", "cold")
-
 DEFAULT_SAMPLING_SPEC = "ci=0.02,conf=0.95"
 
 
@@ -33,14 +31,11 @@ class SamplingConfig:
             The defaults keep the full-escalation detailed budget at
             ``max_units * (unit_uops + unit_warm) = length / 5`` — a
             guaranteed >= 5x cut in detailed-simulated micro-ops.
-        warmup_mode: ``"functional"`` replays the trace prefix through
-            the real cache/directory/LPT state updaters without timing;
-            ``"cold"`` skips warm-up entirely (ablation/debug).
-        bias_floor: relative systematic-error floor added in quadrature
-            is wrong for bias — instead the reported half-width is
-            ``max(statistical, bias_floor * |mean|)`` to keep intervals
-            honest about slice-boundary effects the t statistic can't
-            see.
+        bias_floor: relative systematic-error floor.  Adding it in
+            quadrature would be wrong for a bias, so the reported
+            half-width is ``max(statistical, bias_floor * |mean|)``, to
+            keep intervals honest about slice-boundary effects the t
+            statistic can't see.
     """
 
     target_ci: float = 0.02
@@ -49,7 +44,6 @@ class SamplingConfig:
     max_units: int = 8
     unit_uops: Optional[int] = None
     unit_warm: Optional[int] = None
-    warmup_mode: str = "functional"
     bias_floor: float = 0.01
 
     def __post_init__(self) -> None:
@@ -65,10 +59,6 @@ class SamplingConfig:
             raise ValueError("unit_uops must be at least 10")
         if self.unit_warm is not None and self.unit_warm < 0:
             raise ValueError("unit_warm must be non-negative")
-        if self.warmup_mode not in WARMUP_MODES:
-            raise ValueError(
-                "warmup_mode must be one of %s" % (WARMUP_MODES,)
-            )
         if self.bias_floor < 0.0:
             raise ValueError("bias_floor must be non-negative")
         # Normalize max_units up to min_units * 2**k so escalation
@@ -103,8 +93,6 @@ class SamplingConfig:
             parts.append("unit=%d" % self.unit_uops)
         if self.unit_warm is not None:
             parts.append("warm=%d" % self.unit_warm)
-        if self.warmup_mode != default.warmup_mode:
-            parts.append("warmup=%s" % self.warmup_mode)
         if self.bias_floor != default.bias_floor:
             parts.append("bias=%g" % self.bias_floor)
         return ",".join(parts)
@@ -123,14 +111,11 @@ _KEY_ALIASES = {
     "unit_uops": "unit_uops",
     "warm": "unit_warm",
     "unit_warm": "unit_warm",
-    "warmup": "warmup_mode",
-    "warmup_mode": "warmup_mode",
     "bias": "bias_floor",
     "bias_floor": "bias_floor",
 }
 
 _INT_FIELDS = {"min_units", "max_units", "unit_uops", "unit_warm"}
-_FLOAT_FIELDS = {"target_ci", "confidence", "bias_floor"}
 
 
 def parse_sampling(spec) -> Optional[SamplingConfig]:
@@ -140,7 +125,7 @@ def parse_sampling(spec) -> Optional[SamplingConfig]:
     :class:`SamplingConfig` (passed through), the bare words ``"on"`` /
     ``"default"`` (→ defaults), ``"off"`` / ``"none"`` (→ ``None``), or
     a comma-separated ``key=value`` list, e.g.
-    ``"ci=0.02,conf=0.95,min=4,max=32,warmup=functional"``.
+    ``"ci=0.02,conf=0.95,min=4,max=32"``.
     """
     if spec is None:
         return None
@@ -176,10 +161,8 @@ def parse_sampling(spec) -> Optional[SamplingConfig]:
         try:
             if key in _INT_FIELDS:
                 kwargs[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = float(value)
             else:
-                kwargs[key] = value.lower()
+                kwargs[key] = float(value)
         except ValueError as exc:
             raise ValueError(
                 "bad value %r for sampling option %r" % (value, raw_key)

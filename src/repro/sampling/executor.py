@@ -11,8 +11,8 @@
 3. One functional pass replays the trace through the real memory-state
    updaters, snapshotting a warm image at every slot (cheap: dict ops,
    no cycle loop).  The trace cache keeps the images on the trace's
-   entry, so every scheme of the row shares them; a result store, when
-   one is available, keeps them across processes under a content hash.
+   entry, so every scheme of the row shares them; they never leave the
+   process.
 4. Escalate: detail-simulate ``min_units`` units (each restored from
    its warm image, with a short detailed re-warm prefix for
    pipeline-local state), estimate IPC with a Student-t interval, and
@@ -31,26 +31,18 @@ and a service-restart replay all produce bit-identical results.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.common.stats import StatSet
 from repro.common.types import SchemeKind
 from repro.core.rename import DecodedTrace
 from repro.isa.trace import Trace
-from repro.sampling.config import SamplingConfig
 from repro.sampling.estimator import (
     MeanEstimator,
     SampledEstimate,
     escalation_schedule,
 )
-from repro.sampling.warmup import (
-    IMAGE_VERSION,
-    FunctionalWarmer,
-    restore_hierarchy,
-)
+from repro.sampling.warmup import FunctionalWarmer, restore_hierarchy
 from repro.sim.config import RunConfig
 from repro.sim.system import System
 from repro.workloads.profile import BenchmarkProfile
@@ -64,9 +56,6 @@ __all__ = ["run_sampled", "warm_images_key", "get_warm_images"]
 #: leakage-relevant ones a ReCon comparison reads off a sampled sweep).
 LEAKAGE_COUNTERS = ("load_pairs_detected", "reveal_hits", "delayed_loads")
 
-#: Blob kind under which warm images live in the result store.
-WARM_IMAGE_KIND = "warm_images"
-
 #: Retained bytes per resident cache line of a warm image, for the trace
 #: cache's byte budget: tracemalloc measured 36.1-54.2 (median 38) over
 #: the image sets of every SPEC2017 profile at 30k uops and every PARSEC
@@ -75,51 +64,16 @@ _IMAGE_LINE_EST_BYTES = 38
 
 
 def warm_images_key(
-    profile: BenchmarkProfile,
-    threads: int,
-    length: int,
-    params: Any,
-    offsets: Sequence[int],
-) -> str:
-    """Content hash identifying a cell's warm-image set.
+    length: int, params: Any, offsets: Sequence[int]
+) -> Tuple[Any, ...]:
+    """The trace-cache key of a cell's warm-image set.
 
-    Scheme is deliberately absent: trace generation and the functional
-    replay are scheme-independent, so cells differing only in scheme
-    share one entry — the delta memoization that makes scheme sweeps
-    cheap.
+    The trace's cache entry already fixes the profile, seed and thread
+    count.  Scheme is deliberately absent: the functional replay is
+    scheme-independent, so cells differing only in scheme share one
+    image set.
     """
-    from repro.sim.store import _jsonable
-
-    payload = {
-        "kind": WARM_IMAGE_KIND,
-        "version": IMAGE_VERSION,
-        "profile": _jsonable(profile),
-        "seed": profile.seed,
-        "threads": threads,
-        "length": length,
-        "params": _jsonable(params),
-        "offsets": list(offsets),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _default_warm_store():
-    """A store for warm images, only when ``REPRO_STORE`` is set.
-
-    ``run_benchmark`` has no store argument, so persistence here is
-    opt-in via the environment: an explicitly configured store directory
-    is honored, the implicit ``results/.store`` default is not (a bare
-    ``run_benchmark`` call must not start writing to the filesystem).
-    """
-    from repro.sim.store import STORE_ENV, ResultStore, default_store_root
-
-    if os.environ.get(STORE_ENV) is None:
-        return None
-    root = default_store_root()
-    if root is None:
-        return None
-    return ResultStore(root)
+    return ("warm_images", length, params, tuple(offsets))
 
 
 def get_warm_images(
@@ -129,33 +83,24 @@ def get_warm_images(
     length: int,
     params: Any,
     offsets: Sequence[int],
-    store: Optional[Any] = None,
-) -> Dict[str, Any]:
-    """Warm images for every grid offset, kept on the trace's cache entry.
+) -> Dict[int, Dict[str, Any]]:
+    """The warm image at every offset, kept on the trace's cache entry.
 
-    An entry that has none reads them from ``store`` or makes them in
-    one functional pass (and puts them in ``store``).
+    An entry that has none makes them in one functional pass.
     """
-    key = warm_images_key(profile, threads, length, params, offsets)
 
-    def make(traces: List[Trace]) -> Dict[str, Any]:
-        if store is not None:
-            blob = store.get_entry(WARM_IMAGE_KIND, key)
-            if blob is not None:
-                return blob
+    def make(traces: List[Trace]) -> Dict[int, Dict[str, Any]]:
         warmer = FunctionalWarmer(params, traces)
-        blob = {"offsets": {str(off): warmer.snapshot(off) for off in offsets}}
-        if store is not None:
-            store.put_entry(WARM_IMAGE_KIND, key, blob)
-        return blob
+        return {off: warmer.snapshot(off) for off in offsets}
 
+    key = warm_images_key(length, params, offsets)
     return cache.derive(profile, threads, length, key, make, _image_bytes)
 
 
-def _image_bytes(blob: Dict[str, Any]) -> int:
+def _image_bytes(images: Dict[int, Dict[str, Any]]) -> int:
     """Estimated retained bytes of a warm-image set."""
     lines = 0
-    for image in blob["offsets"].values():
+    for image in images.values():
         lines += len(image["llc"]["addr"])
         for core in image["cores"]:
             lines += len(core["l1"]["addr"]) + len(core["l2"]["addr"])
@@ -204,7 +149,7 @@ def _measure_unit(
     start: int,
     unit_uops: int,
     unit_warm: int,
-    image: Optional[Dict[str, Any]],
+    image: Dict[str, Any],
     decode: Callable[[int, int], List[DecodedTrace]],
 ) -> _UnitResult:
     """Detail-simulate one measurement unit and return its measurement.
@@ -213,25 +158,22 @@ def _measure_unit(
     the measurement window so fetch never starves mid-window; the core
     stops at the window-closing commit (``measure_uops``), so the
     suffix is never simulated to completion and end-of-trace pipeline
-    drain cannot pollute the measured cycle count.  ``decode(start,
-    stop)`` returns the slices' register decodes.
+    drain cannot pollute the measured cycle count.  ``image`` is the
+    warm image the unit's hierarchy is restored from, and
+    ``decode(start, stop)`` returns the slices' register decodes.
     """
     snap = max(start - unit_warm, 0)
     warm_len = start - snap
     stop = start + unit_uops + params.core.rob_entries
     unit_traces = [trace[snap:stop] for trace in traces]
-    decoded = decode(snap, stop)
-    hierarchy = None
-    if image is not None:
-        hierarchy = restore_hierarchy(params, image)
     result = System(
         params,
         unit_traces,
         scheme,
         warmup_uops=warm_len,
-        hierarchy=hierarchy,
+        hierarchy=restore_hierarchy(params, image),
         measure_uops=unit_uops,
-        decoded=decoded,
+        decoded=decode(snap, stop),
     ).run()
     committed = sum(s.committed_uops for s in result.per_core)
     cpi = (result.cycles / committed) if committed else 0.0
@@ -293,9 +235,7 @@ def run_sampled(
     Returns a :class:`~repro.sim.runner.RunResult` whose ``sampling``
     field carries the :class:`SampledEstimate`.  ``cache`` supplies the
     traces and keeps what the row's schemes share on the trace's entry:
-    the warm images and each unit slice's register decode.  The
-    environment-configured store, if any, persists the warm images
-    (see :func:`_default_warm_store`).
+    the warm images and each unit slice's register decode.
     """
     from repro.sim.runner import RunResult
 
@@ -323,19 +263,10 @@ def run_sampled(
             core.phys_regs,
         )
 
-    images: Optional[Dict[str, Any]] = None
-    if sampling.warmup_mode == "functional":
-        snap_offsets = sorted({max(s - unit_warm, 0) for s in starts})
-        blob = get_warm_images(
-            cache,
-            profile,
-            config.threads,
-            length,
-            params,
-            snap_offsets,
-            store=_default_warm_store(),
-        )
-        images = blob["offsets"]
+    snap_offsets = sorted({max(s - unit_warm, 0) for s in starts})
+    images = get_warm_images(
+        cache, profile, config.threads, length, params, snap_offsets
+    )
 
     total_uops = sum(len(t) for t in traces)
     region_uops = [max(0, min(len(t), length) - warmup) for t in traces]
@@ -351,9 +282,7 @@ def run_sampled(
         slots = [k * stride for k in range(count)]
         for slot in sorted(s for s in slots if s not in measured):
             start = starts[slot]
-            image = None
-            if images is not None:
-                image = images[str(max(start - unit_warm, 0))]
+            image = images[max(start - unit_warm, 0)]
             measured[slot] = _measure_unit(
                 traces, params, scheme, start, unit_uops, unit_warm, image, decode
             )

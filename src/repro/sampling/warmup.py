@@ -14,13 +14,13 @@ later load that sources that register reveals the earlier load's word
 :meth:`~repro.security.lpt.LoadPairTable.on_load_commit_multi` ordering);
 any non-load writer of the register clears the entry.
 
-Warm images are plain JSON-serializable dicts (each cache array's lines
-in global LRU order, one flat column per field), so
-:mod:`repro.sampling.executor` can keep them in the result store and
-share them across schemes — trace generation and the functional replay
-are both scheme-independent.  The load-pair maps stay in the warmer,
-which needs them to issue its reveals; a restored unit's load-pair
-table starts empty and fills during its detailed re-warm.
+Warm images are plain dicts (each cache array's lines in global LRU
+order, one flat column per field).  :mod:`repro.sampling.executor`
+keeps them on the trace's cache entry and shares them across schemes —
+trace generation and the functional replay are both scheme-independent.
+The load-pair maps stay in the warmer, which needs them to issue its
+reveals; a restored unit's load-pair table starts empty and fills during
+its detailed re-warm.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ __all__ = [
     "snapshot_hierarchy",
 ]
 
-
-#: The stored layout; bump it whenever the layout changes.
-#: ``warm_images_key`` hashes it, so no store serves a blob of another
-#: layout.
-IMAGE_VERSION = 3
 
 _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
@@ -114,9 +109,8 @@ def _restore_array(
 
 
 def snapshot_hierarchy(hierarchy: MemoryHierarchy) -> Dict[str, Any]:
-    """Serialize warm cache and directory state."""
+    """Dump warm cache and directory state."""
     return {
-        "version": IMAGE_VERSION,
         "llc": _snapshot_array(hierarchy.llc, directory=True),
         "cores": [
             {
@@ -137,10 +131,6 @@ def restore_hierarchy(
     notion of in-flight transactions, and a unit's own detailed warm
     prefix re-populates transient state before measurement begins.
     """
-    if image.get("version") != IMAGE_VERSION:
-        raise ValueError(
-            "warm image version %r != %d" % (image.get("version"), IMAGE_VERSION)
-        )
     hierarchy = MemoryHierarchy(params)
     if len(image["cores"]) != params.num_cores:
         raise ValueError(
@@ -222,7 +212,7 @@ class FunctionalWarmer:
         self.position = upto
 
     def snapshot(self, at: int) -> Dict[str, Any]:
-        """Advance to ``at`` and serialize the warm state."""
+        """Advance to ``at`` and dump the warm state."""
         self.advance(at)
         return snapshot_hierarchy(self.hierarchy)
 

@@ -131,6 +131,14 @@ RESULT_WAIT_CAP_S = 20.0
 _EXEMPT_PATHS = frozenset({"/healthz", "/readyz", "/v1/health"})
 
 
+class _BadRequest(Exception):
+    """A request the service answers with ``status`` before closing."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class ServiceBusyError(Exception):
     """A submit refused by admission control or the circuit breaker."""
 
@@ -937,7 +945,11 @@ class SweepService:
     ) -> None:
         """Serve one HTTP connection: parse, dispatch, respond, close."""
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _BadRequest as exc:
+                await _send_json(writer, exc.status, {"error": str(exc)})
+                return
             if request is None:
                 return
             method, path, headers, body = request
@@ -995,6 +1007,11 @@ class SweepService:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """``(method, path, headers, body)``, or ``None`` to close unanswered.
+
+        A bad ``Content-Length`` or a body shorter than it raises
+        :class:`_BadRequest` (400); a body over ``_MAX_BODY_BYTES`` (413).
+        """
         try:
             request_line = await reader.readline()
         except (ConnectionError, asyncio.LimitOverrunError):
@@ -1012,10 +1029,18 @@ class SweepService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_BODY_BYTES:
-            return None
-        body = await reader.readexactly(length) if length else b""
+        text = headers.get("content-length", "0") or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise _BadRequest(400, f"bad Content-Length {text!r}")
+        length = int(text)
+        if length > _MAX_BODY_BYTES:
+            raise _BadRequest(413, f"body over {_MAX_BODY_BYTES} bytes")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _BadRequest(
+                400, f"body ended after {len(exc.partial)} of {length} bytes"
+            ) from None
         return method, path, headers, body
 
     async def _dispatch(
@@ -1245,7 +1270,7 @@ async def _send_raw(
     reason = {
         200: "OK", 202: "Accepted", 400: "Bad Request",
         401: "Unauthorized", 404: "Not Found", 405: "Method Not Allowed",
-        409: "Conflict", 429: "Too Many Requests",
+        409: "Conflict", 413: "Payload Too Large", 429: "Too Many Requests",
         500: "Internal Server Error", 503: "Service Unavailable",
     }.get(status, "OK")
     extras = "".join(

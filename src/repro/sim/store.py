@@ -250,11 +250,14 @@ class ResultStore:
     def get_entry(self, kind: str, key: str) -> Optional[Dict[str, Any]]:
         """A JSON blob stored by :meth:`put_entry`, or ``None``.
 
-        Blob entries are auxiliary content-hash artifacts (e.g. warm
-        memory images shared across schemes) living beside run results
-        under ``<root>/<kind>/``.  Corrupt blobs are quarantined like
-        run entries; lookups do not count toward :attr:`hits`/
-        :attr:`misses` (those meter simulated-run savings).
+        Blob entries are auxiliary JSON artifacts living beside run
+        results under ``<root>/.blobs/<kind>/``.  Nothing in the
+        simulator writes one (sampled warm images stay on the trace
+        cache); ``perfbench/spans.py`` still times this method and
+        :meth:`put_entry` by name, so both stay until it stops.  Corrupt
+        blobs are quarantined like run entries; lookups do not count
+        toward :attr:`hits`/:attr:`misses` (those meter simulated-run
+        savings).
         """
         path = self._entry_path(kind, key)
         try:

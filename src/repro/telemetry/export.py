@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.telemetry.metrics import bucket_quantile
+
 __all__ = [
     "CONTENTION_HISTOGRAMS",
     "leakage_csv",
@@ -246,20 +248,6 @@ def metrics_to_json(metrics: Any, indent: Optional[int] = 2) -> str:
 CONTENTION_HISTOGRAMS: Tuple[str, ...] = ("mshr_occupancy", "noc_queue_depth")
 
 
-def _histogram_quantile(bounds: List[float], counts: List[int], q: float) -> float:
-    """Upper-bound quantile over a serialized histogram dict."""
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    seen = 0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= target and count:
-            return bounds[min(index, len(bounds) - 1)]
-    return bounds[-1]
-
-
 def metrics_summary_rows(metrics: Any) -> List[List[str]]:
     """Condense a metrics dump into per-histogram summary rows.
 
@@ -299,8 +287,8 @@ def metrics_summary_rows(metrics: Any) -> List[List[str]]:
                     prefix + name,
                     str(total),
                     f"{mean:.2f}",
-                    f"{_histogram_quantile(bounds, counts, 0.5):.0f}",
-                    f"{_histogram_quantile(bounds, counts, 0.99):.0f}",
+                    f"{bucket_quantile(bounds, counts, 0.5):.0f}",
+                    f"{bucket_quantile(bounds, counts, 0.99):.0f}",
                 ]
             )
     return rows

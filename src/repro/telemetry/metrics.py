@@ -27,6 +27,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
 ]
 
 
@@ -73,6 +74,30 @@ class Gauge:
                 self.max = value
 
 
+def bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[int], q: float
+) -> float:
+    """Approximate ``q``-quantile of bucket counts: the upper bound of
+    the bucket holding it (the overflow bucket clamps to the last bound).
+
+    ``counts`` has one entry per bound plus the overflow bucket, as a
+    :class:`Histogram` keeps them and :meth:`Histogram.as_dict` writes
+    them.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    target = q * total
+    seen = 0
+    for index, count in enumerate(counts):
+        seen += count
+        if seen >= target and count:
+            return bounds[min(index, len(bounds) - 1)]
+    return bounds[-1]
+
+
 class Histogram:
     """A fixed-bucket histogram with an implicit overflow bucket.
 
@@ -111,19 +136,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (upper bound of the hit bucket)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.total == 0:
-            return 0.0
-        target = q * self.total
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= target and count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.bounds[-1]  # overflow: clamp to last edge
-        return self.bounds[-1]
+        return bucket_quantile(self.bounds, self.counts, q)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe encoding (bounds, per-bucket counts, total, sum)."""

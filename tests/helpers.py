@@ -1,8 +1,12 @@
-"""Shared test helpers: pipeline factories and process liveness."""
+"""Shared test helpers: pipeline factories, process liveness and a
+running sweep service."""
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+import asyncio
+import contextlib
+import threading
+from typing import Iterator, List, NamedTuple, Optional
 
 from repro.common import (
     CacheParams,
@@ -26,6 +30,7 @@ __all__ = [
     "observer",
     "process_alive",
     "run_program",
+    "serving",
     "small_system_params",
 ]
 
@@ -109,3 +114,41 @@ def process_alive(pid: int) -> bool:
     except OSError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@contextlib.contextmanager
+def serving(service) -> Iterator[str]:
+    """Serve ``service`` on an ephemeral port in a daemon thread's event
+    loop; yields its base URL and closes the service on exit."""
+    from repro.sim.service import _serve_async
+
+    ready = threading.Event()
+    bound: list = []
+    holder: dict = {}
+
+    def run() -> None:
+        loop = asyncio.new_event_loop()
+        holder["loop"] = loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_until_complete(
+                _serve_async(service, "127.0.0.1", 0, ready=ready, bound=bound)
+            )
+        except asyncio.CancelledError:
+            pass
+        finally:
+            loop.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert ready.wait(10), "service failed to start"
+    host, port = bound[0]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        loop = holder.get("loop")
+        if loop is not None and loop.is_running():
+            loop.call_soon_threadsafe(
+                lambda: [task.cancel() for task in asyncio.all_tasks(loop)]
+            )
+        service.close()

@@ -33,8 +33,7 @@ class TestParseSampling:
 
     def test_full_spec(self):
         cfg = parse_sampling(
-            "ci=0.05,conf=0.9,min=8,max=32,unit=200,warm=64,"
-            "warmup=cold,bias=0.02"
+            "ci=0.05,conf=0.9,min=8,max=32,unit=200,warm=64,bias=0.02"
         )
         assert cfg == SamplingConfig(
             target_ci=0.05,
@@ -43,7 +42,6 @@ class TestParseSampling:
             max_units=32,
             unit_uops=200,
             unit_warm=64,
-            warmup_mode="cold",
             bias_floor=0.02,
         )
 
@@ -58,9 +56,11 @@ class TestParseSampling:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown sampling option"):
             parse_sampling("frobnicate=1")
-        # Warm images always live on the trace cache entry.
-        with pytest.raises(ValueError, match="unknown sampling option"):
-            parse_sampling("memoize=0")
+        # Warm images always live on the trace cache entry, and every
+        # unit is restored from one.
+        for spec in ("memoize=0", "warmup=cold", "warmup_mode=functional"):
+            with pytest.raises(ValueError, match="unknown sampling option"):
+                parse_sampling(spec)
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -79,8 +79,6 @@ class TestParseSampling:
             parse_sampling("ci=1.5")
         with pytest.raises(ValueError, match="min_units"):
             parse_sampling("min=1")
-        with pytest.raises(ValueError, match="warmup_mode"):
-            parse_sampling("warmup=psychic")
 
 
 class TestSamplingConfig:
@@ -138,7 +136,6 @@ class TestSamplingConfig:
         max_factor=st.sampled_from([1, 2, 4]),
         unit_uops=st.sampled_from([None, 100, 250]),
         unit_warm=st.sampled_from([None, 0, 64]),
-        warmup_mode=st.sampled_from(["functional", "cold"]),
         bias_floor=st.sampled_from([0.0, 0.01, 0.05]),
     )
     def test_spec_round_trip(
@@ -149,7 +146,6 @@ class TestSamplingConfig:
         max_factor,
         unit_uops,
         unit_warm,
-        warmup_mode,
         bias_floor,
     ):
         cfg = SamplingConfig(
@@ -159,7 +155,6 @@ class TestSamplingConfig:
             max_units=min_units * max_factor,
             unit_uops=unit_uops,
             unit_warm=unit_warm,
-            warmup_mode=warmup_mode,
             bias_floor=bias_floor,
         )
         assert parse_sampling(cfg.spec()) == cfg

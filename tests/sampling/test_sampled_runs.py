@@ -76,19 +76,6 @@ class TestSampledRunBenchmark:
         assert a.cycles == b.cycles
         assert a.stats.as_dict() == b.stats.as_dict()
 
-    def test_cold_warmup_mode_runs(self):
-        profile = get_benchmark("spec2017", "mcf")
-        cold = run_benchmark(
-            profile,
-            SchemeKind.UNSAFE,
-            LENGTH,
-            config=RunConfig(
-                sampling=SamplingConfig(warmup_mode="cold")
-            ),
-        )
-        assert cold.estimated
-        assert cold.sampling.ipc > 0.0
-
     def test_exact_run_has_no_estimate(self):
         profile = get_benchmark("spec2017", "mcf")
         result = run_benchmark(profile, SchemeKind.UNSAFE, LENGTH)
@@ -247,7 +234,7 @@ class TestUnitsFreedAtOnce:
 
         gc.collect()
         for start in starts:
-            image = images["offsets"][str(max(start - unit_warm, 0))]
+            image = images[max(start - unit_warm, 0)]
             with gc_paused():
                 _measure_unit(
                     traces, params, scheme, start, unit_uops, unit_warm,
@@ -284,7 +271,9 @@ class TestSliceDecodesShared:
         assert decoded and len(set(decoded)) == len(decoded)
         entry = next(iter(cache._cache.values()))
         (images,) = [
-            value for key, value in entry.derived.items() if type(key) is str
+            value
+            for key, value in entry.derived.items()
+            if key[0] == "warm_images"
         ]
         assert cache.approx_bytes == entry.approx_bytes == (
             sum(map(len, entry.traces)) * runner._UOP_EST_BYTES

@@ -1,6 +1,6 @@
 """Functional warm-up, warm images on the trace cache, and the store."""
 
-import json
+import dataclasses
 
 import pytest
 
@@ -8,19 +8,14 @@ from repro import SchemeKind
 from repro.common.types import MESIState
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sampling import SamplingConfig, executor
-from repro.sampling.executor import (
-    WARM_IMAGE_KIND,
-    get_warm_images,
-    run_sampled,
-    warm_images_key,
-)
+from repro.sampling.executor import get_warm_images, warm_images_key
 from repro.sampling.warmup import (
-    IMAGE_VERSION,
     FunctionalWarmer,
     restore_hierarchy,
     snapshot_hierarchy,
 )
 from repro.sim import RunConfig, TraceCache, run_benchmark, runner
+from repro.sim.engine import RunSpec, run_specs
 from repro.sim.store import STORE_ENV, ResultStore, run_key
 from repro.workloads import get_benchmark
 
@@ -77,9 +72,7 @@ class TestFunctionalWarmer:
     def test_sharer_masks_round_trip_on_four_cores(self):
         traces = TraceCache().get(get_benchmark("parsec", "canneal"), 4, 4_000)
         params = RunConfig(threads=4).resolved_params()
-        image = json.loads(
-            json.dumps(FunctionalWarmer(params, traces).snapshot(2_000))
-        )
+        image = FunctionalWarmer(params, traces).snapshot(2_000)
         restored = restore_hierarchy(params, image)
         masks = [line.sharers for line in restored.llc]
         assert all(type(mask) is int for mask in masks)
@@ -87,12 +80,6 @@ class TestFunctionalWarmer:
         again = snapshot_hierarchy(restored)
         assert again["llc"] == image["llc"]
         assert again["cores"] == image["cores"]
-
-    def test_restore_rejects_wrong_version(self, params, traces):
-        image = FunctionalWarmer(params, traces).snapshot(100)
-        image["version"] = 999
-        with pytest.raises(ValueError, match="version"):
-            restore_hierarchy(params, image)
 
     def test_restore_rejects_wrong_core_count(self, params, traces):
         image = FunctionalWarmer(params, traces).snapshot(100)
@@ -106,15 +93,9 @@ class TestFunctionalWarmer:
         with pytest.raises(ValueError, match="forward-only"):
             warmer.snapshot(100)
 
-    def test_images_are_json_serializable(self, profile, params, cache):
-        images = get_warm_images(cache, profile, 1, LENGTH, params, [100, 400])
-        round_tripped = json.loads(json.dumps(images))
-        assert round_tripped == images
-        assert set(round_tripped["offsets"]) == {"100", "400"}
-
     def test_images_carry_no_load_pair_maps(self, params, traces):
         image = FunctionalWarmer(params, traces).snapshot(600)
-        assert set(image) == {"version", "llc", "cores"}
+        assert set(image) == {"llc", "cores"}
 
 
 def _insert_restore(params, image):
@@ -187,10 +168,7 @@ class TestRestoreParity:
     def test_matches_insert_restore(self, suite, name, threads, offset):
         traces = TraceCache().get(get_benchmark(suite, name), threads, 8_000)
         params = RunConfig(threads=threads).resolved_params()
-        # Through JSON, as a store blob reaches the restore.
-        image = json.loads(
-            json.dumps(FunctionalWarmer(params, traces).snapshot(offset))
-        )
+        image = FunctionalWarmer(params, traces).snapshot(offset)
         expected = _hierarchy_state(_insert_restore(params, image))
         restored = _hierarchy_state(restore_hierarchy(params, image))
         assert restored == expected
@@ -219,40 +197,24 @@ class TestRestoreParity:
 
 
 class TestWarmImagesKey:
-    def test_scheme_free_and_param_sensitive(self, profile, params):
-        base = warm_images_key(profile, 1, LENGTH, params, [100, 400])
+    def test_scheme_free_and_param_sensitive(self, params):
+        base = warm_images_key(LENGTH, params, [100, 400])
         # No scheme argument exists at all — the key is shared across
         # schemes by construction; it must react to everything else.
-        assert warm_images_key(profile, 1, LENGTH, params, [100, 400]) == base
-        assert warm_images_key(profile, 2, LENGTH, params, [100, 400]) != base
-        assert warm_images_key(profile, 1, 4_000, params, [100, 400]) != base
-        assert warm_images_key(profile, 1, LENGTH, params, [100, 401]) != base
-        other = get_benchmark("spec2017", "gcc")
-        assert warm_images_key(other, 1, LENGTH, params, [100, 400]) != base
-
-    def test_image_layout_version_is_hashed(self, profile, params, monkeypatch):
-        base = warm_images_key(profile, 1, LENGTH, params, [100, 400])
-        monkeypatch.setattr(executor, "IMAGE_VERSION", IMAGE_VERSION + 1)
-        assert warm_images_key(profile, 1, LENGTH, params, [100, 400]) != base
+        # The trace's cache entry fixes profile, seed and threads.
+        assert warm_images_key(LENGTH, params, [100, 400]) == base
+        assert warm_images_key(4_000, params, [100, 400]) != base
+        assert warm_images_key(LENGTH, params, [100, 401]) != base
+        other = dataclasses.replace(params, num_cores=2)
+        assert warm_images_key(LENGTH, other, [100, 400]) != base
 
     def test_in_process_memo(self, profile, params, cache):
         offsets = [100, 400]
         first = get_warm_images(cache, profile, 1, LENGTH, params, offsets)
         second = get_warm_images(cache, profile, 1, LENGTH, params, offsets)
         assert second is first  # kept on the cache entry, not a rebuild
-
-    def test_store_round_trip(self, profile, params, tmp_path):
-        store = ResultStore(tmp_path)
-        offsets = [100, 400]
-        built = get_warm_images(
-            TraceCache(), profile, 1, LENGTH, params, offsets, store=store
-        )
-        loaded = get_warm_images(
-            TraceCache(), profile, 1, LENGTH, params, offsets, store=store
-        )
-        assert loaded == built
-        key = warm_images_key(profile, 1, LENGTH, params, offsets)
-        assert store.get_entry(WARM_IMAGE_KIND, key) == built
+        other = get_benchmark("spec2017", "gcc")
+        assert get_warm_images(cache, other, 1, LENGTH, params, offsets) != first
 
 
 class TestStoreBlobEntries:
@@ -331,20 +293,20 @@ class TestRunKeyGating:
         assert tighter not in (exact, sampled)
 
 
-class TestCrossSchemeSharing:
-    def test_one_blob_serves_every_scheme(self, profile, tmp_path, monkeypatch):
+class TestNoStoreBlobs:
+    def test_sampled_sweep_writes_no_blobs(self, profile, tmp_path, monkeypatch):
+        """Warm images never reach a store: a sampled sweep on a
+        configured store records its runs and nothing beside them."""
         monkeypatch.setenv(STORE_ENV, str(tmp_path))
         config = RunConfig(sampling=SamplingConfig())
-        for scheme in (SchemeKind.UNSAFE, SchemeKind.STT):
-            # A fresh cache each time, so the second scheme's images
-            # come from the store.
-            result = run_sampled(
-                profile, scheme, LENGTH, config=config, cache=TraceCache()
-            )
-            assert result.sampling is not None
-        blob_dir = tmp_path / ".blobs" / WARM_IMAGE_KIND
-        blobs = list(blob_dir.rglob("*.json"))
-        assert len(blobs) == 1  # scheme-free key: second scheme reused it
+        specs = [
+            RunSpec.build(profile, scheme, LENGTH, config)
+            for scheme in (SchemeKind.UNSAFE, SchemeKind.STT)
+        ]
+        results, _ = run_specs(specs, jobs=1, store=ResultStore(tmp_path))
+        assert all(result.sampling is not None for result in results)
+        assert len(ResultStore(tmp_path)) == len(specs)
+        assert not (tmp_path / ".blobs").exists()
 
 
 class TestWarmImagesOnTraceCache:
@@ -357,7 +319,6 @@ class TestWarmImagesOnTraceCache:
 
     @pytest.fixture
     def snapshots(self, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
         calls = []
         snapshot = FunctionalWarmer.snapshot
 
@@ -401,7 +362,9 @@ class TestWarmImagesOnTraceCache:
         built = len(snapshots)
         (entry,) = cache._cache.values()
         (images,) = [
-            value for key, value in entry.derived.items() if type(key) is str
+            value
+            for key, value in entry.derived.items()
+            if key[0] == "warm_images"
         ]
         trace_bytes = sum(map(len, entry.traces)) * runner._UOP_EST_BYTES
         image_bytes = executor._image_bytes(images)

@@ -253,4 +253,4 @@ class TestRunKey:
         assert run_key(
             mcf, SchemeKind.UNSAFE, 30000, 1, SystemParams(), 12000,
             sampling=sampled,
-        ) == "409bc4ab187b40d380f4142d77a56cedbb373d3a61461cd2c3bade964637a374"
+        ) == "23e7ea88d3f0229af8ad17e074afd09cefe57abb0c3492c1e309bd2ccb2f9897"

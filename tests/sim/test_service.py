@@ -6,9 +6,8 @@ daemon thread and drives it through the public client helpers
 exercised end to end.
 """
 
-import asyncio
-import contextlib
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -19,78 +18,16 @@ pytestmark = pytest.mark.service
 
 from repro.api import RunRequest, poll, result, submit_suite
 from repro.sim.engine import SuiteResult
-from repro.sim.service import SweepService, _serve_async
-from tests.helpers import process_alive
-
-
-@contextlib.contextmanager
-def _running(service):
-    """Serve an already-built service; yields its base URL."""
-    ready = threading.Event()
-    bound = []
-    loop_holder = {}
-
-    def run():
-        loop = asyncio.new_event_loop()
-        loop_holder["loop"] = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(
-                _serve_async(service, "127.0.0.1", 0, ready=ready, bound=bound)
-            )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "service failed to start"
-    host, port = bound[0]
-    try:
-        yield f"http://{host}:{port}"
-    finally:
-        loop = loop_holder.get("loop")
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(
-                lambda: [task.cancel() for task in asyncio.all_tasks(loop)]
-            )
-        service.close()
+from repro.sim.service import SweepService
+from tests.helpers import process_alive, serving
 
 
 @pytest.fixture
 def server(monkeypatch):
     """A running sweep service; yields its base URL."""
     monkeypatch.setenv("REPRO_STORE", "off")
-    service = SweepService(jobs=1, backend="inline", store=False)
-    ready = threading.Event()
-    bound = []
-    loop_holder = {}
-
-    def run():
-        loop = asyncio.new_event_loop()
-        loop_holder["loop"] = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(
-                _serve_async(service, "127.0.0.1", 0, ready=ready, bound=bound)
-            )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "service failed to start"
-    host, port = bound[0]
-    yield f"http://{host}:{port}"
-    loop = loop_holder.get("loop")
-    if loop is not None and loop.is_running():
-        loop.call_soon_threadsafe(
-            lambda: [task.cancel() for task in asyncio.all_tasks(loop)]
-        )
-    service.close()
+    with serving(SweepService(jobs=1, backend="inline", store=False)) as url:
+        yield url
 
 
 def _requests():
@@ -219,6 +156,56 @@ class TestValidation:
         assert payload["status"] == "ok"
 
 
+def _raw_exchange(url, head, body=b""):
+    """Send one request's bytes, half-close, and read the whole reply.
+
+    Callers send only bytes the service reads: bytes left unread when
+    it closes turn its close into a reset, which can drop the reply.
+    """
+    host, port = url.rsplit("/", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    status_line, _, rest = reply.partition(b"\r\n")
+    return status_line.decode("latin-1"), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+class TestMalformedRequests:
+    """A request the service cannot read still gets an HTTP answer."""
+
+    def test_non_numeric_content_length_is_400(self, server):
+        status, payload = _raw_exchange(
+            server, "POST /v1/suites HTTP/1.1\r\nContent-Length: abc\r\n"
+        )
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Content-Length" in payload["error"]
+
+    def test_body_shorter_than_content_length_is_400(self, server):
+        status, payload = _raw_exchange(
+            server, "POST /v1/suites HTTP/1.1\r\nContent-Length: 50\r\n", b"{}"
+        )
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "2 of 50 bytes" in payload["error"]
+
+    def test_body_over_limit_is_413(self, server):
+        from repro.sim.service import _MAX_BODY_BYTES
+
+        status, payload = _raw_exchange(
+            server,
+            "POST /v1/suites HTTP/1.1\r\nContent-Length: %d\r\n"
+            % (_MAX_BODY_BYTES + 1),
+        )
+        assert status == "HTTP/1.1 413 Payload Too Large"
+        assert "body over" in payload["error"]
+
+
 def _events(url, job, since=None):
     query = f"?since={since}" if since is not None else ""
     with urllib.request.urlopen(
@@ -249,7 +236,7 @@ class TestEventStreamEdges:
         requests = [
             RunRequest("spec2017/mcf", schemes[i % 3], 300) for i in range(12)
         ]
-        with _running(service) as url:
+        with serving(service) as url:
             job = submit_suite(requests, url=url)
             result(job, url=url, timeout_s=120)
             yield url, job, service
@@ -419,7 +406,7 @@ class TestFinishedJobs:
     def test_finished_job_keeps_no_parts(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         service = SweepService(jobs=1, backend="inline", store=False)
-        with _running(service) as url:
+        with serving(service) as url:
             job = submit_suite(_requests(), url=url)
             suite = result(job, url=url, timeout_s=120)
             assert service.get(job).parts == []

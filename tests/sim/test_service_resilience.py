@@ -8,8 +8,6 @@ against canned single-purpose TCP servers so every byte on the wire is
 scripted and the tests stay deterministic.
 """
 
-import asyncio
-import contextlib
 import json
 import socket
 import threading
@@ -37,44 +35,9 @@ from repro.sim.service import (
     CircuitBreaker,
     ServiceBusyError,
     SweepService,
-    _serve_async,
 )
 from repro.sim.supervisor import RunFailure
-
-
-@contextlib.contextmanager
-def serve(service):
-    """Run ``service`` on an ephemeral port; yields its base URL."""
-    ready = threading.Event()
-    bound = []
-    holder = {}
-
-    def run():
-        loop = asyncio.new_event_loop()
-        holder["loop"] = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(
-                _serve_async(service, "127.0.0.1", 0, ready=ready, bound=bound)
-            )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "service failed to start"
-    host, port = bound[0]
-    try:
-        yield f"http://{host}:{port}"
-    finally:
-        loop = holder.get("loop")
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(
-                lambda: [task.cancel() for task in asyncio.all_tasks(loop)]
-            )
-        service.close()
+from tests.helpers import serving
 
 
 def _cell(scheme="stt"):
@@ -278,7 +241,7 @@ class TestAdmissionControl:
         service = SweepService(
             jobs=1, backend="inline", store=False, max_queued=1
         )
-        with serve(service) as url:
+        with serving(service) as url:
             first = submit_suite(
                 [RunRequest("spec2017/mcf", "stt", 300)], url=url
             )
@@ -306,7 +269,7 @@ class TestAdmissionControl:
         service = SweepService(
             backend="inline", store=False, max_queued=1, start_workers=False
         )
-        with serve(service) as url:
+        with serving(service) as url:
             submit_suite(
                 [RunRequest("spec2017/mcf", "stt", 300)],
                 url=url,
@@ -351,7 +314,7 @@ class TestIdempotency:
     def test_http_replay_returns_200_with_same_job(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         service = SweepService(jobs=1, backend="inline", store=False)
-        with serve(service) as url:
+        with serving(service) as url:
             payload = {"requests": [_cell()], "idempotency_key": "pin-1"}
             status, _, first = _raw(
                 f"{url}/v1/suites", method="POST", payload=payload
@@ -368,7 +331,7 @@ class TestIdempotency:
     def test_client_pins_key_across_transparent_retries(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         service = SweepService(jobs=1, backend="inline", store=False)
-        with serve(service) as url:
+        with serving(service) as url:
             requests = [RunRequest("spec2017/mcf", "stt", 300)]
             first = submit_suite(requests, url=url, idempotency_key="pin-2")
             second = submit_suite(requests, url=url, idempotency_key="pin-2")
@@ -382,7 +345,7 @@ class TestAuth:
         monkeypatch.delenv("REPRO_SERVE_TOKEN", raising=False)
         service = SweepService(jobs=1, backend="inline", store=False,
                                token="s3cret")
-        with serve(service) as url:
+        with serving(service) as url:
             yield url, service
 
     def test_missing_or_wrong_token_is_401(self, secured):
@@ -421,7 +384,7 @@ class TestHealthAndReadiness:
     def test_healthz_and_readyz_when_healthy(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         service = SweepService(jobs=1, backend="inline", store=False)
-        with serve(service) as url:
+        with serving(service) as url:
             status, _, body = _raw(f"{url}/healthz")
             assert status == 200 and body["status"] == "ok"
             status, _, body = _raw(f"{url}/readyz")
@@ -434,7 +397,7 @@ class TestHealthAndReadiness:
         service = SweepService(
             jobs=1, backend="inline", store=False, breaker=breaker
         )
-        with serve(service) as url:
+        with serving(service) as url:
             breaker.record_crash()
             status, headers, body = _raw(f"{url}/readyz")
             assert status == 503
@@ -447,7 +410,7 @@ class TestHealthAndReadiness:
     def test_metrics_endpoint_exposes_service_counters(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         service = SweepService(jobs=1, backend="inline", store=False)
-        with serve(service) as url:
+        with serving(service) as url:
             job = submit_suite([RunRequest("spec2017/mcf", "stt", 300)],
                                url=url)
             result(job, url=url, timeout_s=120)
@@ -602,7 +565,7 @@ class TestClientTransportResilience:
             return original(writer, method, route)
 
         service._apply_response_chaos = truncate_first
-        with serve(service) as url:
+        with serving(service) as url:
             job = submit_suite(
                 [RunRequest("spec2017/mcf", "stt", 300)], url=url
             )
@@ -641,7 +604,7 @@ class TestServiceChaos:
             jobs=1, backend="inline", store=False,
             chaos="seed=1,drop=1.0", start_workers=False,
         )
-        with serve(service) as url:
+        with serving(service) as url:
             assert _raw(f"{url}/healthz")[0] == 200  # exempt, always
             with pytest.raises(ServiceUnavailableError):
                 poll("job-0001", url=url)
@@ -653,7 +616,7 @@ class TestServiceChaos:
             jobs=1, backend="inline", store=False,
             chaos="seed=1,slow=1.0,slow_s=0.01",
         )
-        with serve(service) as url:
+        with serving(service) as url:
             job = submit_suite([RunRequest("spec2017/mcf", "stt", 300)],
                                url=url)
             suite = result(job, url=url, timeout_s=120)
@@ -700,7 +663,7 @@ class TestLongPollResult:
     ):
         gate = _gate_cells(monkeypatch, fail=fail)
         service = inline()
-        with serve(service) as url:
+        with serving(service) as url:
             job, _ = service.submit_job([_cell()], {})
             opener = threading.Timer(0.3, gate.set)
             opener.start()
@@ -715,7 +678,7 @@ class TestLongPollResult:
 
     def test_expired_hold_answers_409_waited(self, inline):
         service = inline(start_workers=False)
-        with serve(service) as url:
+        with serving(service) as url:
             job, _ = service.submit_job([_cell()], {})
             status, body, elapsed = _timed_result(url, job.job_id, "?wait=0.3")
         assert status == 409 and body["waited"] is True
@@ -727,7 +690,7 @@ class TestLongPollResult:
 
         monkeypatch.setattr(service_mod, "RESULT_WAIT_CAP_S", 0.2)
         service = inline(start_workers=False)
-        with serve(service) as url:
+        with serving(service) as url:
             job, _ = service.submit_job([_cell()], {})
             status, body, elapsed = _timed_result(url, job.job_id, "?wait=1000")
         assert status == 409 and body["waited"] is True
@@ -735,7 +698,7 @@ class TestLongPollResult:
 
     def test_no_wait_answers_409_at_once(self, inline):
         service = inline(start_workers=False)
-        with serve(service) as url:
+        with serving(service) as url:
             job, _ = service.submit_job([_cell()], {})
             for query in ("", "?wait=0", "?wait=junk"):
                 status, body, elapsed = _timed_result(url, job.job_id, query)
@@ -746,7 +709,7 @@ class TestLongPollResult:
         monkeypatch.setattr(api_mod, "_RESULT_HOLD_S", 0.1)
         gate = _gate_cells(monkeypatch)
         service = inline()
-        with serve(service) as url:
+        with serving(service) as url:
             job = submit_suite([RunRequest("spec2017/mcf", "stt", 300)], url=url)
             opener = threading.Timer(0.5, gate.set)
             opener.start()
@@ -792,7 +755,7 @@ class TestLongPollResult:
             return original(writer, method, route)
 
         service._apply_response_chaos = truncate_first_result
-        with serve(service) as url:
+        with serving(service) as url:
             job = submit_suite([RunRequest("spec2017/mcf", "stt", 300)], url=url)
             opener = threading.Timer(0.3, gate.set)
             opener.start()
@@ -803,7 +766,7 @@ class TestLongPollResult:
 
     def test_close_releases_held_requests(self, inline):
         service = inline(start_workers=False)
-        with serve(service) as url:
+        with serving(service) as url:
             job, _ = service.submit_job([_cell()], {})
             closer = threading.Timer(0.3, service.close)
             closer.start()

@@ -7,9 +7,7 @@ carrying the estimates, write-ahead-ledger persistence across a service
 restart, and the HTTP client's ``submit_suite(sampling=...)`` payload.
 """
 
-import asyncio
 import json
-import threading
 import time
 
 import pytest
@@ -19,7 +17,8 @@ pytestmark = pytest.mark.service
 from repro.api import RunRequest, result, submit_suite
 from repro.sampling import SamplingConfig
 from repro.sim.engine import SuiteResult
-from repro.sim.service import SweepService, _serve_async, _wire_options
+from repro.sim.service import SweepService, _wire_options
+from tests.helpers import serving
 
 SPEC = "ci=0.02,conf=0.95"
 
@@ -134,36 +133,8 @@ class TestHttpClient:
     def server(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         service = SweepService(jobs=1, backend="inline", store=False)
-        ready = threading.Event()
-        bound = []
-        loop_holder = {}
-
-        def run():
-            loop = asyncio.new_event_loop()
-            loop_holder["loop"] = loop
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(
-                    _serve_async(
-                        service, "127.0.0.1", 0, ready=ready, bound=bound
-                    )
-                )
-            except asyncio.CancelledError:
-                pass
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert ready.wait(10), "service failed to start"
-        host, port = bound[0]
-        yield f"http://{host}:{port}"
-        loop = loop_holder.get("loop")
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(
-                lambda: [task.cancel() for task in asyncio.all_tasks(loop)]
-            )
-        service.close()
+        with serving(service) as url:
+            yield url
 
     def test_submit_suite_sampling_round_trip(self, server):
         requests = [

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import StatSet
 from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.metrics import DEFAULT_HISTOGRAMS
+from repro.telemetry.metrics import DEFAULT_HISTOGRAMS, bucket_quantile
 
 
 class TestCounter:
@@ -58,6 +58,13 @@ class TestHistogram:
         assert hist.quantile(1.0) == 8.0
         with pytest.raises(ValueError):
             hist.quantile(1.5)
+        # The serialized counts (what `repro telemetry summarize` reads)
+        # give the same quantiles through the same rule.
+        data = hist.as_dict()
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert bucket_quantile(data["bounds"], data["counts"], q) == (
+                hist.quantile(q)
+            )
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
